@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
 from .code import InvalidCodeError, PfCode, canonical_phases, is_logical, validate
+from .search import _is_prime
 from .zmod import ZModMatrix, span_order
 
 __all__ = [
@@ -209,12 +210,6 @@ def double_code_d6(code3: PfCode) -> PfCode:
     if not validate(code).all_ok:
         raise InvalidCodeError("doubled code failed validation")
     return code
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p**0.5) + 1))
 
 
 @dataclass(frozen=True)

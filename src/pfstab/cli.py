@@ -31,7 +31,7 @@ from .codefile import (
 )
 from .oracle import jw_modes, projector, relation_report, syndrome_sim
 from .repro import run_all_checks
-from .search import SearchSpec, default_thread_count, find_codes
+from .search import BudgetExceededError, SearchSpec, default_thread_count, find_codes
 
 USAGE_ERROR = 2
 INVALID_CODE = 1
@@ -108,7 +108,11 @@ def cmd_search(args) -> int:
         f"raw tuple bound: C(candidates, {spec.generator_count})",
         file=sys.stderr,
     )
-    codes, cert = find_codes(spec, threads=args.threads)
+    try:
+        codes, cert = find_codes(spec, threads=args.threads)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_EXCEEDED
     _emit(args, cert.to_dict(canonical=args.canonical))
     if cert.budget_exceeded:
         return BUDGET_EXCEEDED

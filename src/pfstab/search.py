@@ -4,9 +4,18 @@ The exhaustive engine enumerates generator tuples over the parity-zero
 exponent vectors in lexicographic order, pruning on the first commutation
 failure, on span-growth failure, and (for prime D) on non-canonical tuples:
 every stabilizer span contains exactly one generating tuple picked greedily
-by lexicographic minimality, so each candidate code is visited once.  A
-finished enumeration that found nothing is returned as an explicit
-nonexistence certificate; randomized mode never claims nonexistence.
+by lexicographic minimality, so each candidate code is visited once.  The
+canonical test is incremental (McKay's canonical augmentation): a parent
+tuple has already passed it and candidate indices only grow, so a child
+adding generator g to span S is canonical exactly when g is the minimum of
+the new cosets S + c*g, c = 1 .. D-1.
+
+Each exponent vector v carries the base-D integer code ``v @ place`` with
+``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
+order on codes, so the canonical test is one ``min`` over coset codes and
+every span-membership test compares codes.  A finished enumeration that
+found nothing is returned as an explicit nonexistence certificate;
+randomized mode never claims nonexistence.
 """
 
 from __future__ import annotations
@@ -189,22 +198,32 @@ def _weight_vectors(modulus: int, num_modes: int, lo: int, hi: int) -> np.ndarra
 
 
 class _Engine:
-    """Shared state for one exhaustive enumeration over a first-generator range."""
+    """Shared state for one exhaustive enumeration over a first-generator range.
+
+    A span is carried as its rows (row 0 is the zero vector) and their
+    integer codes ``row @ place``; membership tests compare codes only.
+    The coset-minimum test assumes prime D: ``find_codes`` turns symmetry
+    reduction off for composite moduli.
+    """
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
         d, m = spec.modulus, spec.num_modes
         self.cand = _parity_zero_candidates(d, m)
         self.count = self.cand.shape[0]
+        self.place = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        self.codes = self.cand @ self.place  # ascending, as the candidates are sorted
+        self.multiples = np.arange(1, d, dtype=np.int64)[:, None, None]
+        self.prime = _is_prime(d)
         lam = lambda_matrix(d, m).array
         self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
         low = _weight_vectors(d, m, 1, spec.target_d - 1)
         exact = _weight_vectors(d, m, spec.target_d, spec.target_d)
-        self.low_w = low
-        self.exact_w = exact
-        self.comm_low = (low @ self.pairing.T) % d if low.size else np.zeros((0, self.count), dtype=np.int64)
-        self.comm_exact = (exact @ self.pairing.T) % d
-        self.low_keys = [v.tobytes() for v in low]
+        # [i, t]: candidate i commutes with weight vector t.
+        self.low_ok = (self.pairing @ low.T) % d == 0
+        self.exact_ok = (self.pairing @ exact.T) % d == 0
+        self.low_codes = low @ self.place
+        self.exact_codes = exact @ self.place
         self.nodes = 0
         self.hits: list[tuple[int, ...]] = []
         self.hit_keys: set[str] = set()
@@ -216,26 +235,26 @@ class _Engine:
     def _comm_mask(self, i: int) -> np.ndarray:
         return ((self.pairing[i] @ self.cand.T) % self.spec.modulus) == 0
 
-    def _span_with(self, span: np.ndarray, g: np.ndarray) -> np.ndarray:
-        d = self.spec.modulus
-        scaled = (span[None, :, :] + (np.arange(d)[:, None, None] * g[None, None, :])) % d
-        flat = scaled.reshape(-1, span.shape[1])
-        return np.unique(flat, axis=0)
+    def _zero_span(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((1, self.spec.num_modes), dtype=np.int64), np.zeros(1, dtype=np.int64)
 
-    def _is_canonical_prefix(self, chosen: list[int], span: np.ndarray) -> bool:
-        """chosen must be the greedy lexicographically minimal generating tuple."""
-        d = self.spec.modulus
-        span_keys = sorted(tuple(int(x) for x in row) for row in span)
-        sub: set[tuple[int, ...]] = {(0,) * span.shape[1]}
-        sub_arr = np.zeros((1, span.shape[1]), dtype=np.int64)
-        for idx in chosen:
-            target = tuple(int(x) for x in self.cand[idx])
-            smallest = next(t for t in span_keys if t not in sub)
-            if smallest != target:
-                return False
-            sub_arr = self._span_with(sub_arr, self.cand[idx])
-            sub = {tuple(int(x) for x in row) for row in sub_arr}
-        return True
+    def _coset(self, span: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of span + c * cand[i] for c = 1 .. D-1, and their codes."""
+        rows = ((span[None, :, :] + self.multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
+        return rows, rows @ self.place
+
+    def _grow(self, span, codes, coset, coset_codes) -> tuple[np.ndarray, np.ndarray]:
+        """The span generated by ``span`` and a generator outside it, given its coset rows.
+
+        For prime D the cosets span + c*g are disjoint and already distinct;
+        for composite D a multiple c*g can fall back into the span.
+        """
+        rows = np.vstack((span, coset))
+        all_codes = np.concatenate((codes, coset_codes))
+        if self.prime:
+            return rows, all_codes
+        all_codes, first = np.unique(all_codes, return_index=True)
+        return rows[first], all_codes
 
     def _accept(self, chosen: list[int]) -> None:
         spec = self.spec
@@ -261,60 +280,56 @@ class _Engine:
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
+    def _leaf(self, chosen: list[int], codes: np.ndarray) -> None:
+        """Hand a full tuple to ``_accept`` if its weight < d and weight-d centralizers allow it."""
+        if self._low_weight_clear(chosen, codes) and self._has_exact_weight_logical(chosen, codes):
+            self._accept(chosen)
+
     # -- enumeration --------------------------------------------------------
 
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
         first_hi = self.count if first_hi is None else first_hi
-        m = self.spec.num_modes
-        zero_span = np.zeros((1, m), dtype=np.int64)
+        span, codes = self._zero_span()
         for i in range(first_lo, first_hi):
-            self._extend([i], self._comm_mask(i), self._span_with(zero_span, self.cand[i]))
+            self._visit([], None, span, codes, i)
             if self.stopped:
                 return
 
-    def _extend(self, chosen: list[int], comm_ok: np.ndarray, span: np.ndarray) -> None:
+    def _visit(self, chosen: list[int], comm_ok: np.ndarray | None, span: np.ndarray, codes: np.ndarray, j: int) -> None:
+        """Count the child that adds candidate j to ``chosen`` and explore it.
+
+        ``chosen`` has passed this test itself and j exceeds its indices, so
+        the child is the greedy lexicographically minimal generating tuple
+        of its span exactly when cand[j] is the minimum of the new coset
+        rows span + c*cand[j] (McKay's canonical augmentation).
+        """
         spec = self.spec
         self.nodes += 1
         if self.nodes > spec.max_tuples:
             raise BudgetExceededError(f"tuple budget {spec.max_tuples} exceeded")
-        depth = len(chosen)
-        if spec.symmetry_reduction and not self._is_canonical_prefix(chosen, span):
+        coset, coset_codes = self._coset(span, j)
+        if spec.symmetry_reduction and coset_codes.min() != self.codes[j]:
             return
-        if depth == spec.generator_count:
-            if self._low_weight_clear(chosen, span) and self._has_exact_weight_logical(chosen, span):
-                self._accept(chosen)
+        chosen = chosen + [j]
+        span, codes = self._grow(span, codes, coset, coset_codes)
+        if len(chosen) == spec.generator_count:
+            self._leaf(chosen, codes)
             return
-        span_keys = {row.tobytes() for row in span}
-        start = chosen[-1] + 1
-        allowed = np.nonzero(comm_ok[start:])[0] + start
-        for j in allowed:
+        comm_ok = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
+        comm_ok[np.searchsorted(self.codes, codes[1:])] = False  # span must strictly grow
+        for k in np.nonzero(comm_ok[j + 1 :])[0] + (j + 1):
             if self.stopped:
                 return
-            g = self.cand[j]
-            if g.tobytes() in span_keys:
-                continue  # span must strictly grow
-            self._extend(chosen + [int(j)], comm_ok & self._comm_mask(int(j)), self._span_with(span, g))
+            self._visit(chosen, comm_ok, span, codes, int(k))
 
-    def _low_weight_clear(self, chosen: list[int], span: np.ndarray) -> bool:
+    def _low_weight_clear(self, chosen: list[int], codes: np.ndarray) -> bool:
         """Every weight < d vector centralizing all generators must be a stabilizer."""
-        if self.low_w.size == 0:
-            return True
-        mask = np.ones(self.low_w.shape[0], dtype=bool)
-        for i in chosen:
-            mask &= self.comm_low[:, i] == 0
-        if not mask.any():
-            return True
-        span_keys = {row.tobytes() for row in span}
-        return all(self.low_keys[int(t)] in span_keys for t in np.nonzero(mask)[0])
+        central = self.low_ok[chosen].all(axis=0)
+        return bool(np.isin(self.low_codes[central], codes).all())
 
-    def _has_exact_weight_logical(self, chosen: list[int], span: np.ndarray) -> bool:
-        mask = np.ones(self.exact_w.shape[0], dtype=bool)
-        for i in chosen:
-            mask &= self.comm_exact[:, i] == 0
-        if not mask.any():
-            return False
-        span_keys = {row.tobytes() for row in span}
-        return any(self.exact_w[int(t)].tobytes() not in span_keys for t in np.nonzero(mask)[0])
+    def _has_exact_weight_logical(self, chosen: list[int], codes: np.ndarray) -> bool:
+        central = self.exact_ok[chosen].all(axis=0)
+        return not np.isin(self.exact_codes[central], codes).all()
 
 
 def _code_payload(generators: tuple[PfOperator, ...]) -> dict:
@@ -404,24 +419,15 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     for _ in range(spec.samples):
         cert.tuples_examined += 1
         idx = sorted(int(x) for x in rng.choice(engine.count, spec.generator_count, replace=False))
-        ok = True
-        for a, b in itertools.combinations(idx, 2):
-            if (engine.pairing[a] @ engine.cand[b]) % spec.modulus:
-                ok = False
-                break
-        if not ok:
+        if ((engine.pairing[idx] @ engine.cand[idx].T) % spec.modulus).any():
             continue
-        span = np.zeros((1, spec.num_modes), dtype=np.int64)
-        independent = True
+        span, span_codes = engine._zero_span()
         for i in idx:
-            if engine.cand[i].tobytes() in {row.tobytes() for row in span}:
-                independent = False
-                break
-            span = engine._span_with(span, engine.cand[i])
-        if not independent:
-            continue
-        if engine._low_weight_clear(idx, span) and engine._has_exact_weight_logical(idx, span):
-            engine._accept(list(idx))
+            if engine.codes[i] in span_codes:
+                break  # dependent tuple
+            span, span_codes = engine._grow(span, span_codes, *engine._coset(span, i))
+        else:
+            engine._leaf(idx, span_codes)
         if engine.stopped:
             break
     for gens in engine.hits:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -147,6 +148,45 @@ def test_search_budget_exit_code(capsys, tmp_path):
     }))
     status, out, _ = run(capsys, "search", spec_file)
     assert status == 3
+
+
+def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({"D": 3, "num_modes": 16, "target_k": 1, "target_d": 3}))
+    status, out, err = run(capsys, "search", spec_file)
+    assert status == 3
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: candidate space")
+    assert "Traceback" not in err
+
+
+# sha256 of `search --canonical --out` files, recorded with the
+# non-incremental canonical-prefix test.
+CANONICAL_CERT_SHA = {
+    "d3_6modes": (
+        {"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": 0},
+        "0fe3209fae08b91451de4a3bc84d85083499baea1bf125ef9825222143500088",
+    ),
+    "d3_8modes_first": (
+        {"D": 3, "num_modes": 8, "target_k": 1, "target_d": 3, "max_hits": 1},
+        "f98e22fe0006ce3a1a0810d7e0ed9932887d772408b4148122271aefbd2b76be",
+    ),
+    "d4_4modes": (
+        {"D": 4, "num_modes": 4, "target_k": 1, "target_d": 2, "generator_count": 2, "max_hits": 0},
+        "d17c82da7edaaa24469f1d7847417be7197f85de5bb39745b143337367c86b96",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CERT_SHA))
+def test_search_canonical_certificate_is_pinned(capsys, tmp_path, name):
+    spec, expected = CANONICAL_CERT_SHA[name]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_file = tmp_path / "cert.json"
+    status, _, _ = run(capsys, "search", spec_file, "--canonical", "--out", out_file)
+    assert status == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected
 
 
 def test_search_bad_spec_exits_2(capsys, tmp_path):

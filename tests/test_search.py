@@ -1,7 +1,14 @@
-import pytest
+import hashlib
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pfstab import search
+from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
-from pfstab.code import analyze, validate
+from pfstab.code import PfCode, analyze, validate
 from pfstab.search import (
     BudgetExceededError,
     SearchSpec,
@@ -110,6 +117,91 @@ def test_parallel_matches_serial():
     ]
     assert cert_s.exhausted and cert_p.exhausted
     assert cert_s.tuples_examined == cert_p.tuples_examined
+
+
+def _keys(cert) -> list[str]:
+    return [h["key"] for h in cert.hits]
+
+
+def _sha_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Node counts and hit keys below were recorded with the non-incremental
+# canonical-prefix test; the incremental one must walk the same tree.
+EIGHT_MODE_KEY = "788b2bf19d54117e41b4174303ecd12a666621fe59a498b86caaaeb0b87b8ba9"
+D2_ALL_HITS_SHA = "ad76f851cf33c265f9adc909f87eacee444e6ca593fc219cf68e49bce97089a1"
+D4_KEYS = [
+    "154c8691810b5b8aa02eda0611bc5608f1b9b5d981ffc2c2b16538e53446f39a",
+    "94fdd097127f88f737733a6f2c21b85eee3c158d4acaf33b9b22539b571075c2",
+    "0cae492a35c63818005d22d8e722f5b1273ed5bc9ac47aa5f009183857bab133",
+    "c22e2d6ad04dda2dfecf7defea85ca15feb40085d696b0903c431705bc7bfca9",
+]
+
+
+def test_search_tree_pinned_six_modes_d3():
+    _, cert = find_codes(SearchSpec(3, 6, 1, 3, max_hits=0))
+    assert cert.tuples_examined == 6242 and _keys(cert) == []
+
+
+def test_search_tree_pinned_eight_modes_d2_all_hits():
+    _, cert = find_codes(SearchSpec(2, 8, 1, 2, max_hits=0))
+    assert cert.tuples_examined == 20836 and cert.exhausted
+    keys = _keys(cert)
+    assert len(keys) == 735 and _sha_lines(keys) == D2_ALL_HITS_SHA
+
+
+def test_search_tree_pinned_eight_modes_d3_first_hit():
+    _, cert = find_codes(SearchSpec(3, 8, 1, 3, max_hits=1))
+    assert cert.tuples_examined == 22229 and _keys(cert) == [EIGHT_MODE_KEY]
+
+
+def test_search_tree_pinned_composite_modulus():
+    spec = SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0)
+    assert spec.symmetry_reduction  # find_codes turns it off for composite D
+    _, cert = find_codes(spec)
+    assert cert.spec["symmetry_reduction"] is False
+    assert cert.tuples_examined == 623 and _keys(cert) == D4_KEYS
+
+
+@contextmanager
+def _accepted_spans():
+    """Collect the span key of every tuple the engine hands to ``_accept``."""
+    spans: list[str] = []
+    original = search._Engine._accept
+
+    def spy(engine, chosen):
+        d, m = engine.spec.modulus, engine.spec.num_modes
+        gens = tuple(PfOperator(d, m, 0, tuple(int(x) for x in engine.cand[i])) for i in chosen)
+        spans.append(canonical_equivalence_key(PfCode(d, m, gens)))
+        original(engine, chosen)
+
+    search._Engine._accept = spy
+    try:
+        yield spans
+    finally:
+        search._Engine._accept = original
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 4), (2, 6), (3, 4), (3, 6), (5, 4)]),
+    gens=st.integers(1, 2),
+    target_d=st.integers(1, 3),
+)
+def test_canonical_augmentation_visits_each_span_once(shape, gens, target_d):
+    modulus, modes = shape
+    # Unreduced, these call _accept on thousands of tuples: over ten seconds each.
+    assume(not (shape == (3, 6) and gens == 2 and target_d < 3))
+    spec = dict(num_modes=modes, target_k=modes // 2 - gens, target_d=target_d, generator_count=gens, max_hits=0)
+    with _accepted_spans() as spans:
+        _, reduced = find_codes(SearchSpec(modulus, symmetry_reduction=True, **spec), threads=1)
+    _, plain = find_codes(SearchSpec(modulus, symmetry_reduction=False, **spec), threads=1)
+    assert len(set(spans)) == len(spans)
+    keys = _keys(reduced)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == set(_keys(plain))
+    assert reduced.tuples_examined <= plain.tuples_examined
 
 
 @pytest.mark.slow
