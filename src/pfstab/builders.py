@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
-from .code import InvalidCodeError, PfCode, canonical_phases, is_logical, validate
+from .code import InvalidCodeError, PfCode, _first_logical, canonical_phases, is_logical, validate
 from .search import _is_prime
-from .zmod import ZModMatrix, span_order
+from .zmod import ZModMatrix, _howell_basis, span_order
 
 __all__ = [
     "QuditCheckMatrix",
@@ -77,31 +77,22 @@ class QuditCheckMatrix:
         return total // order
 
     def distance(self, max_weight: int | None = None) -> int | None:
-        """Brute-force distance over Weyl errors; None when nothing logical exists.
+        """Minimum weight of a logical Weyl error; None when nothing logical exists.
 
         An error (u|v) is undetected iff u.v_r == v.u_r (mod D) against every
         row r; it is logical if additionally (u|v) is outside the row span.
+        Sites are scanned like parafermion modes in :func:`pfstab.code.distance`,
+        with the D^2 - 1 site operators (a, b) != (0, 0) as letters.
         """
-        from .zmod import span_membership
-
         d, nq = self.modulus, self.num_qudits
         cap = max_weight if max_weight is not None else nq
-        rows = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), -1)
-        u_rows, v_rows = rows[:, :nq], rows[:, nq:]
-        mat = self.matrix()
-        site_ops = [p for p in itertools.product(range(d), repeat=2) if p != (0, 0)]
-        for w in range(1, cap + 1):
-            for sites in itertools.combinations(range(nq), w):
-                for assignment in itertools.product(site_ops, repeat=w):
-                    u = np.zeros(nq, dtype=np.int64)
-                    v = np.zeros(nq, dtype=np.int64)
-                    for site, (a, b) in zip(sites, assignment):
-                        u[site], v[site] = a, b
-                    if ((u_rows @ v - v_rows @ u) % d).any():
-                        continue
-                    if not span_membership(mat, np.concatenate([u, v])):
-                        return w
-        return None
+        mat = self.matrix().array
+        u_rows, v_rows = mat[:, :nq].T[:, None, :], mat[:, nq:].T[:, None, :]
+        site_ops = np.array([p for p in itertools.product(range(d), repeat=2) if p != (0, 0)], dtype=np.int64)
+        a, b = site_ops[:, 0, None], site_ops[:, 1, None]
+        contrib = (u_rows * b - v_rows * a) % d
+        found = _first_logical(contrib, site_ops, _howell_basis(mat, d), d, cap)
+        return None if found is None else found[0]
 
 
 def _mode_base(site: int) -> int:

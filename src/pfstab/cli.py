@@ -76,7 +76,11 @@ def cmd_validate(args) -> int:
 
 def cmd_params(args) -> int:
     code, _ = _load_code_or_exit(args.file)
-    report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
+    try:
+        report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
+    except ValueError as exc:  # a cap below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if args.json:
         _emit(args, report.to_dict())
     else:

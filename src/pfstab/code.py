@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
 from .zmod import (
     ZModMatrix,
+    _basis_order,
+    _coset_minima,
     _howell_basis,
     _reduce_against,
     coset_minimum,
@@ -134,14 +138,21 @@ class DistanceResult:
 
 @dataclass(frozen=True)
 class LconResult:
-    """Minimum layout diameter of a parity-preserving logical; None if none exists."""
+    """Minimum layout diameter of a parity-preserving logical.
+
+    ``cap`` is the diameter cap when it cut the window scan short of the
+    layout's full diameter, else None.  A value of None then means
+    l_con > cap; with no cap it means no parity-preserving logical exists.
+    """
 
     value: int | None
     certificate: PfOperator | None
+    cap: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
+            "cap": self.cap,
             "certificate": str(self.certificate) if self.certificate else None,
         }
 
@@ -241,11 +252,10 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     drop out.  The images generate the quotient.
     """
     cent = howell_form(centralizer_basis(code))
-    smat = stabilizer_matrix(code)
+    basis = _howell_basis(stabilizer_matrix(code).array, code.modulus)
     seen = set()
     out = []
-    for row in cent.array:
-        rep = coset_minimum(smat, row)
+    for rep in _coset_minima(basis, cent.array, code.modulus):
         key = tuple(int(x) for x in rep)
         if any(rep) and key not in seen:
             seen.add(key)
@@ -253,53 +263,183 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     return out
 
 
-def _colex_combinations(universe: int, size: int):
-    return sorted(itertools.combinations(range(universe), size), key=lambda c: c[::-1])
+# -- minimum-weight enumeration ------------------------------------------------
+#
+# One enumerator serves every minimum-weight scan: supports of weight w in
+# colexicographic order, and on each support the assignments of letters
+# (nonzero exponents, or qudit site operators) in lexicographic order.  In
+# colex order the supports of weight L + j split into a tail of j positions
+# t_1 < ... < t_j, in colex order, and a head: one of the first C(t_1, L)
+# supports of weight L, in colex order.  So a table of every weight-L
+# syndrome, plus the syndromes of the tails, yields every weight above L
+# in scan order.  The scan keeps such a table for L = w - 1 (tails of one
+# position) while it fits in _TABLE_BYTES, and uses longer tails above it.
+
+# Consecutive tails share one block while it stays under this many rows,
+# so small codes pay the per-block numpy work about once per weight.
+_BLOCK_ROWS = 1 << 16
+# Largest syndrome table kept for the next weight.
+_TABLE_BYTES = 1 << 27
 
 
-def _assignment_columns(modulus: int, size: int) -> np.ndarray:
-    cols = list(itertools.product(range(1, modulus), repeat=size))
-    return np.array(cols, dtype=np.int64).T.reshape(size, -1)
+@lru_cache(maxsize=32)
+def _colex_supports(universe: int, size: int) -> np.ndarray:
+    """The C(universe, size) supports of that size in ``range(universe)``, in colex order."""
+    if size == 0:
+        out = np.zeros((1, 0), dtype=np.int64)
+    else:
+        prev = _colex_supports(universe, size - 1)
+        counts = [comb(c, size - 1) for c in range(size - 1, universe)]
+        head = np.concatenate([np.arange(n) for n in counts]) if counts else np.zeros(0, dtype=np.int64)
+        out = np.column_stack([prev[head], np.repeat(np.arange(size - 1, universe), counts)])
+    out.flags.writeable = False
+    return out
+
+
+def _lex_digits(index: np.ndarray, letters: int, size: int) -> np.ndarray:
+    """Letter tuples at these ranks in the lexicographic order of ``letters**size`` tuples."""
+    return (np.asarray(index)[:, None] // letters ** np.arange(size - 1, -1, -1)) % letters
+
+
+def _place(positions: np.ndarray, letter_idx: np.ndarray, letters: np.ndarray, universe: int) -> np.ndarray:
+    """Vectors with letter ``letter_idx[i, k]`` at position ``positions[i, k]``.
+
+    Component t of a letter at position c goes to column t * universe + c.
+    """
+    out = np.zeros((positions.shape[0], letters.shape[1] * universe), dtype=np.int64)
+    rows = np.arange(positions.shape[0])[:, None]
+    for t in range(letters.shape[1]):
+        out[rows, t * universe + positions] = letters[letter_idx, t]
+    return out
+
+
+def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: dict, modulus: int, max_weight: int):
+    """First undetected error outside the stabilizer span, by weight, then colex/lex order.
+
+    ``contrib[c, l]`` is the syndrome of letter l at position c and
+    ``letters[l]`` its vector components; ``basis`` is the Howell basis of
+    the stabilizer rows.  Returns (weight, vector), or None when every
+    weight up to ``max_weight`` is clear.
+
+    A block is a run of tails: each tail's heads (a prefix of the table)
+    times the tail's letter tuples, in row-major order, which is the scan
+    order.  With one-position tails the blocks, in order, are the table of
+    the next weight.  Only zero-syndrome rows are reduced against the
+    stabilizer span, a block's all at once.
+    """
+    positions, q, r = contrib.shape
+    # Unsigned entries wide enough for a sum of two residues, and rows padded
+    # to whole 8-byte words so that a row compares as a few integers.
+    dtype = np.min_scalar_type(2 * modulus - 2)
+    per_word = 8 // dtype.itemsize
+    padded = np.zeros((positions, q, max(per_word, -(-r // per_word) * per_word)), dtype=dtype)
+    padded[:, :, :r] = contrib % modulus
+    contrib, cols = padded, padded.shape[2]
+    level, table = 0, np.zeros((1, 1, cols), dtype=dtype)  # syndromes of weight `level`
+    for w in range(1, min(max_weight, positions) + 1):
+        j = w - level
+        tails = _colex_supports(positions, j)
+        tails = tails[tails[:, 0] >= level]
+        head_counts = np.array([comb(int(t), level) for t in tails[:, 0]], dtype=np.int64)
+        width = table.shape[1] * q**j  # rows per head
+        grown = None
+        if j == 1 and w < max_weight and comb(positions, w) * width * cols * dtype.itemsize <= _TABLE_BYTES:
+            grown = np.empty((comb(positions, w), width, cols), dtype=dtype)
+        done = 0  # supports of weight w scanned so far
+        for lo, hi, first, stop in _blocks(head_counts, width):
+            run = tails[lo:hi]
+            counts = head_counts[lo:hi] if hi - lo > 1 else np.array([stop - first])
+            syn = contrib[run[:, 0]]
+            for i in range(1, j):
+                syn = (syn[:, :, None, :] + contrib[run[:, i]][:, None, :, :]).reshape(hi - lo, -1, cols)
+                np.minimum(syn, syn - modulus, out=syn)  # reduce mod D; unsigned wrap-around
+            tail_of = np.repeat(np.arange(hi - lo), counts)
+            head = first + np.arange(tail_of.size) - (np.cumsum(counts) - counts)[tail_of]
+            prefix = table[first:stop] if hi - lo == 1 else table[head]
+            # A head row plus the tail syndrome is zero iff the row equals its negation.
+            negated = ((modulus - syn) % modulus).view(np.uint64)[tail_of]
+            zero = np.flatnonzero((prefix.view(np.uint64)[:, :, None, :] == negated[:, None]).all(axis=3))
+            if grown is not None:
+                dest = grown[done : done + tail_of.size].reshape(tail_of.size, -1, q, cols)
+                np.add(prefix[:, :, None, :], syn[tail_of][:, None], out=dest)
+                np.minimum(dest, dest - modulus, out=dest)
+            done += tail_of.size
+            if not zero.size:
+                continue
+            row, assignment = np.divmod(zero, width)
+            support = np.column_stack([_colex_supports(positions, level)[head[row]], run[tail_of[row]]])
+            vectors = _place(support, _lex_digits(assignment, q, w), letters, positions)
+            outside = _coset_minima(basis, vectors, modulus).any(axis=1)
+            if outside.any():
+                return w, vectors[int(np.argmax(outside))]
+        if grown is not None:
+            level, table = w, grown
+    return None
+
+
+def _blocks(head_counts: np.ndarray, width: int):
+    """Split the scan of one weight into blocks of about ``_BLOCK_ROWS`` rows.
+
+    Tail i has ``head_counts[i]`` heads of ``width`` rows each.  Yields
+    (lo, hi, first, stop): tails lo .. hi-1 with all their heads, or, when
+    hi = lo + 1, heads first .. stop-1 of tail lo.
+    """
+    per_block = max(1, _BLOCK_ROWS // width)
+    lo, size = 0, 0
+    for i, n in enumerate(head_counts.tolist()):
+        if i > lo and size + n > per_block:
+            yield lo, i, 0, size
+            lo, size = i, 0
+        if n > per_block:
+            for first in range(0, n, per_block):
+                yield i, i + 1, first, min(n, first + per_block)
+            lo = i + 1
+        else:
+            size += n
+    if lo < len(head_counts):
+        yield lo, len(head_counts), 0, size
+
+
+def _check_cap(name: str, cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError(f"{name} must be at least 1, got {cap}")
 
 
 def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     """Exact minimum logical weight by enumeration in increasing weight.
 
     Supports are scanned in colexicographic order and exponent assignments
-    in lexicographic order, so the certificate is reproducible.  Codes with
-    more than 20 modes require an explicit ``max_weight``; a capped search
-    that finds nothing reports value None (meaning d > cap), never a guess.
+    in lexicographic order, so the certificate is reproducible.  Each weight
+    is scanned in batches: the syndromes of weight w grow by one column from
+    a table of the weight-(w-1) syndromes, which holds
+    C(m, w-1) * (D-1)^(w-1) * r bytes (r generators rounded up to a multiple
+    of 8, D <= 128), and the zero-syndrome rows of a batch are tested
+    against the stabilizer span together.  A table above 128 MiB is not
+    kept; higher weights then grow from the last kept table by several
+    columns.  Codes with more than 20 modes require an explicit
+    ``max_weight``; a capped search that finds nothing reports value None
+    (meaning d > cap), never a guess.  A cap below 1 raises ValueError.
     """
+    _check_cap("max_weight", max_weight)
     _require_valid(code)
     d, m = code.modulus, code.num_modes
     if max_weight is None:
         if m > FULL_SEARCH_MODE_LIMIT:
             raise ValueError(f"codes with more than {FULL_SEARCH_MODE_LIMIT} modes need an explicit max_weight")
         max_weight = m
-    smat = stabilizer_matrix(code)
-    cent_order = span_order(centralizer_basis(code))
-    if cent_order == span_order(smat):
-        raise InvalidCodeError("code has no logical operators (k = 0)")
+    basis = _howell_basis(stabilizer_matrix(code).array, d)
     rows = commutation_rows(code)
-    basis = _howell_basis(smat.array, d)
-
-    def in_stabilizer(vec: np.ndarray) -> bool:
-        reduced = _reduce_against(basis, vec, d)
-        return reduced is not None and not reduced.any()
-
-    for weight in range(1, max_weight + 1):
-        assignments = _assignment_columns(d, weight)
-        for supp in _colex_combinations(m, weight):
-            cols = list(supp)
-            values = (rows[:, cols] @ assignments) % d if rows.size else np.zeros((0, assignments.shape[1]))
-            hits = np.nonzero(~values.any(axis=0))[0] if values.shape[0] else np.arange(assignments.shape[1])
-            for h in hits:
-                vec = np.zeros(m, dtype=np.int64)
-                vec[cols] = assignments[:, h]
-                if not in_stabilizer(vec):
-                    cert = PfOperator(d, m, 0, tuple(int(x) for x in vec))
-                    return DistanceResult(weight, max_weight, cert)
-    return DistanceResult(None, max_weight, None)
+    # The centralizer is the kernel of x -> rows @ x, so |C| = D^m / |rowspan(rows)|
+    # (a matrix and its transpose have the same Smith form).
+    if d**m == span_order(ZModMatrix(d, rows)) * _basis_order(basis, d):
+        raise InvalidCodeError("code has no logical operators (k = 0)")
+    multiples = np.arange(1, d, dtype=np.int64)
+    contrib = (multiples[None, :, None] * rows.T[:, None, :]) % d
+    found = _first_logical(contrib, multiples[:, None], basis, d, max_weight)
+    if found is None:
+        return DistanceResult(None, max_weight, None)
+    weight, vec = found
+    return DistanceResult(weight, max_weight, PfOperator(d, m, 0, tuple(int(x) for x in vec)))
 
 
 def support_diameter(op: PfOperator, mode_layout: dict[int, tuple[int, ...]] | None) -> int:
@@ -325,16 +465,20 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     Scans axis-aligned windows of growing side length; within each window
     the parity-zero centralizer elements supported there form a kernel over
     Z_D, and the window admits a logical iff some kernel basis row falls
-    outside the stabilizer span.
+    outside the stabilizer span.  A ``max_diameter`` below the layout's
+    full diameter makes the result a bound (see :class:`LconResult`); a cap
+    below 1 raises ValueError.
     """
+    _check_cap("max_diameter", max_diameter)
     _require_valid(code)
     d, m = code.modulus, code.num_modes
     coords = _layout_coords(code)
     axes = coords.shape[1]
     anchors = [np.unique(coords[:, a]) for a in range(axes)]
     diameter_bound = int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
-    if max_diameter is not None:
-        diameter_bound = min(diameter_bound, max_diameter)
+    cap = None
+    if max_diameter is not None and max_diameter < diameter_bound:
+        diameter_bound = cap = max_diameter
     rows = commutation_rows(code)
     smat = stabilizer_matrix(code)
     basis = _howell_basis(smat.array, d)
@@ -360,8 +504,8 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
                 reduced = _reduce_against(basis, vec, d)
                 if reduced is None or reduced.any():
                     op = PfOperator(d, m, 0, tuple(int(x) for x in vec))
-                    return LconResult(support_diameter(op, code.mode_layout), op)
-    return LconResult(None, None)
+                    return LconResult(support_diameter(op, code.mode_layout), op, cap)
+    return LconResult(None, None, cap)
 
 
 def _order_phase(op: PfOperator) -> int:
@@ -456,7 +600,11 @@ class CodeReport:
             if self.distance.certificate:
                 lines.append(f"  certificate    : {self.distance.certificate}")
         if self.lcon is not None:
-            lines.append(f"l_con            : {self.lcon.value if self.lcon.value is not None else 'none'}")
+            if self.lcon.value is not None:
+                shown = self.lcon.value
+            else:
+                shown = "none" if self.lcon.cap is None else f"> {self.lcon.cap}"
+            lines.append(f"l_con            : {shown}")
             if self.lcon.certificate:
                 lines.append(f"  certificate    : {self.lcon.certificate}")
         if self.logicals:
@@ -482,7 +630,12 @@ def analyze(
     max_weight: int | None = None,
     max_diameter: int | None = None,
 ) -> CodeReport:
-    """Full report for a code; distance and l_con are skipped on invalid codes."""
+    """Full report for a code; distance and l_con are skipped on invalid codes.
+
+    A cap below 1 raises ValueError whether or not it would be used.
+    """
+    _check_cap("max_weight", max_weight)
+    _check_cap("max_diameter", max_diameter)
     flags = validate(code)
     if not flags.all_ok:
         return CodeReport(code.modulus, code.num_modes, flags)

@@ -31,7 +31,17 @@ from math import comb
 import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
-from .code import PfCode, canonical_phases, codespace_dim, distance, stabilizer_matrix, validate
+from .code import (
+    PfCode,
+    _colex_supports,
+    _lex_digits,
+    _place,
+    canonical_phases,
+    codespace_dim,
+    distance,
+    stabilizer_matrix,
+    validate,
+)
 from .zmod import howell_form
 
 __all__ = [
@@ -184,17 +194,15 @@ def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
 
 
 def _weight_vectors(modulus: int, num_modes: int, lo: int, hi: int) -> np.ndarray:
-    """All exponent vectors with weight in [lo, hi]."""
-    rows = []
+    """All exponent vectors with weight in [lo, hi] (in no particular order)."""
+    out = [np.zeros((0, num_modes), dtype=np.int64)]
     for w in range(lo, hi + 1):
-        for supp in itertools.combinations(range(num_modes), w):
-            for assign in itertools.product(range(1, modulus), repeat=w):
-                vec = np.zeros(num_modes, dtype=np.int64)
-                vec[list(supp)] = assign
-                rows.append(vec)
-    if not rows:
-        return np.zeros((0, num_modes), dtype=np.int64)
-    return np.stack(rows)
+        supports = _colex_supports(num_modes, w)
+        assignments = _lex_digits(np.arange((modulus - 1) ** w), modulus - 1, w)
+        positions = np.repeat(supports, len(assignments), axis=0)
+        letter_idx = np.tile(assignments, (len(supports), 1))
+        out.append(_place(positions, letter_idx, np.arange(1, modulus)[:, None], num_modes))
+    return np.vstack(out)
 
 
 class _Engine:

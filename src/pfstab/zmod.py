@@ -248,10 +248,14 @@ def span_order(m: ZModMatrix) -> int:
     row i contributes one factor because its pivot generates a cyclic module
     of that order and the Howell property removes double counting.
     """
-    basis = _howell_basis(m.array, m.modulus)
+    return _basis_order(_howell_basis(m.array, m.modulus), m.modulus)
+
+
+def _basis_order(basis: dict[int, np.ndarray], n: int) -> int:
+    """Span order of a Howell basis: the product of n / pivot over its rows."""
     order = 1
     for j, row in basis.items():
-        order *= m.modulus // int(row[j])
+        order *= n // int(row[j])
     return order
 
 
@@ -298,11 +302,16 @@ def coset_minimum(m: ZModMatrix, v: Sequence[int]) -> np.ndarray:
     vec = np.asarray(v, dtype=np.int64) % n
     if vec.shape != (m.num_cols,):
         raise ValueError(f"vector length {vec.shape} does not match {m.num_cols} columns")
-    basis = _howell_basis(m.array, n)
-    w = vec.copy()
+    return _coset_minima(_howell_basis(m.array, n), vec[None, :], n)[0]
+
+
+def _coset_minima(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -> np.ndarray:
+    """:func:`coset_minimum` of every row of ``vectors`` against a Howell basis.
+
+    A row lies in the span exactly when its coset minimum is zero.
+    """
+    w = np.array(vectors, dtype=np.int64) % n
     for j in sorted(basis):
-        piv = int(basis[j][j])
-        q = int(w[j]) // piv
-        if q:
-            w = (w - q * basis[j]) % n
+        row = basis[j]
+        w = (w - (w[:, j] // int(row[j]))[:, None] * row) % n
     return w

@@ -122,3 +122,31 @@ def brute_qudit_distance(modulus: int, num_qudits: int, rows: np.ndarray) -> int
                 if commutes_all(u, v) and not in_span(np.concatenate([u, v])):
                     return w
     return None
+
+
+def reference_distance(code, cap=None) -> tuple[int | None, str | None]:
+    """Minimum logical weight and its certificate string, one support at a time.
+
+    The scan order fixes the certificate: weights ascending, supports of one
+    weight in colexicographic order, exponent assignments in lexicographic
+    order; the first centralizer element outside the stabilizer span wins.
+    ``cap`` defaults to the mode count; (None, None) means nothing up to it.
+    """
+    from pfstab.algebra import PfOperator
+    from pfstab.code import commutation_rows, stabilizer_matrix
+    from pfstab.zmod import span_membership
+
+    d, m = code.modulus, code.num_modes
+    smat = stabilizer_matrix(code)
+    rows = commutation_rows(code)
+    for weight in range(1, (m if cap is None else cap) + 1):
+        assignments = np.array(list(itertools.product(range(1, d), repeat=weight)), dtype=np.int64).T
+        for supp in sorted(itertools.combinations(range(m), weight), key=lambda c: c[::-1]):
+            cols = list(supp)
+            values = (rows[:, cols] @ assignments) % d
+            for h in np.nonzero(~values.any(axis=0))[0]:
+                vec = np.zeros(m, dtype=np.int64)
+                vec[cols] = assignments[:, h]
+                if not span_membership(smat, vec):
+                    return weight, str(PfOperator(d, m, 0, tuple(int(x) for x in vec)))
+    return None, None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfstab.algebra import PfOperator
 from pfstab.builders import (
@@ -74,6 +76,28 @@ def test_five_qudit_code_is_valid_and_distance_three():
     assert q.codespace_dim() == 3
     assert q.distance() == 3
     assert q.distance() == brute_qudit_distance(3, 5, np.array([list(r) for r in q.rows]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4]),
+    num_qudits=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed):
+    rng = np.random.default_rng(seed)
+    rows: list[np.ndarray] = []
+    for _ in range(60):
+        row = rng.integers(0, modulus, size=2 * num_qudits)
+        if len(rows) == num_qudits - 1:
+            break
+        if all(QuditCheckMatrix(modulus, num_qudits, (r, row)).commutes() for r in rows):
+            rows.append(row)
+    q = QuditCheckMatrix(modulus, num_qudits, tuple(tuple(r) for r in rows))
+    want = brute_qudit_distance(modulus, num_qudits, np.array(rows).reshape(len(rows), -1))
+    assert q.distance() == want
+    if want is not None and want > 1:
+        assert q.distance(max_weight=want - 1) is None
 
 
 def test_qudit_check_matrix_rejects_bad_shapes():

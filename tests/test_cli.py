@@ -59,6 +59,23 @@ def test_params_json_mode(capsys):
     assert payload["k"] == 1 and payload["distance"]["value"] == 3
 
 
+@pytest.mark.parametrize("flag, cap", [("--max-weight", "0"), ("--max-weight", "-2"), ("--max-diameter", "0")])
+def test_params_cap_below_one_exits_2(capsys, flag, cap):
+    status, out, err = run(capsys, "params", REPO_CODES / "pf_8_1_3_d3.json", flag, cap)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_params_capped_lcon_reads_as_bound(capsys):
+    status, out, _ = run(capsys, "params", REPO_CODES / "chain_d2_n2.json", "--max-diameter", "2")
+    assert status == 0
+    assert "l_con            : > 2" in out
+    status, out, _ = run(capsys, "params", "--json", REPO_CODES / "chain_d2_n2.json", "--max-diameter", "2")
+    assert status == 0
+    assert json.loads(out)["l_con"] == {"value": None, "cap": 2, "certificate": None}
+
+
 def test_syndrome_command(capsys):
     status, out, _ = run(capsys, "syndrome", REPO_CODES / "pf_8_1_3_d3.json", "--error", "g3")
     assert status == 0

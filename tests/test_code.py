@@ -1,8 +1,21 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import pfstab.code
 from pfstab.algebra import PfOperator
-from pfstab.builders import code_6_1_3_d7, code_8_1_3_d3
+from pfstab.builders import (
+    ToricSpec,
+    build_clock_chain,
+    build_toric,
+    code_6_1_3_d7,
+    code_8_1_3_d3,
+    embed_qudit_code,
+    five_qutrit_code,
+)
 from pfstab.code import (
     InvalidCodeError,
     PfCode,
@@ -22,7 +35,7 @@ from pfstab.code import (
 )
 from pfstab.zmod import span_order
 
-from oracles import brute_distance, brute_lcon
+from oracles import brute_distance, brute_lcon, reference_distance
 
 
 def op(modulus, alpha, mu=0):
@@ -129,6 +142,79 @@ def test_distance_cap_reports_bound():
     assert res.value is None and res.cap == 2
 
 
+@pytest.mark.parametrize("cap", [0, -2])
+def test_caps_below_one_are_rejected(cap):
+    with pytest.raises(ValueError, match="at least 1"):
+        distance(code_8_1_3_d3(), max_weight=cap)
+    with pytest.raises(ValueError, match="at least 1"):
+        l_con(code_8_1_3_d3(), max_diameter=cap)
+
+
+@pytest.mark.parametrize(
+    "build, cap, want",
+    [
+        (lambda: embed_qudit_code(five_qutrit_code()), None, (6, "g1 g2^2 g5 g7^2 g9 g10^2")),
+        (lambda: build_toric(ToricSpec(2, 1, 2, 2)).code, 4, (4, "g1 g2 g5 g6")),
+        (lambda: build_toric(ToricSpec(2, 1, 2, 3)).code, 4, (4, "g1 g2 g5 g6")),
+        (lambda: build_toric(ToricSpec(2, 1, 3, 3)).code, 3, (None, None)),
+    ],
+    ids=["embedded_5_1_3", "toric_2_1_2_2", "toric_2_1_2_3", "toric_2_1_3_3"],
+)
+def test_distance_certificates_are_pinned(build, cap, want):
+    res = distance(build(), max_weight=cap)
+    assert (res.value, str(res.certificate) if res.certificate else None) == want
+    assert res.cap == (cap if cap is not None else 20)
+
+
+def _random_code(modulus: int, modes: int, gens: int, dense: bool, seed: int) -> PfCode:
+    """Commuting parity-zero generators drawn at random, phases solved.
+
+    Dense generators give codes up to d = 3 on eight modes; sparse ones
+    (random support sizes) give many low-weight stabilizers.
+    """
+    rng = np.random.default_rng(seed)
+    chosen: list[PfOperator] = []
+    for _ in range(200):
+        alpha = rng.integers(0, modulus, size=modes)
+        if not dense:
+            alpha[rng.choice(modes, size=int(rng.integers(0, modes - 1)), replace=False)] = 0
+        alpha[-1] = (alpha[-1] - alpha.sum()) % modulus
+        g = op(modulus, alpha)
+        if any(alpha) and all(c.commutation_exponent(g) == 0 for c in chosen):
+            chosen.append(g)
+        if len(chosen) == gens:
+            break
+    return canonical_phases(PfCode(modulus, modes, tuple(chosen)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4, 5, 6]),
+    modes=st.sampled_from([4, 6, 8]),
+    spare=st.integers(1, 2),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    # With no kept tables every weight is built from tails of that length.
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+    block_rows=st.sampled_from([pfstab.code._BLOCK_ROWS, 1]),
+)
+def test_distance_matches_per_support_reference(modulus, modes, spare, dense, seed, table_bytes, block_rows):
+    try:
+        code = _random_code(modulus, modes, max(1, modes // 2 - spare), dense, seed)
+    except PhaseAssignmentError:
+        assume(False)
+    with patch.object(pfstab.code, "_TABLE_BYTES", table_bytes), patch.object(pfstab.code, "_BLOCK_ROWS", block_rows):
+        if span_order(centralizer_basis(code)) == group_order(code):  # k = 0
+            with pytest.raises(InvalidCodeError):
+                distance(code)
+            return
+        d, _ = reference_distance(code)
+        for cap in (None, *sorted({max(1, d - 1), d, d + 1})):
+            res = distance(code, max_weight=cap)
+            got = (res.value, str(res.certificate) if res.certificate else None)
+            assert got == reference_distance(code, cap), cap
+
+
 def test_distance_requires_logicals():
     # A 2-mode code whose stabilizer exhausts the parity-zero centralizer.
     code = canonical_phases(PfCode(2, 2, (op(2, (1, 1)),)))
@@ -154,6 +240,15 @@ def test_lcon_matches_brute_force_on_known_code():
     assert cert is not None and cert.charge() == 0 and is_logical(code, cert)
 
 
+def test_lcon_cap_reads_as_bound():
+    chain = build_clock_chain(2, 2)  # l_con = 4 on a four-mode chain
+    capped = l_con(chain, max_diameter=2)
+    assert (capped.value, capped.cap) == (None, 2)
+    assert capped.to_dict() == {"value": None, "cap": 2, "certificate": None}
+    full = l_con(chain, max_diameter=9)
+    assert (full.value, full.cap, str(full.certificate)) == (4, None, "g1 g4")
+
+
 def test_lcon_none_when_no_logical_exists():
     # Two independent generators on four modes at D=3 leave k = 0, so the
     # minimization runs over an empty set.
@@ -161,6 +256,7 @@ def test_lcon_none_when_no_logical_exists():
     assert validate(code).all_ok
     res = l_con(code)
     assert res.value is None and res.certificate is None
+    assert res.cap is None
 
 
 def test_syndrome_of_single_mode_error():
