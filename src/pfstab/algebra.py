@@ -110,9 +110,6 @@ class PfOperator:
         alpha = tuple(int(x) for x in (a + b) % self.modulus)
         return PfOperator(self.modulus, self.num_modes, mu, alpha)
 
-    def multiply(self, other: "PfOperator") -> "PfOperator":
-        return self * other
-
     def inverse(self) -> "PfOperator":
         a = np.asarray(self.alpha, dtype=np.int64)
         b = (-a) % self.modulus
@@ -120,12 +117,18 @@ class PfOperator:
         return PfOperator(self.modulus, self.num_modes, 2 * swaps - self.mu, tuple(int(x) for x in b))
 
     def power(self, m: int) -> "PfOperator":
+        """self^m in closed form.
+
+        Multiplying (w^mu g^alpha)^k by w^mu g^alpha costs the phase
+        -2k q with q = alpha . prefix(alpha), so the m-th power is
+        w^{m mu - m(m-1) q} g^{m alpha}.
+        """
         if m < 0:
             raise ValueError("exponent must be >= 0")
-        out = PfOperator.identity(self.modulus, self.num_modes)
-        for _ in range(m):
-            out = out * self
-        return out
+        a = np.asarray(self.alpha, dtype=np.int64)
+        q = int(a @ _exclusive_prefix_sums(a)) % self.modulus
+        mu = m * self.mu - m * (m - 1) * q
+        return PfOperator(self.modulus, self.num_modes, mu, tuple(int(x) for x in (m % self.modulus) * a))
 
     def commutation_exponent(self, other: "PfOperator") -> int:
         """c with self * other == w^{2c} * other * self, as a residue mod D.

@@ -57,6 +57,12 @@ def cmd_validate(args) -> int:
     print(json.dumps(flags.to_dict()))
     if flags.all_ok:
         return 0
+    _print_problems(code, flags)
+    return INVALID_CODE
+
+
+def _print_problems(code, flags) -> None:
+    """One ``invalid:`` line on stderr per failed validation condition."""
     problems = []
     if not flags.abelian:
         problems.append("generators do not pairwise commute")
@@ -71,7 +77,6 @@ def cmd_validate(args) -> int:
         problems.append("the generated group contains a nontrivial phase times the identity")
     for p in problems:
         print(f"invalid: {p}", file=sys.stderr)
-    return INVALID_CODE
 
 
 def cmd_params(args) -> int:
@@ -190,6 +195,10 @@ def cmd_oracle(args) -> int:
         if code.modulus != args.D or code.num_modes != 2 * args.n:
             print("error: code file does not match --D/--n", file=sys.stderr)
             return USAGE_ERROR
+        flags = validate(code)
+        if not flags.all_ok:
+            _print_problems(code, flags)
+            return INVALID_CODE
         from .code import codespace_dim
         from .code import syndrome as algebraic_syndrome
 

@@ -7,6 +7,21 @@ condition reduces to two finite checks: every generator to the D-th power
 must be the exact identity, and every multiplicative relation between the
 exponent rows (an element of the left kernel of the row matrix) must lift
 to a phase-free product.
+
+All three conditions are closed forms in the generators w^{mu_i} g^{alpha_i}.
+With S the r x m matrix of rows alpha_i, L the pairing matrix of
+:func:`~pfstab.algebra.lambda_matrix` and P_ij = alpha_i . prefix(alpha_j)
+(prefix: exclusive prefix sums over the modes):
+
+- the code is abelian iff S L S^T == 0 (mod D);
+- parity holds iff S 1 == 0 (mod D);
+- the product g_1^{k_1} ... g_r^{k_r}, in generator order, has the phase
+  exponent k . mu - sum_i k_i (k_i - 1) P_ii - 2 sum_{i<j} k_i k_j P_ij
+  (mod 2D), and the phase check asks it to vanish for k = D e_i and for
+  every kernel row k of S.
+
+:func:`validate` evaluates these for all pairs and relations at once, and
+:func:`canonical_phases` solves the same phase equations for mu.
 """
 
 from __future__ import annotations
@@ -171,28 +186,43 @@ def commutation_rows(code: PfCode) -> np.ndarray:
     return (smat @ lam) % code.modulus
 
 
-def _phase_free_product(code: PfCode, multiplicities) -> PfOperator:
-    out = PfOperator.identity(code.modulus, code.num_modes)
-    for g, m in zip(code.generators, multiplicities):
-        out = out * g.power(int(m))
-    return out
+def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modulus: int) -> np.ndarray:
+    """Phase exponent in Z_2D of g_1^{k_1} ... g_r^{k_r} for each row k of ``powers``.
+
+    The generators are w^{mu_i} g^{alpha_i} with ``smat`` rows alpha_i; the
+    exponent is k . mu - sum_i k_i (k_i - 1) P_ii - 2 sum_{i<j} k_i k_j P_ij
+    with P_ij = alpha_i . prefix(alpha_j) (see the module docstring).
+    """
+    two_d = 2 * modulus
+    prefix = np.cumsum(smat, axis=1) - smat
+    pairs = (smat @ prefix.T) % modulus
+    later = (powers @ np.triu(pairs, 1).T) % modulus  # row k, entry i: sum_{j>i} P_ij k_j
+    cross = (powers * later).sum(axis=1)
+    own = ((powers * (powers - 1)) % two_d) @ np.diag(pairs)
+    return (powers @ mu - own - 2 * cross) % two_d
+
+
+def _phase_relations(smat: ZModMatrix) -> np.ndarray:
+    """Exponent rows k whose products the phase check needs phase-free:
+    D e_i for each generator, then a kernel basis of the rows."""
+    return np.vstack([smat.modulus * np.eye(smat.num_rows, dtype=np.int64), kernel_basis(smat).array])
 
 
 def validate(code: PfCode) -> ValidationFlags:
-    """Check the three defining conditions; never raises."""
-    gens = code.generators
-    abelian = all(
-        gens[i].commutation_exponent(gens[j]) == 0
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    )
-    parity_ok = all(g.charge() == 0 for g in gens)
-    phase_ok = all(g.power(code.modulus).is_identity() for g in gens)
-    if phase_ok and gens:
-        for row in kernel_basis(stabilizer_matrix(code)).array:
-            if not _phase_free_product(code, row).is_identity():
-                phase_ok = False
-                break
+    """Check the three defining conditions; never raises.
+
+    Evaluates the closed forms of the module docstring for every generator
+    pair, every D-th power and every kernel relation at once.
+    """
+    if not code.generators:
+        return ValidationFlags(True, True, True)
+    d = code.modulus
+    smat = stabilizer_matrix(code)
+    rows = smat.array
+    abelian = not ((commutation_rows(code) @ rows.T) % d).any()
+    parity_ok = not (rows.sum(axis=1) % d).any()
+    mu = np.array([g.mu for g in code.generators], dtype=np.int64)
+    phase_ok = not _relation_phases(rows, mu, _phase_relations(smat), d).any()
     return ValidationFlags(abelian, parity_ok, phase_ok)
 
 
@@ -202,26 +232,42 @@ def _require_valid(code: PfCode) -> None:
         raise InvalidCodeError(f"code fails validation: {flags.to_dict()}")
 
 
-def group_order(code: PfCode) -> int:
-    """|S|: the number of distinct group elements (phases are pinned once valid)."""
-    _require_valid(code)
+# Each public function below checks validity itself; the private cores
+# (_group_order, _codespace_dim, ...) assume a valid code, so callers that
+# validated once already (analyze, the search's acceptance test) use them.
+
+
+def _group_order(code: PfCode) -> int:
     return span_order(stabilizer_matrix(code))
 
 
-def codespace_dim(code: PfCode) -> int:
-    """|C_S| = D^n / |S|, always an exact integer division for a valid code."""
-    order = group_order(code)
+def group_order(code: PfCode) -> int:
+    """|S|: the number of distinct group elements (phases are pinned once valid)."""
+    _require_valid(code)
+    return _group_order(code)
+
+
+def _codespace_dim(code: PfCode, order: int) -> int:
     total = code.modulus**code.n
     if total % order:
         raise InvalidCodeError(f"D^n = {total} is not divisible by |S| = {order}")
     return total // order
 
 
+def codespace_dim(code: PfCode) -> int:
+    """|C_S| = D^n / |S|, always an exact integer division for a valid code."""
+    return _codespace_dim(code, group_order(code))
+
+
+def _centralizer_basis(code: PfCode) -> ZModMatrix:
+    rows = commutation_rows(code)
+    return kernel_basis(ZModMatrix(code.modulus, rows.T % code.modulus))
+
+
 def centralizer_basis(code: PfCode) -> ZModMatrix:
     """Basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer."""
     _require_valid(code)
-    rows = commutation_rows(code)
-    return kernel_basis(ZModMatrix(code.modulus, rows.T % code.modulus))
+    return _centralizer_basis(code)
 
 
 def syndrome(code: PfCode, error: PfOperator) -> tuple[int, ...]:
@@ -251,7 +297,12 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     lexicographically smallest element of its stabilizer coset; zero cosets
     drop out.  The images generate the quotient.
     """
-    cent = howell_form(centralizer_basis(code))
+    _require_valid(code)
+    return _logical_basis(code)
+
+
+def _logical_basis(code: PfCode) -> list[PfOperator]:
+    cent = howell_form(_centralizer_basis(code))
     basis = _howell_basis(stabilizer_matrix(code).array, code.modulus)
     seen = set()
     out = []
@@ -422,6 +473,10 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     """
     _check_cap("max_weight", max_weight)
     _require_valid(code)
+    return _distance(code, max_weight)
+
+
+def _distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     d, m = code.modulus, code.num_modes
     if max_weight is None:
         if m > FULL_SEARCH_MODE_LIMIT:
@@ -471,6 +526,10 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     """
     _check_cap("max_diameter", max_diameter)
     _require_valid(code)
+    return _l_con(code, max_diameter)
+
+
+def _l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     d, m = code.modulus, code.num_modes
     coords = _layout_coords(code)
     axes = coords.shape[1]
@@ -508,19 +567,14 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     return LconResult(None, None, cap)
 
 
-def _order_phase(op: PfOperator) -> int:
-    """Phase exponent of (phase-stripped op)^D."""
-    bare = PfOperator(op.modulus, op.num_modes, 0, op.alpha)
-    return bare.power(op.modulus).mu
-
-
 def canonical_phases(code: PfCode) -> PfCode:
     """Repair the generator phases so the code passes the phase check.
 
     Solving happens over Z_{2D}: the D-th power of each generator and every
-    lifted kernel relation must come out phase-free.  Among all solutions
-    the lexicographically smallest phase vector is returned; infeasibility
-    raises :class:`PhaseAssignmentError`.
+    lifted kernel relation must come out phase-free, which is linear in mu
+    (see the module docstring).  Among all solutions the lexicographically
+    smallest phase vector is returned; infeasibility raises
+    :class:`PhaseAssignmentError`.
     """
     d = code.modulus
     two_d = 2 * d
@@ -530,20 +584,11 @@ def canonical_phases(code: PfCode) -> PfCode:
             raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
     if not gens:
         return code
-    bare = code.with_generators(PfOperator(d, code.num_modes, 0, g.alpha) for g in gens)
-    constraints = []
-    rhs = []
-    for i, g in enumerate(gens):
-        row = np.zeros(len(gens), dtype=np.int64)
-        row[i] = d
-        constraints.append(row)
-        rhs.append(-_order_phase(g) % two_d)
-    for kern_row in kernel_basis(stabilizer_matrix(code)).array:
-        constraints.append(kern_row % two_d)
-        rhs.append(-_phase_free_product(bare, kern_row).mu % two_d)
-    a = np.array(constraints, dtype=np.int64) % two_d
-    system = ZModMatrix(two_d, a.T)
-    particular = solve_left(system, np.array(rhs, dtype=np.int64) % two_d)
+    smat = stabilizer_matrix(code)
+    powers = _phase_relations(smat)
+    rhs = -_relation_phases(smat.array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
+    system = ZModMatrix(two_d, (powers % two_d).T)
+    particular = solve_left(system, rhs)
     if particular is None:
         raise PhaseAssignmentError("no consistent phase assignment exists")
     freedom = kernel_basis(system)
@@ -639,15 +684,15 @@ def analyze(
     flags = validate(code)
     if not flags.all_ok:
         return CodeReport(code.modulus, code.num_modes, flags)
-    order = group_order(code)
-    dim = codespace_dim(code)
+    order = _group_order(code)
+    dim = _codespace_dim(code, order)
     k = _integral_log(dim, code.modulus)
-    logicals = logical_basis(code)
+    logicals = _logical_basis(code)
     dist = None
     lc = None
     if logicals:
         if with_distance and (code.num_modes <= FULL_SEARCH_MODE_LIMIT or max_weight is not None):
-            dist = distance(code, max_weight=max_weight)
+            dist = _distance(code, max_weight)
         if with_lcon and (code.num_modes <= FULL_SEARCH_MODE_LIMIT or max_diameter is not None):
-            lc = l_con(code, max_diameter=max_diameter)
+            lc = _l_con(code, max_diameter)
     return CodeReport(code.modulus, code.num_modes, flags, order, dim, k, dist, lc, tuple(logicals))

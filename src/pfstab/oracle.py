@@ -125,9 +125,18 @@ def clock_ops(modulus: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DenseRep:
-    """Jordan-Wigner representation of PF(D, 2n) on n qudits."""
+    """Jordan-Wigner representation of PF(D, 2n) on n qudits.
+
+    Each mode's powers g_j^0 .. g_j^{D-1} are tabulated once, by repeated
+    composition (2n * D monomials of dimension D^n), so an operator's
+    monomial costs one composition per nonzero exponent.
+    """
 
     def __init__(self, modulus: int, num_qudits: int, max_dim: int = DEFAULT_DIM_CAP, tol: float = DEFAULT_TOL):
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if num_qudits < 1:
+            raise ValueError(f"need at least one qudit, got {num_qudits}")
         dim = modulus**num_qudits
         if dim > max_dim:
             raise ValueError(f"dimension {modulus}^{num_qudits} = {dim} exceeds the cap {max_dim}")
@@ -137,7 +146,8 @@ class DenseRep:
         self.dim = dim
         self.order = 2 * modulus
         self.tol = tol
-        self._modes = self._build_modes()
+        # _powers[j][e] is g_{j+1}^e, e = 0 .. D-1.
+        self._powers = [self._power_table(g) for g in self._build_modes()]
 
     # -- construction -------------------------------------------------------
 
@@ -168,12 +178,18 @@ class DenseRep:
             string = string @ x
         return modes
 
+    def _power_table(self, mode: Monomial) -> list[Monomial]:
+        table = [Monomial.identity(self.order, self.dim)]
+        for _ in range(1, self.modulus):
+            table.append(table[-1] @ mode)
+        return table
+
     # -- accessors ------------------------------------------------------------
 
     def mode_monomial(self, mode: int) -> Monomial:
         if not 1 <= mode <= self.num_modes:
             raise ValueError(f"mode {mode} out of range 1..{self.num_modes}")
-        return self._modes[mode - 1]
+        return self._powers[mode - 1][1]
 
     def mode_matrix(self, mode: int) -> np.ndarray:
         return self.mode_monomial(mode).matrix()
@@ -182,16 +198,16 @@ class DenseRep:
         if op.modulus != self.modulus or op.num_modes != self.num_modes:
             raise ValueError("operator does not match this representation")
         out = Monomial.identity(self.order, self.dim).scale(op.mu)
-        for mode, exponent in enumerate(op.alpha, start=1):
+        for powers, exponent in zip(self._powers, op.alpha):
             if exponent:
-                out = out @ self.mode_monomial(mode).matrix_power(exponent)
+                out = out @ powers[exponent]
         return out
 
     def charge_monomial(self) -> Monomial:
         """Q = prod_j g_{2j-1}^dagger g_{2j}; g^a Q = w^{2p} Q g^a with p the charge."""
         out = Monomial.identity(self.order, self.dim)
         for j in range(1, self.num_qudits + 1):
-            out = out @ self._modes[2 * j - 2].dagger() @ self._modes[2 * j - 1]
+            out = out @ self.mode_monomial(2 * j - 1).dagger() @ self.mode_monomial(2 * j)
         return out
 
 

@@ -150,3 +150,78 @@ def reference_distance(code, cap=None) -> tuple[int | None, str | None]:
                 if not span_membership(smat, vec):
                     return weight, str(PfOperator(d, m, 0, tuple(int(x) for x in vec)))
     return None, None
+
+
+def _repeated_product(op, times: int):
+    """op multiplied out ``times`` times, one group product at a time."""
+    from pfstab.algebra import PfOperator
+
+    out = PfOperator.identity(op.modulus, op.num_modes)
+    for _ in range(int(times)):
+        out = out * op
+    return out
+
+
+def _product_of_powers(generators, multiplicities):
+    from pfstab.algebra import PfOperator
+
+    out = PfOperator.identity(generators[0].modulus, generators[0].num_modes)
+    for g, k in zip(generators, multiplicities):
+        out = out * _repeated_product(g, k)
+    return out
+
+
+def reference_validate(code):
+    """The three validation flags, one generator pair and one group product at a time."""
+    from pfstab.code import ValidationFlags, stabilizer_matrix
+    from pfstab.zmod import kernel_basis
+
+    gens = code.generators
+    abelian = all(
+        gens[i].commutation_exponent(gens[j]) == 0 for i in range(len(gens)) for j in range(i + 1, len(gens))
+    )
+    parity_ok = all(g.charge() == 0 for g in gens)
+    phase_ok = all(_repeated_product(g, code.modulus).is_identity() for g in gens)
+    if phase_ok and gens:
+        for row in kernel_basis(stabilizer_matrix(code)).array:
+            if not _product_of_powers(gens, row).is_identity():
+                phase_ok = False
+                break
+    return ValidationFlags(abelian, parity_ok, phase_ok)
+
+
+def reference_canonical_phases(code):
+    """Lexicographically smallest valid phases, with every constraint multiplied out.
+
+    Each D-th power and each kernel relation of the phase-free generators
+    is expanded by repeated products; its phase fixes the right-hand side
+    of one linear equation in mu over Z_2D.
+    """
+    from pfstab.algebra import PfOperator
+    from pfstab.code import PhaseAssignmentError, stabilizer_matrix
+    from pfstab.zmod import ZModMatrix, coset_minimum, kernel_basis, solve_left
+
+    d, m = code.modulus, code.num_modes
+    two_d = 2 * d
+    gens = code.generators
+    for g in gens:
+        if not any(g.alpha) and g.mu:
+            raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
+    if not gens:
+        return code
+    bare = [PfOperator(d, m, 0, g.alpha) for g in gens]
+    constraints, rhs = [], []
+    for i, g in enumerate(bare):
+        row = np.zeros(len(gens), dtype=np.int64)
+        row[i] = d
+        constraints.append(row)
+        rhs.append(-_repeated_product(g, d).mu % two_d)
+    for kern_row in kernel_basis(stabilizer_matrix(code)).array:
+        constraints.append(kern_row % two_d)
+        rhs.append(-_product_of_powers(bare, kern_row).mu % two_d)
+    system = ZModMatrix(two_d, np.array(constraints, dtype=np.int64).T % two_d)
+    particular = solve_left(system, np.array(rhs, dtype=np.int64) % two_d)
+    if particular is None:
+        raise PhaseAssignmentError("no consistent phase assignment exists")
+    mu = coset_minimum(kernel_basis(system), particular)
+    return code.with_generators(PfOperator(d, m, int(x), g.alpha) for x, g in zip(mu, gens))

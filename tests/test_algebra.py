@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfstab.algebra import PfOperator, lambda_matrix, parse_operator
 from pfstab.oracle import jw_modes
@@ -102,6 +104,28 @@ def test_power_matches_repeated_multiply():
     assert a.power(2) == a * a
     rep = jw_modes(3, 4)
     assert rep.op_monomial(a.power(2)) == rep.op_monomial(a) @ rep.op_monomial(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modulus=st.integers(2, 9), modes=st.sampled_from([2, 4, 6, 8, 10]), data=st.data())
+def test_power_closed_form_matches_repeated_products(modulus, modes, data):
+    alpha = data.draw(st.lists(st.integers(0, modulus - 1), min_size=modes, max_size=modes))
+    a = op(modulus, alpha, mu=data.draw(st.integers(0, 2 * modulus - 1)))
+    product = PfOperator.identity(modulus, modes)
+    for m in range(2 * modulus + 1):
+        assert a.power(m) == product, m
+        product = product * a
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (6, 2)]), data=st.data())
+def test_power_closed_form_matches_oracle_matrix_power(shape, data):
+    modulus, qudits = shape
+    rep = jw_modes(modulus, qudits)
+    alpha = data.draw(st.lists(st.integers(0, modulus - 1), min_size=2 * qudits, max_size=2 * qudits))
+    a = op(modulus, alpha, mu=data.draw(st.integers(0, 2 * modulus - 1)))
+    for m in range(2 * modulus + 1):
+        assert rep.op_monomial(a.power(m)) == rep.op_monomial(a).matrix_power(m), m
 
 
 def test_power_rejects_negative():

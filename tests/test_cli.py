@@ -225,6 +225,28 @@ def test_oracle_with_code_file(capsys):
     assert "projector trace" in out and "FAIL" not in out
 
 
+def test_oracle_invalid_code_file_exits_1(capsys, tmp_path):
+    payload = json.loads((REPO_CODES / "chain_d2_n2.json").read_text())
+    payload["generators"][0]["mu"] = 0
+    path = tmp_path / "unphased.json"
+    path.write_text(canonical_json(payload))
+    status, _, validate_err = run(capsys, "validate", path)
+    assert status == 1
+    status, out, err = run(capsys, "oracle", "--D", 2, "--n", 2, "--file", path)
+    assert status == 1
+    assert out == ""
+    assert err == validate_err
+    assert err.startswith("invalid:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("modulus, qudits", [(1, 2), (3, 0)])
+def test_oracle_degenerate_representation_exits_2(capsys, modulus, qudits):
+    status, out, err = run(capsys, "oracle", "--D", modulus, "--n", qudits)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_error_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

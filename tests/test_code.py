@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pfstab.code
-from pfstab.algebra import PfOperator
+from pfstab.algebra import PfOperator, lambda_matrix
 from pfstab.builders import (
     ToricSpec,
     build_clock_chain,
@@ -33,9 +33,15 @@ from pfstab.code import (
     syndrome,
     validate,
 )
-from pfstab.zmod import span_order
+from pfstab.zmod import ZModMatrix, kernel_basis, span_order
 
-from oracles import brute_distance, brute_lcon, reference_distance
+from oracles import (
+    brute_distance,
+    brute_lcon,
+    reference_canonical_phases,
+    reference_distance,
+    reference_validate,
+)
 
 
 def op(modulus, alpha, mu=0):
@@ -321,6 +327,54 @@ def test_canonical_phases_majorana_pair_needs_i():
     fixed = canonical_phases(pair)
     assert fixed.generators[0].mu == 1
     assert validate(fixed).all_ok
+
+
+def _random_generators(
+    modulus: int, modes: int, gens: int, parity: bool, commuting: bool, dependent: bool, seed: int
+) -> PfCode:
+    """Random generators with random phases, parity-zero if ``parity``;
+    commuting ones are drawn from the centralizer of those before them, and
+    a dependent last row is a combination of the others, so the row kernel
+    is nonempty."""
+    rng = np.random.default_rng(seed)
+    lam = lambda_matrix(modulus, modes).array
+    rows = []
+    for _ in range(gens - dependent):
+        constraints = [np.ones(modes, dtype=np.int64)] if parity else []
+        if commuting:
+            constraints += [(row @ lam) % modulus for row in rows]
+        allowed = np.eye(modes, dtype=np.int64)
+        if constraints:
+            allowed = kernel_basis(ZModMatrix(modulus, np.array(constraints).T % modulus)).array
+        rows.append((rng.integers(0, modulus, size=allowed.shape[0]) @ allowed) % modulus)
+    if dependent:
+        rows.append((rng.integers(0, modulus, size=len(rows)) @ np.array(rows)) % modulus)
+    mus = rng.integers(0, 2 * modulus, size=len(rows))
+    return PfCode(modulus, modes, tuple(op(modulus, row, int(mu)) for row, mu in zip(rows, mus)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.integers(2, 9),
+    modes=st.sampled_from([2, 4, 6, 8, 10]),
+    gens=st.integers(1, 4),
+    parity=st.booleans(),
+    commuting=st.booleans(),
+    dependent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parity, commuting, dependent, seed):
+    code = _random_generators(modulus, modes, gens, parity, commuting, dependent and gens > 1, seed)
+    assert validate(code) == reference_validate(code)
+    try:
+        want = reference_canonical_phases(code)
+    except PhaseAssignmentError:
+        with pytest.raises(PhaseAssignmentError):
+            canonical_phases(code)
+        return
+    fixed = canonical_phases(code)
+    assert [g.mu for g in fixed.generators] == [g.mu for g in want.generators]
+    assert validate(fixed).phase_ok
 
 
 def test_logical_basis_generates_quotient():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfstab.algebra import PfOperator
 from pfstab.oracle import (
@@ -125,6 +127,28 @@ def test_monomial_power_and_dagger():
 def test_dim_cap_enforced():
     with pytest.raises(ValueError):
         DenseRep(3, 8)
+
+
+@pytest.mark.parametrize("modulus, qudits", [(1, 2), (0, 1), (3, 0), (2, -1)])
+def test_degenerate_representation_rejected(modulus, qudits):
+    with pytest.raises(ValueError):
+        DenseRep(modulus, qudits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (6, 2), (7, 1)]),
+    data=st.data(),
+)
+def test_op_monomial_is_product_of_mode_powers(shape, data):
+    modulus, qudits = shape
+    rep = jw_modes(modulus, qudits)
+    alpha = data.draw(st.lists(st.integers(0, modulus - 1), min_size=2 * qudits, max_size=2 * qudits))
+    mu = data.draw(st.integers(0, 2 * modulus - 1))
+    want = Monomial.identity(rep.order, rep.dim).scale(mu)
+    for mode, exponent in enumerate(alpha, start=1):
+        want = want @ rep.mode_monomial(mode).matrix_power(exponent)
+    assert rep.op_monomial(PfOperator(modulus, 2 * qudits, mu, tuple(alpha))) == want
 
 
 def test_projector_of_empty_stabilizer_is_identity():
