@@ -11,7 +11,17 @@ permutation matrix whose nonzero entries are 2D-th roots of unity, so the
 representation is stored exactly as a permutation plus integer phase
 exponents; dense complex matrices are materialized on demand.  This keeps
 group arithmetic exact, independent of the normal-ordering bookkeeping in
-:mod:`pfstab.algebra` that it is used to cross-check.
+:mod:`pfstab.algebra` that it is used to cross-check: no ``PfOperator``
+is ever multiplied here.
+
+A code's stabilizer group is enumerated as stacked monomials, one row of
+permutation and one row of phase exponents per element: starting from the
+identity, each generator's monomial g appends the cosets H g^c until g^c
+falls into the group H found so far (compared as integer rows).  Since
+P = (1/|S|) sum_s M_s maps e_x onto the orbit of x, the codespace basis is
+read off those rows without diagonalising anything: one normalised column
+P e_x per orbit whose stabilizing elements all fix x with phase 0, which
+gives tr P columns with disjoint supports.
 """
 
 from __future__ import annotations
@@ -86,12 +96,13 @@ class Monomial:
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        """M applied to a vector, or to each column of a matrix."""
         out = np.zeros_like(vec, dtype=complex)
-        out[self.perm] = self.roots()[self.phase] * vec
+        out[self.perm] = (self.roots()[self.phase] * vec.T).T
         return out
 
     def roots(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.order) / self.order)
+        return _roots(self.order)
 
     def matrix(self) -> np.ndarray:
         dim = self.perm.shape[0]
@@ -221,22 +232,68 @@ def op_matrix(rep: DenseRep, op: PfOperator) -> np.ndarray:
     return rep.op_monomial(op).matrix()
 
 
-def _group_elements(code, cap: int = 100_000) -> list[PfOperator]:
-    """Closure of the generator set under multiplication, phases included."""
-    elements = {PfOperator.identity(code.modulus, code.num_modes)}
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in code.generators:
-                x = e * g
-                if x not in elements:
-                    if len(elements) >= cap:
-                        raise ValueError(f"group enumeration exceeded the cap {cap}")
-                    elements.add(x)
-                    new.append(x)
-        frontier = new
-    return sorted(elements, key=lambda e: (e.alpha, e.mu))
+def _roots(order: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(order) / order)
+
+
+def _stabilizer_group(rep: DenseRep, code, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every element M_s of a valid code's stabilizer group, as stacked monomials.
+
+    Row s of ``perms`` and ``phases`` is M_s|x> = w^{phases[s, x]} |perms[s, x]>.
+    The group is abelian, so adding generator g to the group H found so far
+    appends the cosets H g^c, c = 1, 2, ..., until g^c lies in H (an exact
+    integer row comparison); H g^c is the batched composition of every row
+    with g^c.  Raises ``ValueError`` for an invalid code, and before |S|
+    would exceed ``cap``.
+    """
+    from .code import validate
+
+    if not validate(code).all_ok:
+        raise ValueError("projector requires a code whose validation flags are all true")
+    perms = np.arange(rep.dim, dtype=np.int32)[None, :]
+    phases = np.zeros((1, rep.dim), dtype=np.int32)
+    for g in code.generators:
+        step = rep.op_monomial(g)
+        power = step
+        perm_blocks, phase_blocks = [perms], [phases]
+        while not ((perms == power.perm) & (phases == power.phase)).all(axis=1).any():
+            if (len(perm_blocks) + 1) * len(perms) > cap:
+                raise ValueError(f"group enumeration exceeded the cap {cap}")
+            perm_blocks.append(perms[:, power.perm])
+            phase_blocks.append((phases[:, power.perm] + power.phase.astype(np.int32)) % rep.order)
+            power = power @ step
+        perms, phases = np.concatenate(perm_blocks), np.concatenate(phase_blocks)
+    return perms, phases
+
+
+def _codespace(rep: DenseRep, code, cap: int) -> tuple[np.ndarray, float]:
+    """Orthonormal codespace basis (columns), one per orbit, and tr P.
+
+    P e_x = (1/|S|) sum_s M_s e_x lies on the orbit of x, and P e_x = 0
+    exactly when an element fixes x with a nontrivial phase.  The nonzero
+    columns at the orbit representatives (the least index of each orbit)
+    span the codespace and have disjoint supports, so normalising them
+    gives an orthonormal basis.  tr P = (1/|S|) sum_s tr M_s, summed over
+    the fixed points of each element, must equal their number.
+    """
+    perms, phases = _stabilizer_group(rep, code, cap)
+    roots = _roots(rep.order)
+    fixed = perms == np.arange(rep.dim)
+    trace = float((np.bincount(phases[fixed], minlength=rep.order) @ roots).real) / len(perms)
+    reps = np.nonzero(perms.min(axis=0) == np.arange(rep.dim))[0]
+    stray = (fixed[:, reps] & (phases[:, reps] != 0)).any(axis=0)
+    reps = reps[~stray]
+    if int(round(trace)) != reps.size:
+        raise ValueError("projector trace does not match the number of codeword orbits")
+    rows, exps = perms[:, reps], phases[:, reps]
+    # Free the group before the result exists, so that nothing allocated after
+    # the group outlives it and the dense projector can reuse its memory.
+    del perms, phases, fixed
+    basis = np.zeros((rep.dim, reps.size), dtype=complex)
+    # Elements that map x to the same index carry the same phase there, so repeated writes agree.
+    basis[rows, np.arange(reps.size)] = roots[exps]
+    basis /= np.linalg.norm(basis, axis=0)
+    return basis, trace
 
 
 def projector(rep: DenseRep, code, cap: int = 100_000) -> tuple[np.ndarray, float]:
@@ -244,29 +301,17 @@ def projector(rep: DenseRep, code, cap: int = 100_000) -> tuple[np.ndarray, floa
 
     P is a projector of rank |C_S| = D^n / |S|; invalid codes are rejected
     because the sum over a group with stray phases is not a projector.
+    The group average equals B B^dagger for the orbit basis B of
+    :func:`codewords`, which is how P is formed: the stacked group is
+    released before the dense D^n x D^n matrix is allocated.
     """
-    from .code import validate
-
-    if not validate(code).all_ok:
-        raise ValueError("projector requires a code whose validation flags are all true")
-    elements = _group_elements(code, cap=cap)
-    p = np.zeros((rep.dim, rep.dim), dtype=complex)
-    idx = np.arange(rep.dim)
-    for e in elements:
-        mono = rep.op_monomial(e)
-        p[mono.perm, idx] += mono.roots()[mono.phase]
-    p /= len(elements)
-    return p, float(np.trace(p).real)
+    basis, trace = _codespace(rep, code, cap)
+    return basis @ basis.conj().T, trace
 
 
 def codewords(rep: DenseRep, code, cap: int = 100_000) -> np.ndarray:
-    """Orthonormal basis of the codespace (columns), from the projector."""
-    p, trace = projector(rep, code, cap=cap)
-    vals, vecs = np.linalg.eigh(p)
-    keep = vals > 0.5
-    if int(round(trace)) != int(keep.sum()):
-        raise ValueError("projector trace does not match its eigenvalue-1 multiplicity")
-    return vecs[:, keep]
+    """Orthonormal basis of the codespace (columns), one column per codeword orbit."""
+    return _codespace(rep, code, cap)[0]
 
 
 def syndrome_sim(rep: DenseRep, code, error: PfOperator, cap: int = 100_000) -> tuple[int, ...]:
@@ -276,27 +321,21 @@ def syndrome_sim(rep: DenseRep, code, error: PfOperator, cap: int = 100_000) -> 
     generator, with one common eigenphase that is a D-th root of unity;
     anything else raises :class:`DegenerateEigenphaseError`.
     """
-    basis = codewords(rep, code, cap=cap)
-    err = rep.op_monomial(error)
-    corrupted = [err.apply(basis[:, c]) for c in range(basis.shape[1])]
+    corrupted = rep.op_monomial(error).apply(codewords(rep, code, cap=cap))
+    norms = np.linalg.norm(corrupted, axis=0)
     tol = max(rep.tol * rep.dim, 1e-8)  # dimension-scaled growth allowance
     syndrome = []
     for g in code.generators:
-        mono = rep.op_monomial(g)
-        value = None
-        for v in corrupted:
-            w = mono.apply(v)
-            lam = np.vdot(v, w) / np.vdot(v, v)
-            if np.linalg.norm(w - lam * v) > tol * np.linalg.norm(v):
-                raise DegenerateEigenphaseError("corrupted state is not an eigenvector of a generator")
-            s = int(np.round(np.angle(lam) * rep.modulus / (2 * np.pi))) % rep.modulus
-            if abs(lam - np.exp(2j * np.pi * s / rep.modulus)) > tol:
-                raise DegenerateEigenphaseError("eigenphase is not a D-th root of unity")
-            if value is None:
-                value = s
-            elif value != s:
-                raise DegenerateEigenphaseError("eigenphase differs between codewords")
-        syndrome.append(value)
+        images = rep.op_monomial(g).apply(corrupted)
+        lam = np.einsum("ij,ij->j", corrupted.conj(), images) / norms**2
+        if (np.linalg.norm(images - lam * corrupted, axis=0) > tol * norms).any():
+            raise DegenerateEigenphaseError("corrupted state is not an eigenvector of a generator")
+        s = np.round(np.angle(lam) * rep.modulus / (2 * np.pi)).astype(np.int64) % rep.modulus
+        if (np.abs(lam - np.exp(2j * np.pi * s / rep.modulus)) > tol).any():
+            raise DegenerateEigenphaseError("eigenphase is not a D-th root of unity")
+        if (s != s[0]).any():
+            raise DegenerateEigenphaseError("eigenphase differs between codewords")
+        syndrome.append(int(s[0]))
     return tuple(syndrome)
 
 

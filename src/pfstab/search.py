@@ -238,9 +238,9 @@ class _Engine:
         self.low_codes = low @ self.place
         self.exact_codes = exact @ self.place
         self.nodes = 0
-        self.hits: list[tuple[int, ...]] = []
+        # (node index, span key, generators) of each hit, in the order found.
+        self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
         self.hit_keys: set[str] = set()
-        self.positions: list[tuple[int, ...]] = []
         self.stopped = False
 
     # -- helpers -----------------------------------------------------------
@@ -288,8 +288,7 @@ class _Engine:
         if key in self.hit_keys:
             return
         self.hit_keys.add(key)
-        self.hits.append(tuple(code.generators))
-        self.positions.append(tuple(chosen))
+        self.hits.append((self.nodes, key, tuple(code.generators)))
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
@@ -361,11 +360,40 @@ def _run_block(spec_dict: dict, lo: int, hi: int) -> dict:
         budget_hit = True
     return {
         "nodes": engine.nodes,
-        "hits": [_code_payload(h) for h in engine.hits],
-        "positions": engine.positions,
+        "hits": [(node, key, _code_payload(gens)) for node, key, gens in engine.hits],
         "stopped": engine.stopped,
         "budget": budget_hit,
     }
+
+
+def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bool, bool]:
+    """The serial run's hits, tuple count and stop flags, from blocks each run on its own.
+
+    A block visits the nodes of its first generators in the serial order,
+    so walking the blocks in first-generator order with a running node
+    offset replays the serial stops: the budget at node ``max_tuples + 1``
+    and ``max_hits`` at the node of the last hit.  A hit whose span an
+    earlier block found (composite D, no symmetry reduction) does not
+    count.  A block that stopped at its own ``max_hits`` repeats at most as
+    many spans as were found before it, so the replay stops inside that
+    block.  Returns ({key: payload}, tuples examined, budget exceeded,
+    stopped on ``max_hits``).
+    """
+    found: dict[str, dict] = {}
+    offset = 0
+    for res in results:
+        for node, key, payload in res["hits"]:
+            if offset + node > spec.max_tuples:
+                break
+            if key in found:
+                continue
+            found[key] = payload
+            if spec.max_hits and len(found) >= spec.max_hits:
+                return found, offset + node, False, True
+        if offset + res["nodes"] > spec.max_tuples:
+            return found, spec.max_tuples + 1, True, False
+        offset += res["nodes"]
+    return found, offset, False, False
 
 
 def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], SearchCertificate]:
@@ -391,30 +419,17 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
             ]
             results = [j.result() for j in jobs]
 
-    ordered: list[tuple[tuple[int, ...], dict]] = []
-    for res in results:
-        cert.tuples_examined += res["nodes"]
-        cert.budget_exceeded = cert.budget_exceeded or res["budget"]
-        for pos, payload in zip(res["positions"], res["hits"]):
-            ordered.append((pos, payload))
-    ordered.sort(key=lambda item: item[0])
-    if spec.max_hits:
-        ordered = ordered[: spec.max_hits]
+    found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)
     codes = []
-    seen = set()
-    for _, payload in ordered:
+    for key, payload in found.items():
         gens = tuple(
             PfOperator(spec.modulus, spec.num_modes, g["mu"], tuple(g["alpha"]))
             for g in payload["generators"]
         )
-        code = PfCode(spec.modulus, spec.num_modes, gens)
-        key = canonical_equivalence_key(code)
-        if key not in seen:
-            seen.add(key)
-            codes.append(code)
-            cert.hits.append({"key": key, **_code_payload(gens)})
+        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
+        cert.hits.append({"key": key, **payload})
     cert.early_stopped = bool(spec.max_hits) and len(codes) >= spec.max_hits
-    cert.exhausted = not cert.budget_exceeded and not any(r["stopped"] for r in results)
+    cert.exhausted = not cert.budget_exceeded and not stopped
     cert.wall_time_s = time.monotonic() - start_time
     return codes, cert
 
@@ -443,10 +458,9 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
             engine._leaf(idx, span_codes)
         if engine.stopped:
             break
-    for gens in engine.hits:
-        code = PfCode(spec.modulus, spec.num_modes, gens)
-        codes.append(code)
-        cert.hits.append({"key": canonical_equivalence_key(code), **_code_payload(gens)})
+    for _, key, gens in engine.hits:
+        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
+        cert.hits.append({"key": key, **_code_payload(gens)})
     cert.early_stopped = engine.stopped
     cert.exhausted = False  # sampling can never certify nonexistence
     cert.wall_time_s = time.monotonic() - start_time

@@ -225,3 +225,49 @@ def reference_canonical_phases(code):
         raise PhaseAssignmentError("no consistent phase assignment exists")
     mu = coset_minimum(kernel_basis(system), particular)
     return code.with_generators(PfOperator(d, m, int(x), g.alpha) for x, g in zip(mu, gens))
+
+
+def _reference_group_elements(code, cap: int):
+    """Closure of the generator set under PfOperator products, phases included."""
+    from pfstab.algebra import PfOperator
+
+    elements = {PfOperator.identity(code.modulus, code.num_modes)}
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in code.generators:
+                x = e * g
+                if x not in elements:
+                    if len(elements) >= cap:
+                        raise ValueError(f"group enumeration exceeded the cap {cap}")
+                    elements.add(x)
+                    new.append(x)
+        frontier = new
+    return sorted(elements, key=lambda e: (e.alpha, e.mu))
+
+
+def reference_projector(rep, code, cap: int = 100_000):
+    """P = (1/|S|) sum_s M_s and its trace, one dense monomial per group element."""
+    from pfstab.code import validate
+
+    if not validate(code).all_ok:
+        raise ValueError("projector requires a code whose validation flags are all true")
+    elements = _reference_group_elements(code, cap)
+    p = np.zeros((rep.dim, rep.dim), dtype=complex)
+    idx = np.arange(rep.dim)
+    for e in elements:
+        mono = rep.op_monomial(e)
+        p[mono.perm, idx] += mono.roots()[mono.phase]
+    p /= len(elements)
+    return p, float(np.trace(p).real)
+
+
+def reference_codewords(rep, code, cap: int = 100_000):
+    """Orthonormal codespace basis: the eigenvalue-1 eigenvectors of the dense projector."""
+    p, trace = reference_projector(rep, code, cap=cap)
+    vals, vecs = np.linalg.eigh(p)
+    keep = vals > 0.5
+    if int(round(trace)) != int(keep.sum()):
+        raise ValueError("projector trace does not match its eigenvalue-1 multiplicity")
+    return vecs[:, keep]

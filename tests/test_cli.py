@@ -167,6 +167,24 @@ def test_search_budget_exit_code(capsys, tmp_path):
     assert status == 3
 
 
+def test_search_budget_certificate_is_independent_of_threads(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({
+        "D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "max_hits": 0, "max_tuples": 100,
+    }))
+    certs = []
+    for threads in (1, 3):
+        out_file = tmp_path / f"cert_{threads}.json"
+        status, _, _ = run(capsys, "--threads", threads, "search", spec_file, "--canonical", "--out", out_file)
+        assert status == 3
+        cert = json.loads(out_file.read_text())
+        assert cert.pop("threads") == threads
+        del cert["signature"]
+        certs.append(cert)
+    assert certs[0] == certs[1]
+    assert certs[0]["tuples_examined"] == 101 and certs[0]["budget_exceeded"]
+
+
 def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(canonical_json({"D": 3, "num_modes": 16, "target_k": 1, "target_d": 3}))

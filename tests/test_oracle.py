@@ -4,14 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfstab.algebra import PfOperator
+from pfstab.builders import build_clock_chain, code_6_1_3_d7, code_8_1_3_d3
+from pfstab.code import PfCode, PhaseAssignmentError, canonical_phases, group_order, syndrome, validate
 from pfstab.oracle import (
     DenseRep,
     Monomial,
     clock_ops,
+    codewords,
     jw_modes,
     op_matrix,
+    projector,
     relation_report,
+    syndrome_sim,
 )
+
+from oracles import reference_codewords, reference_projector
+from test_code import _random_generators
 
 TOL = 1e-9
 
@@ -180,3 +188,81 @@ def test_syndrome_sim_of_stabilizer_and_identity_is_zero():
     rep = jw_modes(3, 4)
     assert syndrome_sim(rep, code, PfOperator.identity(3, 8)) == (0, 0, 0)
     assert syndrome_sim(rep, code, code.generators[0]) == (0, 0, 0)
+
+
+def _assert_matches_reference(rep, code, rng):
+    p, trace = projector(rep, code)
+    want_p, want_trace = reference_projector(rep, code)
+    assert np.abs(p - want_p).max() < TOL
+    assert abs(trace - want_trace) < TOL
+    basis = codewords(rep, code)
+    assert basis.shape == reference_codewords(rep, code).shape
+    assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() < TOL
+    assert np.abs(want_p @ basis - basis).max() < TOL
+    d, m = code.modulus, code.num_modes
+    for _ in range(4):
+        error = PfOperator(d, m, 0, tuple(int(x) for x in rng.integers(0, d, size=m)))
+        assert syndrome_sim(rep, code, error) == syndrome(code, error)
+    order = group_order(code)
+    if order > 1:
+        for fn in (projector, codewords, reference_projector):
+            with pytest.raises(ValueError, match="cap"):
+                fn(rep, code, cap=order - 1)
+    assert abs(projector(rep, code, cap=order)[1] - trace) < TOL
+
+
+SMALL_BUILDER_CODES = {
+    "pf_8_1_3_d3": code_8_1_3_d3,
+    "pf_6_1_3_d7": code_6_1_3_d7,
+    "empty_d3_n2": lambda: PfCode(3, 4, ()),
+    **{
+        f"chain_d{d}_n{n}": lambda d=d, n=n: build_clock_chain(d, n)
+        for d, n in [(2, 2), (2, 5), (3, 3), (3, 6), (4, 3), (5, 4), (6, 3), (9, 3)]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDER_CODES))
+def test_orbit_oracle_matches_dense_reference_on_builder_codes(name):
+    code = SMALL_BUILDER_CODES[name]()
+    _assert_matches_reference(jw_modes(code.modulus, code.n), code, np.random.default_rng(len(name)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # D^n <= 256 keeps the reference eigh quick; the builder codes reach 729.
+    shape=st.sampled_from([(2, 2), (2, 4), (2, 6), (3, 3), (3, 5), (4, 4), (5, 3), (6, 3), (7, 2), (8, 2), (9, 2)]),
+    gens=st.integers(1, 4),
+    dependent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orbit_oracle_matches_dense_reference_on_random_codes(shape, gens, dependent, seed):
+    modulus, qudits = shape
+    rep = jw_modes(modulus, qudits)
+    drawn = _random_generators(modulus, 2 * qudits, gens, True, True, dependent and gens > 1, seed)
+    if not validate(drawn).all_ok:
+        error = PfOperator.identity(modulus, 2 * qudits)
+        for fn in (projector, codewords, reference_projector, lambda r, c: syndrome_sim(r, c, error)):
+            with pytest.raises(ValueError, match="validation flags"):
+                fn(rep, drawn)
+    try:
+        code = canonical_phases(drawn)
+    except PhaseAssignmentError:
+        return
+    _assert_matches_reference(rep, code, np.random.default_rng(seed))
+
+
+def test_syndrome_sim_rejects_states_outside_one_eigenspace(monkeypatch):
+    from pfstab import oracle
+
+    code = code_8_1_3_d3()
+    rep = jw_modes(3, 4)
+    codeword = oracle.codewords(rep, code)[:, :1]
+    flipped = rep.op_monomial(PfOperator.gamma(3, 8, 1)).apply(codeword)  # nonzero syndrome, as d = 3
+    no_error = PfOperator.identity(3, 8)
+    monkeypatch.setattr(oracle, "codewords", lambda *args, **kwargs: np.hstack([codeword, flipped]))
+    with pytest.raises(oracle.DegenerateEigenphaseError, match="differs between codewords"):
+        oracle.syndrome_sim(rep, code, no_error)
+    monkeypatch.setattr(oracle, "codewords", lambda *args, **kwargs: (codeword + flipped) / np.sqrt(2))
+    with pytest.raises(oracle.DegenerateEigenphaseError, match="not an eigenvector"):
+        oracle.syndrome_sim(rep, code, no_error)

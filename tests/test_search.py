@@ -1,5 +1,5 @@
 import hashlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import assume, given, settings
@@ -117,6 +117,46 @@ def test_parallel_matches_serial():
     ]
     assert cert_s.exhausted and cert_p.exhausted
     assert cert_s.tuples_examined == cert_p.tuples_examined
+
+
+def _canonical_without_threads(cert) -> dict:
+    payload = cert.to_dict(canonical=True)
+    del payload["threads"], payload["signature"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(3, 6, 1, 2, max_hits=0, max_tuples=100),
+        SearchSpec(3, 6, 1, 2, max_hits=0, max_tuples=3000),
+        SearchSpec(3, 6, 1, 2, max_hits=2, max_tuples=3000),
+        SearchSpec(3, 6, 1, 2, max_hits=3, max_tuples=48),
+        SearchSpec(3, 6, 1, 2, max_hits=0, max_tuples=47),  # a hit on the last node allowed
+        # Composite D: the last block repeats spans that earlier blocks found.
+        SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=0),
+        SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=0, max_tuples=50),
+        SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=3),
+        SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=2),
+    ],
+    ids=lambda spec: f"D{spec.modulus}_g{spec.generator_count}_hits{spec.max_hits}_budget{spec.max_tuples}",
+)
+def test_budget_and_max_hits_stop_at_the_serial_tuple(spec):
+    _, serial = find_codes(spec, threads=1)
+    _, parallel = find_codes(spec, threads=3)
+    assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
+    # The serial certificate is the one enumeration that stops itself.
+    engine = search._Engine(SearchSpec.from_dict(serial.spec))
+    with suppress(BudgetExceededError):
+        engine.run()
+    assert serial.tuples_examined == engine.nodes
+    assert _keys(serial) == [key for _, key, _ in engine.hits]
+    assert serial.budget_exceeded == (engine.nodes > spec.max_tuples)
+
+
+def test_tuple_budget_examines_one_tuple_past_it():
+    _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0, max_tuples=100), threads=3)
+    assert cert.tuples_examined == 101 and cert.budget_exceeded and not cert.exhausted
 
 
 def _keys(cert) -> list[str]:

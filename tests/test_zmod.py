@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfstab.zmod import (
     ZModMatrix,
@@ -210,3 +214,57 @@ def test_coset_minimum_is_least_element(modulus):
         coset = {tuple((np.asarray(s) + v) % modulus) for s in span}
         got = tuple(int(x) for x in coset_minimum(m, v))
         assert got == min(coset)
+
+
+def _unimodular(rng, modulus: int, size: int, steps: int) -> np.ndarray:
+    """A random invertible matrix over Z_D: a product of elementary row operations."""
+    units = [u for u in range(1, modulus) if np.gcd(u, modulus) == 1]
+    u = np.eye(size, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(size, size=2, replace=size < 2)
+        kind = rng.integers(3)
+        if kind == 0 and i != j:
+            u[i] = (u[i] + int(rng.integers(1, modulus)) * u[j]) % modulus
+        elif kind == 1:
+            u[i] = (u[i] * int(rng.choice(units))) % modulus
+        else:
+            u[[i, j]] = u[[j, i]]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 5),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_howell_form_is_canonical_under_row_operations(modulus, rows, cols, extra, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, modulus, rows, cols)
+    mixed = (_unimodular(rng, modulus, rows, 12) @ m.array) % modulus
+    dependent = (rng.integers(0, modulus, size=(extra, rows)) @ m.array) % modulus
+    stacked = np.vstack([mixed, dependent])[rng.permutation(rows + extra)]
+    assert howell_form(ZModMatrix(modulus, stacked)) == howell_form(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modulus=st.integers(2, 6),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_and_solve_left_match_enumeration(modulus, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, modulus, rows, cols)
+    k = kernel_basis(m)
+    assert not ((k.array @ m.array) % modulus).any()
+    assert enumerate_span(k) == enumerate_kernel(m)
+    span = enumerate_span(m)
+    for v in itertools.product(range(modulus), repeat=cols):
+        x = solve_left(m, v)
+        assert (x is not None) == (v in span)
+        if x is not None:
+            assert tuple((x @ m.array) % modulus) == v
