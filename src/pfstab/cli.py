@@ -31,7 +31,7 @@ from .codefile import (
 )
 from .oracle import jw_modes, projector, relation_report, syndrome_sim
 from .repro import run_all_checks
-from .search import BudgetExceededError, SearchSpec, default_thread_count, find_codes
+from .search import BudgetExceededError, SearchSpec, _candidate_count, default_thread_count, find_codes
 
 USAGE_ERROR = 2
 INVALID_CODE = 1
@@ -108,16 +108,18 @@ def cmd_syndrome(args) -> int:
 def cmd_search(args) -> int:
     try:
         payload = json.loads(Path(args.spec).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("the spec must be a JSON object")
         spec = SearchSpec.from_dict(payload)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(
-        f"candidate vectors: {spec.modulus ** (spec.num_modes - 1) - 1}; "
-        f"raw tuple bound: C(candidates, {spec.generator_count})",
-        file=sys.stderr,
-    )
     try:
+        print(
+            f"candidate vectors: {_candidate_count(spec.modulus, spec.num_modes)}; "
+            f"raw tuple bound: C(candidates, {spec.generator_count})",
+            file=sys.stderr,
+        )
         codes, cert = find_codes(spec, threads=args.threads)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -597,6 +597,24 @@ def canonical_phases(code: PfCode) -> PfCode:
     return code.with_generators(fixed)
 
 
+def _independent_phases(code: PfCode) -> PfCode:
+    """:func:`canonical_phases` for linearly independent rows over a prime D.
+
+    The left kernel of the rows is then trivial, so the only phase
+    relations are the D-th powers k = D e_i: D mu_i == D (D-1) P_ii
+    (mod 2D), whose smallest solution is mu_i = (D-1) P_ii mod 2 (0 for
+    odd D).  Always solvable; the caller guarantees independence.
+    """
+    d = code.modulus
+    r = len(code.generators)
+    powers = d * np.eye(r, dtype=np.int64)
+    # With mu = 0, g_i^D has phase -D (D-1) P_ii: 0 or D (mod 2D), its own
+    # negative, so mu_i is that phase over D.
+    mu = _relation_phases(stabilizer_matrix(code).array, np.zeros(r, dtype=np.int64), powers, d) // d
+    fixed = [PfOperator(d, code.num_modes, int(m), g.alpha) for m, g in zip(mu, code.generators)]
+    return code.with_generators(fixed)
+
+
 @dataclass(frozen=True)
 class CodeReport:
     """Everything params-style reporting needs, JSON- and table-renderable."""

@@ -10,6 +10,14 @@ tuple has already passed it and candidate indices only grow, so a child
 adding generator g to span S is canonical exactly when g is the minimum of
 the new cosets S + c*g, c = 1 .. D-1.
 
+A full tuple first meets two prefilters over the weight-(< d) and weight-d
+vectors; together they fix the distance at d.  For prime D the tuple is
+also commuting, parity-zero and linearly independent, so the acceptance
+test only assigns the closed-form phases and computes the span key: d, k
+and validity follow from what the engine has already checked.  Composite
+D keeps the full checks (phase solve, validation, k, distance), and a span
+met again under another generating tuple is skipped before the prefilters.
+
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
 order on codes, so the canonical test is one ``min`` over coset codes and
@@ -25,6 +33,7 @@ import itertools
 import json
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import comb
 
@@ -37,6 +46,7 @@ from .code import (
     _colex_supports,
     _distance,
     _group_order,
+    _independent_phases,
     _lex_digits,
     _place,
     canonical_phases,
@@ -44,8 +54,8 @@ from .code import (
     validate,
 )
 
-# _accept validates once and then calls the unvalidated cores; the benchmark's
-# span tracer (perfbench/spans.py) still patches these two names here.
+# _accept calls only the unvalidated cores, and those only for composite D; the
+# benchmark's span tracer (perfbench/spans.py) still patches these two names here.
 from .code import codespace_dim, distance  # noqa: F401
 from .zmod import howell_form
 
@@ -70,6 +80,10 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """What to search for and how.
@@ -92,18 +106,29 @@ class SearchSpec:
     max_tuples: int = DEFAULT_TUPLE_BUDGET
 
     def __post_init__(self) -> None:
-        if self.num_modes % 2 or self.num_modes < 2:
+        if not _is_int(self.modulus) or self.modulus < 2:
+            raise ValueError("D (modulus) must be an integer >= 2")
+        if not _is_int(self.num_modes) or self.num_modes % 2 or self.num_modes < 2:
             raise ValueError("num_modes must be even and >= 2")
-        if self.target_d < 1:
-            raise ValueError("target_d must be >= 1")
+        for name, low in (("target_k", 0), ("target_d", 1), ("seed", 0), ("samples", 0),
+                          ("max_hits", 0), ("max_tuples", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         if self.mode not in ("exhaustive", "randomized"):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        if not isinstance(self.symmetry_reduction, bool):
+            raise ValueError("symmetry_reduction must be true or false")
         if self.generator_count is None:
             if not _is_prime(self.modulus):
                 raise ValueError("generator_count is required for composite moduli")
             object.__setattr__(self, "generator_count", self.num_modes // 2 - self.target_k)
-        if self.generator_count < 1:
-            raise ValueError("generator_count must be >= 1")
+        if not _is_int(self.generator_count) or self.generator_count < 1:
+            raise ValueError("generator_count must be an integer >= 1")
+        if self.mode == "randomized":
+            with suppress(BudgetExceededError):  # an oversized space exits when the search starts
+                if self.generator_count > _candidate_count(self.modulus, self.num_modes):
+                    raise ValueError("generator_count exceeds the number of candidate vectors")
 
     def to_dict(self) -> dict:
         return {
@@ -184,14 +209,24 @@ def default_thread_count() -> int:
         return 1
 
 
-def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
-    """All nonzero alpha with sum(alpha) == 0 (mod D), in lexicographic order."""
+def _candidate_count(modulus: int, num_modes: int) -> int:
+    """D^(m-1) - 1, the number of nonzero parity-zero vectors.
+
+    Raises :class:`BudgetExceededError` when D^(m-1) exceeds
+    ``MAX_CANDIDATES``; the exponent is clipped so a huge m costs nothing.
+    """
     free = num_modes - 1
-    count = modulus**free
-    if count > MAX_CANDIDATES:
+    if modulus ** min(free, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
         raise BudgetExceededError(
             f"candidate space {modulus}^{free} exceeds the supported size {MAX_CANDIDATES}"
         )
+    return modulus**free - 1
+
+
+def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
+    """All nonzero alpha with sum(alpha) == 0 (mod D), in lexicographic order."""
+    _candidate_count(modulus, num_modes)  # raises on an oversized space
+    free = num_modes - 1
     prefix = np.array(list(itertools.product(range(modulus), repeat=free)), dtype=np.int64)
     last = (-prefix.sum(axis=1)) % modulus
     cand = np.hstack([prefix, last[:, None]])
@@ -228,6 +263,8 @@ class _Engine:
         self.codes = self.cand @ self.place  # ascending, as the candidates are sorted
         self.multiples = np.arange(1, d, dtype=np.int64)[:, None, None]
         self.prime = _is_prime(d)
+        # For prime D every leaf is an independent tuple, so k = n - generator_count.
+        self.k_ok = not self.prime or m // 2 - spec.generator_count == spec.target_k
         lam = lambda_matrix(d, m).array
         self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
         low = _weight_vectors(d, m, 1, spec.target_d - 1)
@@ -241,6 +278,8 @@ class _Engine:
         # (node index, span key, generators) of each hit, in the order found.
         self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
         self.hit_keys: set[str] = set()
+        # Composite D: ``codes.tobytes()`` of every span that reached _leaf.
+        self.seen_spans: set[bytes] = set()
         self.stopped = False
 
     # -- helpers -----------------------------------------------------------
@@ -270,20 +309,35 @@ class _Engine:
         return rows[first], all_codes
 
     def _accept(self, chosen: list[int]) -> None:
+        """Record a hit for a tuple that passed both prefilters, once per span.
+
+        The prefilters fix d: no weight < d logical exists and a weight-d
+        one does.  For prime D the tuple is commuting (the commutation
+        masks), parity-zero (the candidates) and linearly independent (the
+        span strictly grew at every step; randomized mode drops dependent
+        tuples), so the closed-form phases of ``_independent_phases`` make
+        it valid and |S| = D^r fixes k = n - r, decided once in
+        ``__init__``.  Composite D checks phase solvability, validity, k
+        and d here.
+        """
         spec = self.spec
         d, m = spec.modulus, spec.num_modes
         gens = tuple(PfOperator(d, m, 0, tuple(int(x) for x in self.cand[i])) for i in chosen)
-        try:
-            code = canonical_phases(PfCode(d, m, gens))
-        except ValueError:
-            return
-        if not validate(code).all_ok:
-            return
-        if _codespace_dim(code, _group_order(code)) != d**spec.target_k:
-            return
-        result = _distance(code)
-        if result.value != spec.target_d:
-            return
+        if self.prime:
+            if not self.k_ok:
+                return
+            code = _independent_phases(PfCode(d, m, gens))
+        else:
+            try:
+                code = canonical_phases(PfCode(d, m, gens))
+            except ValueError:
+                return
+            if not validate(code).all_ok:
+                return
+            if _codespace_dim(code, _group_order(code)) != d**spec.target_k:
+                return
+            if _distance(code).value != spec.target_d:
+                return
         key = canonical_equivalence_key(code)
         if key in self.hit_keys:
             return
@@ -293,7 +347,18 @@ class _Engine:
             self.stopped = True
 
     def _leaf(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Hand a full tuple to ``_accept`` if its weight < d and weight-d centralizers allow it."""
+        """Hand a full tuple to ``_accept`` if its weight < d and weight-d centralizers allow it.
+
+        Without symmetry reduction (composite D) a span arrives once per
+        generating tuple.  Everything from here on is a property of the
+        span (phase solvability, |S|, d), so a span already seen, accepted
+        or not, is skipped; ``_grow`` keeps composite-D codes sorted.
+        """
+        if not self.prime:
+            key = codes.tobytes()
+            if key in self.seen_spans:
+                return
+            self.seen_spans.add(key)
         if self._low_weight_clear(chosen, codes) and self._has_exact_weight_logical(chosen, codes):
             self._accept(chosen)
 
@@ -398,19 +463,19 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
 
 def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], SearchCertificate]:
     start_time = time.monotonic()
-    probe = _Engine(spec)  # also validates the candidate space size
+    count = _candidate_count(spec.modulus, spec.num_modes)
     cert = SearchCertificate(
         spec=spec.to_dict(),
-        candidate_count=probe.count,
-        estimated_tuples=comb(probe.count, spec.generator_count),
+        candidate_count=count,
+        estimated_tuples=comb(count, spec.generator_count),
         threads=threads,
     )
     if threads <= 1:
-        results = [_run_block(spec.to_dict(), 0, probe.count)]
+        results = [_run_block(spec.to_dict(), 0, count)]
     else:
         import concurrent.futures as futures
 
-        bounds = np.linspace(0, probe.count, threads + 1).astype(int)
+        bounds = np.linspace(0, count, threads + 1).astype(int)
         with futures.ProcessPoolExecutor(max_workers=threads) as pool:
             jobs = [
                 pool.submit(_run_block, spec.to_dict(), int(lo), int(hi))

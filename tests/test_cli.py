@@ -3,6 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pfstab.builders import build_clock_chain
 from pfstab.cli import main
@@ -195,6 +197,15 @@ def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_search_huge_mode_count_exits_3_without_printing_the_count(capsys, tmp_path):
+    # 3^19999 has more decimal digits than Python converts to a string by default.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({"D": 3, "num_modes": 20000, "target_k": 1, "target_d": 3}))
+    status, out, err = run(capsys, "search", spec_file)
+    assert status == 3 and out == ""
+    assert err.splitlines() == ["error: candidate space 3^19999 exceeds the supported size 400000"]
+
+
 # sha256 of `search --canonical --out` files, recorded with the
 # non-incremental canonical-prefix test.
 CANONICAL_CERT_SHA = {
@@ -229,6 +240,63 @@ def test_search_bad_spec_exits_2(capsys, tmp_path):
     spec_file.write_text('{"D": 3}')
     status, _, err = run(capsys, "search", spec_file)
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([3, 6, 1, 3], "JSON object"),
+        ({"D": 1, "num_modes": 4, "target_k": 1, "target_d": 2, "generator_count": 1}, "D (modulus) must be"),
+        ({"D": 2, "num_modes": 2, "target_k": 0, "target_d": 1, "mode": "randomized", "generator_count": 2},
+         "candidate vectors"),
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "samples": "x"}, "samples"),
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": -1}, "max_hits"),
+        ({"D": 3, "num_modes": 6, "target_k": -1, "target_d": 3, "generator_count": 2}, "target_k"),
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "samples": -1}, "samples"),
+    ],
+)
+def test_search_rejects_bad_spec_fields_with_one_error_line(capsys, tmp_path, spec, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    status, out, err = run(capsys, "search", spec_file)
+    assert status == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: bad search spec:") and message in err
+
+
+_SPEC_VALUES = {
+    # Valid values stay small (at most 4 modes, D <= 6), so every search is quick.
+    "D": st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 6, "3", 2.5, True, None, [3]]),
+    "num_modes": st.sampled_from([-2, 0, 1, 2, 3, 4, "4", 4.0, None]),
+    "target_k": st.sampled_from([-1, 0, 1, 2, "1", None]),
+    "target_d": st.sampled_from([-1, 0, 1, 2, 3, "2", 2.0]),
+    "samples": st.sampled_from([-1, 0, 1, 40, "x", None, 2.5]),
+}
+_OPTIONAL_SPEC_VALUES = {
+    "mode": st.sampled_from(["exhaustive", "randomized", "other", 1, None]),
+    "seed": st.sampled_from([-1, 0, 7, "s", 1.5]),
+    "generator_count": st.sampled_from([-1, 0, 1, 2, "2", None]),
+    "symmetry_reduction": st.sampled_from([True, False, 1, "yes", None]),
+    "max_hits": st.sampled_from([-1, 0, 1, 2, "x"]),
+    "max_tuples": st.sampled_from([-1, 0, 1, 100, "x"]),
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    document=st.one_of(
+        st.fixed_dictionaries(_SPEC_VALUES, optional=_OPTIONAL_SPEC_VALUES).map(json.dumps),
+        st.fixed_dictionaries({}, optional={**_SPEC_VALUES, **_OPTIONAL_SPEC_VALUES}).map(json.dumps),
+        st.one_of(st.lists(st.integers(), max_size=4), st.integers(), st.text(max_size=8), st.none()).map(json.dumps),
+        st.text(max_size=12),
+    ),
+)
+def test_search_spec_fuzz_never_raises(capsys, tmp_path, document):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(document)
+    status, _, err = run(capsys, "--threads", 1, "search", spec_file)
+    assert status in (0, 2, 3)
+    assert "Traceback" not in err
 
 
 def test_oracle_command(capsys):

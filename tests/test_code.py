@@ -377,6 +377,21 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
     assert validate(fixed).phase_ok
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 5, 7]),
+    modes=st.sampled_from([2, 4, 6, 8, 10]),
+    gens=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_independent_phases_match_canonical_phases(modulus, modes, gens, seed):
+    code = _random_generators(modulus, modes, gens, True, True, False, seed)
+    assume(span_order(stabilizer_matrix(code)) == modulus**gens)  # independent rows
+    fixed = pfstab.code._independent_phases(code)
+    assert fixed == canonical_phases(code)
+    assert validate(fixed).all_ok
+
+
 def test_logical_basis_generates_quotient():
     code = code_8_1_3_d3()
     logs = logical_basis(code)

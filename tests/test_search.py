@@ -1,4 +1,5 @@
 import hashlib
+import re
 from contextlib import contextmanager, suppress
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from pfstab import search
 from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
-from pfstab.code import PfCode, analyze, validate
+from pfstab.code import PfCode, analyze, codespace_dim, distance, validate
 from pfstab.search import (
     BudgetExceededError,
     SearchSpec,
@@ -250,3 +251,89 @@ def test_exhaustive_finds_distance3_code_on_eight_modes():
     assert cert.early_stopped and len(codes) == 1
     report = analyze(codes[0])
     assert report.k == 1 and report.distance.value == 3
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(2, 8, 1, 2, max_hits=0),
+        SearchSpec(3, 6, 1, 2, max_hits=0),
+        SearchSpec(3, 8, 1, 3, mode="randomized", seed=2024, samples=5000, max_hits=0),
+    ],
+    ids=["d2_8modes_all", "d3_6modes_all", "d3_8modes_randomized"],
+)
+def test_every_hit_is_valid_with_target_k_and_d(spec):
+    # _accept checks neither validity, k nor d for prime D; the public
+    # functions, which check them from scratch, must agree on every hit.
+    codes, _ = find_codes(spec, threads=1)
+    assert codes
+    for code in codes:
+        assert validate(code).all_ok
+        assert codespace_dim(code) == spec.modulus**spec.target_k
+        assert distance(code).value == spec.target_d
+
+
+def test_prime_accept_skips_phase_solve_validation_k_and_distance(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the prime-D accept path")
+
+    for name in ("canonical_phases", "validate", "_codespace_dim", "_group_order", "_distance"):
+        monkeypatch.setattr(search, name, forbidden)
+    _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0), threads=1)
+    assert len(cert.hits) == 220
+
+
+@pytest.mark.parametrize(
+    "spec, nodes",
+    [
+        # n = 3: one generator gives k = 2, two give k = 1.
+        (SearchSpec(3, 6, 1, 2, generator_count=1, max_hits=0), 242),
+        (SearchSpec(3, 6, 2, 2, generator_count=2, max_hits=0), 6242),
+    ],
+)
+def test_prime_generator_count_off_target_k_finds_nothing(spec, nodes):
+    _, cert = find_codes(spec, threads=1)
+    assert cert.tuples_examined == nodes and cert.exhausted and cert.hits == []
+    # The same tree with the matching target_k has hits.
+    matching = SearchSpec.from_dict({**spec.to_dict(), "target_k": 3 - spec.generator_count})
+    _, cert = find_codes(matching, threads=1)
+    assert cert.tuples_examined == nodes and cert.hits
+
+
+def test_composite_search_accepts_each_span_once():
+    spec = SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0)
+    with _accepted_spans() as spans:
+        _, cert = find_codes(spec, threads=1)
+    assert spans and len(set(spans)) == len(spans)
+    assert cert.tuples_examined == 623 and _keys(cert) == D4_KEYS
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"modulus": 1, "generator_count": 1}, "D (modulus) must be an integer >= 2"),
+        ({"modulus": "3"}, "D (modulus)"),
+        ({"num_modes": 6.0}, "num_modes"),
+        ({"target_k": -1}, "target_k"),
+        ({"samples": -1}, "samples"),
+        ({"samples": "x"}, "samples"),
+        ({"max_hits": -1}, "max_hits"),
+        ({"max_tuples": -1}, "max_tuples"),
+        ({"seed": -1}, "seed"),
+        ({"target_d": True}, "target_d"),
+        ({"symmetry_reduction": 1}, "symmetry_reduction"),
+        ({"generator_count": 0}, "generator_count"),
+        ({"mode": "randomized", "generator_count": 27}, "candidate vectors"),  # 3^3 - 1 = 26
+    ],
+)
+def test_spec_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SearchSpec(**{"modulus": 3, "num_modes": 4, "target_k": 1, "target_d": 2, **fields})
+
+
+def test_spec_allows_randomized_generator_count_up_to_the_candidates():
+    assert SearchSpec(3, 4, 1, 2, mode="randomized", generator_count=26).generator_count == 26
+    # An oversized candidate space is left to the search, which raises BudgetExceededError.
+    spec = SearchSpec(3, 16, 1, 3, mode="randomized", generator_count=10**6)
+    with pytest.raises(BudgetExceededError):
+        find_codes(spec)
