@@ -54,8 +54,12 @@ def _expect(condition: bool, message: str) -> None:
         raise CodeFileError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_int(value, name: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"field {name!r} must be an integer")
+    _expect(_is_int(value), f"field {name!r} must be an integer")
     return value
 
 
@@ -101,8 +105,8 @@ def code_from_payload(payload: dict) -> PfCode:
         _expect(isinstance(raw_layout, dict), "mode_layout must be an object")
         layout = {}
         for key, coords in raw_layout.items():
-            _expect(key.isdigit(), f"mode_layout key {key!r} must be a mode number")
-            _expect(isinstance(coords, list) and all(isinstance(c, int) for c in coords),
+            _expect(key.isascii() and key.isdigit(), f"mode_layout key {key!r} must be a mode number")
+            _expect(isinstance(coords, list) and all(_is_int(c) for c in coords),
                     f"mode_layout[{key}] must be a list of integers")
             layout[int(key)] = tuple(coords)
     try:

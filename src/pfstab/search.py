@@ -20,10 +20,22 @@ met again under another generating tuple is skipped before the prefilters.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
-order on codes, so the canonical test is one ``min`` over coset codes and
-every span-membership test compares codes.  A finished enumeration that
-found nothing is returned as an explicit nonexistence certificate;
-randomized mode never claims nonexistence.
+order on codes, so the canonical test is one ``min`` over coset codes.  The
+engine tests all children of a node together: one numpy kernel builds the
+coset rows of a block of children, and only the children that pass are
+explored, in index order.  The node counter advances over each run of
+failing children in one step, so node indices, the budget stop and the
+``max_hits`` stop are those of a one-node-at-a-time walk.  A nonzero
+parity-zero vector with code c is candidate ``c // D - 1``, so span
+membership (strict growth, the prefilters) reads arrays indexed by
+candidate position.  Randomized mode draws its samples one at a time, as
+ever, and tests commutation for a chunk of them at once.
+
+With ``--threads N`` the first-generator range is cut into blocks run on
+N processes and replayed in serial order as they finish; once the replay
+stops, the remaining blocks are cancelled or told to stop.  A finished
+enumeration that found nothing is returned as an explicit nonexistence
+certificate; randomized mode never claims nonexistence.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
 from .code import (
+    _BLOCK_ROWS,
     PfCode,
     _codespace_dim,
     _colex_supports,
@@ -70,14 +83,46 @@ __all__ = [
 
 MAX_CANDIDATES = 400_000
 DEFAULT_TUPLE_BUDGET = 200_000_000
+# Randomized mode tests commutation for this many samples at once.
+_SAMPLE_CHUNK = 256
+# ``--threads N`` cuts the first-generator range into this many blocks per process.
+_BLOCKS_PER_THREAD = 4
 
 
 class BudgetExceededError(RuntimeError):
     """The enumeration went past the configured tuple budget."""
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+    """Miller-Rabin with the prime bases 2 .. 41, exact for p < 3.3e24.
+
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    Math. Comp. 86, 2017.)  Above that bound it is a strong probable-prime
+    test; the search never asks there, since such a D has no searchable
+    candidate space.
+    """
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_int(value) -> bool:
@@ -120,8 +165,11 @@ class SearchSpec:
         if not isinstance(self.symmetry_reduction, bool):
             raise ValueError("symmetry_reduction must be true or false")
         if self.generator_count is None:
-            if not _is_prime(self.modulus):
-                raise ValueError("generator_count is required for composite moduli")
+            # An oversized space exits when the search starts, whatever D is.
+            with suppress(BudgetExceededError):
+                _candidate_count(self.modulus, self.num_modes)
+                if not _is_prime(self.modulus):
+                    raise ValueError("generator_count is required for composite moduli")
             object.__setattr__(self, "generator_count", self.num_modes // 2 - self.target_k)
         if not _is_int(self.generator_count) or self.generator_count < 1:
             raise ValueError("generator_count must be an integer >= 1")
@@ -249,9 +297,11 @@ class _Engine:
     """Shared state for one exhaustive enumeration over a first-generator range.
 
     A span is carried as its rows (row 0 is the zero vector) and their
-    integer codes ``row @ place``; membership tests compare codes only.
-    The coset-minimum test assumes prime D: ``find_codes`` turns symmetry
-    reduction off for composite moduli.
+    integer codes ``row @ place``.  A nonzero parity-zero vector with code c
+    is candidate ``c // D - 1`` (the candidates run through the first m - 1
+    digits in order), so span membership reads a boolean array indexed by
+    candidate position.  The coset-minimum test assumes prime D:
+    ``find_codes`` turns symmetry reduction off for composite moduli.
     """
 
     def __init__(self, spec: SearchSpec):
@@ -269,11 +319,13 @@ class _Engine:
         self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
         low = _weight_vectors(d, m, 1, spec.target_d - 1)
         exact = _weight_vectors(d, m, spec.target_d, spec.target_d)
-        # [i, t]: candidate i commutes with weight vector t.
-        self.low_ok = (self.pairing @ low.T) % d == 0
-        self.exact_ok = (self.pairing @ exact.T) % d == 0
-        self.low_codes = low @ self.place
-        self.exact_codes = exact @ self.place
+        self.low_ok = self._commutes(low)
+        self.exact_ok = self._commutes(exact)
+        # Candidate position of each weight vector; one that is not parity-zero
+        # gets the sentinel slot ``count``, which no span ever sets.
+        self.low_pos = self._positions(low)
+        self.exact_pos = self._positions(exact)
+        self.in_span = np.zeros(self.count + 1, dtype=bool)
         self.nodes = 0
         # (node index, span key, generators) of each hit, in the order found.
         self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
@@ -281,8 +333,29 @@ class _Engine:
         # Composite D: ``codes.tobytes()`` of every span that reached _leaf.
         self.seen_spans: set[bytes] = set()
         self.stopped = False
+        # Set by another process to end a block early (``_run_block``).
+        self.halt = None
 
     # -- helpers -----------------------------------------------------------
+
+    def _commutes(self, vectors: np.ndarray) -> np.ndarray:
+        """[i, t]: candidate i commutes with ``vectors[t]``.
+
+        Each pairing is below m (D-1)^2 < 2^53, so the float (BLAS) product
+        and ``fmod`` are exact; reducing in place keeps one table-sized
+        temporary.
+        """
+        pairs = self.pairing.astype(np.float64) @ vectors.T
+        np.fmod(pairs, self.spec.modulus, out=pairs)
+        return pairs == 0
+
+    def _positions(self, vectors: np.ndarray) -> np.ndarray:
+        d = self.spec.modulus
+        return np.where(vectors.sum(axis=1) % d == 0, (vectors @ self.place) // d - 1, self.count)
+
+    def _members(self, codes: np.ndarray) -> np.ndarray:
+        """Candidate positions of a span's nonzero elements (``codes[0]`` is the zero vector)."""
+        return codes[1:] // self.spec.modulus - 1
 
     def _comm_mask(self, i: int) -> np.ndarray:
         return ((self.pairing[i] @ self.cand.T) % self.spec.modulus) == 0
@@ -290,9 +363,13 @@ class _Engine:
     def _zero_span(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((1, self.spec.num_modes), dtype=np.int64), np.zeros(1, dtype=np.int64)
 
-    def _coset(self, span: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of span + c * cand[i] for c = 1 .. D-1, and their codes."""
-        rows = ((span[None, :, :] + self.multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
+    def _cosets(self, span: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of span + c * cand[j] for each j in ``block`` and c = 1 .. D-1, and their codes.
+
+        Shapes (K, D-1, |span|, m) and (K, D-1, |span|) for K = len(block).
+        """
+        rows = span + self.multiples * self.cand[block][:, None, None, :]
+        rows %= self.spec.modulus
         return rows, rows @ self.place
 
     def _grow(self, span, codes, coset, coset_codes) -> tuple[np.ndarray, np.ndarray]:
@@ -301,12 +378,19 @@ class _Engine:
         For prime D the cosets span + c*g are disjoint and already distinct;
         for composite D a multiple c*g can fall back into the span.
         """
-        rows = np.vstack((span, coset))
-        all_codes = np.concatenate((codes, coset_codes))
+        rows = np.vstack((span, coset.reshape(-1, span.shape[1])))
+        all_codes = np.concatenate((codes, coset_codes.ravel()))
         if self.prime:
             return rows, all_codes
         all_codes, first = np.unique(all_codes, return_index=True)
         return rows[first], all_codes
+
+    def _advance(self, count: int) -> None:
+        """Count ``count`` more nodes; the budget stops at node ``max_tuples + 1``."""
+        self.nodes += count
+        if self.nodes > self.spec.max_tuples:
+            self.nodes = self.spec.max_tuples + 1
+            raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
 
     def _accept(self, chosen: list[int]) -> None:
         """Record a hit for a tuple that passed both prefilters, once per span.
@@ -349,64 +433,80 @@ class _Engine:
     def _leaf(self, chosen: list[int], codes: np.ndarray) -> None:
         """Hand a full tuple to ``_accept`` if its weight < d and weight-d centralizers allow it.
 
-        Without symmetry reduction (composite D) a span arrives once per
-        generating tuple.  Everything from here on is a property of the
-        span (phase solvability, |S|, d), so a span already seen, accepted
-        or not, is skipped; ``_grow`` keeps composite-D codes sorted.
+        The span's candidate positions are set in ``in_span`` for the two
+        prefilters and cleared again before ``_accept``.  Without symmetry
+        reduction (composite D) a span arrives once per generating tuple.
+        Everything from here on is a property of the span (phase
+        solvability, |S|, d), so a span already seen, accepted or not, is
+        skipped; ``_grow`` keeps composite-D codes sorted.
         """
         if not self.prime:
             key = codes.tobytes()
             if key in self.seen_spans:
                 return
             self.seen_spans.add(key)
-        if self._low_weight_clear(chosen, codes) and self._has_exact_weight_logical(chosen, codes):
+        members = self._members(codes)
+        self.in_span[members] = True
+        passed = self._low_weight_clear(chosen) and self._has_exact_weight_logical(chosen)
+        self.in_span[members] = False
+        if passed:
             self._accept(chosen)
+
+    def _low_weight_clear(self, chosen: list[int]) -> bool:
+        """Every weight < d vector centralizing all generators must be a stabilizer."""
+        central = self.low_ok[chosen].all(axis=0)
+        return bool(self.in_span[self.low_pos[central]].all())
+
+    def _has_exact_weight_logical(self, chosen: list[int]) -> bool:
+        central = self.exact_ok[chosen].all(axis=0)
+        return not self.in_span[self.exact_pos[central]].all()
 
     # -- enumeration --------------------------------------------------------
 
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
         first_hi = self.count if first_hi is None else first_hi
-        span, codes = self._zero_span()
-        for i in range(first_lo, first_hi):
-            self._visit([], None, span, codes, i)
-            if self.stopped:
-                return
+        self._expand([], None, *self._zero_span(), np.arange(first_lo, first_hi))
 
-    def _visit(self, chosen: list[int], comm_ok: np.ndarray | None, span: np.ndarray, codes: np.ndarray, j: int) -> None:
-        """Count the child that adds candidate j to ``chosen`` and explore it.
+    def _expand(self, chosen: list[int], comm_ok: np.ndarray | None, span: np.ndarray,
+                codes: np.ndarray, children: np.ndarray) -> None:
+        """Count the children that add each candidate in ``children`` to ``chosen``, and explore them.
 
-        ``chosen`` has passed this test itself and j exceeds its indices, so
-        the child is the greedy lexicographically minimal generating tuple
-        of its span exactly when cand[j] is the minimum of the new coset
-        rows span + c*cand[j] (McKay's canonical augmentation).
+        ``chosen`` has passed the canonical test itself and every child
+        index exceeds its indices, so the child adding j is the greedy
+        lexicographically minimal generating tuple of its span exactly when
+        cand[j] is the minimum of the new coset rows span + c*cand[j]
+        (McKay's canonical augmentation).  One kernel tests a block of
+        children at once, at most about ``_BLOCK_ROWS`` coset rows; without
+        symmetry reduction every child passes.  The node counter advances
+        over each run of failing children in one step, so node indices,
+        the budget stop and the ``max_hits`` stop are those of a walk that
+        counts one child at a time.  The children that pass grow the span
+        and recurse (or reach ``_leaf``) in index order.
         """
         spec = self.spec
-        self.nodes += 1
-        if self.nodes > spec.max_tuples:
-            raise BudgetExceededError(f"tuple budget {spec.max_tuples} exceeded")
-        coset, coset_codes = self._coset(span, j)
-        if spec.symmetry_reduction and coset_codes.min() != self.codes[j]:
-            return
-        chosen = chosen + [j]
-        span, codes = self._grow(span, codes, coset, coset_codes)
-        if len(chosen) == spec.generator_count:
-            self._leaf(chosen, codes)
-            return
-        comm_ok = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
-        comm_ok[np.searchsorted(self.codes, codes[1:])] = False  # span must strictly grow
-        for k in np.nonzero(comm_ok[j + 1 :])[0] + (j + 1):
-            if self.stopped:
-                return
-            self._visit(chosen, comm_ok, span, codes, int(k))
-
-    def _low_weight_clear(self, chosen: list[int], codes: np.ndarray) -> bool:
-        """Every weight < d vector centralizing all generators must be a stabilizer."""
-        central = self.low_ok[chosen].all(axis=0)
-        return bool(np.isin(self.low_codes[central], codes).all())
-
-    def _has_exact_weight_logical(self, chosen: list[int], codes: np.ndarray) -> bool:
-        central = self.exact_ok[chosen].all(axis=0)
-        return not np.isin(self.exact_codes[central], codes).all()
+        leaf = len(chosen) + 1 == spec.generator_count
+        step = max(1, _BLOCK_ROWS // (len(codes) * (spec.modulus - 1)))
+        for lo in range(0, len(children), step):
+            block = children[lo : lo + step]
+            rows, coset_codes = self._cosets(span, block)
+            passed = np.arange(len(block))
+            if spec.symmetry_reduction:
+                passed = np.flatnonzero(coset_codes.reshape(len(block), -1).min(axis=1) == self.codes[block])
+            counted = 0
+            for p in passed.tolist():
+                self._advance(p + 1 - counted)
+                counted = p + 1
+                j = int(block[p])
+                grown, grown_codes = self._grow(span, codes, rows[p], coset_codes[p])
+                if leaf:
+                    self._leaf(chosen + [j], grown_codes)
+                else:
+                    mask = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
+                    mask[self._members(grown_codes)] = False  # span must strictly grow
+                    self._expand(chosen + [j], mask, grown, grown_codes, np.flatnonzero(mask[j + 1 :]) + (j + 1))
+                if self.stopped or (self.halt is not None and not chosen and self.halt.is_set()):
+                    return
+            self._advance(len(block) - counted)
 
 
 def _code_payload(generators: tuple[PfOperator, ...]) -> dict:
@@ -415,9 +515,19 @@ def _code_payload(generators: tuple[PfOperator, ...]) -> dict:
     }
 
 
+# The event a worker process's blocks poll to stop early (None when serial).
+_worker_halt = None
+
+
+def _set_worker_halt(event) -> None:
+    global _worker_halt
+    _worker_halt = event
+
+
 def _run_block(spec_dict: dict, lo: int, hi: int) -> dict:
     spec = SearchSpec.from_dict(spec_dict)
     engine = _Engine(spec)
+    engine.halt = _worker_halt
     budget_hit = False
     try:
         engine.run(lo, hi)
@@ -461,6 +571,43 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     return found, offset, False, False
 
 
+def _run_blocks(spec: SearchSpec, count: int, threads: int) -> list[dict]:
+    """Run the first-generator range as blocks on ``threads`` processes; the in-order prefix the replay needs.
+
+    The range is cut into ``_BLOCKS_PER_THREAD`` blocks per process,
+    submitted in order.  As blocks finish, the in-order prefix of finished
+    blocks is replayed; once the replay stops (``max_hits`` or the
+    budget), the blocks not yet started are cancelled and the running
+    ones are told to stop through a shared event, which they poll between
+    first generators.  Blocks after the stop do not change the replay.
+    """
+    import concurrent.futures as futures
+    import multiprocessing
+
+    halt = multiprocessing.Event()
+    bounds = np.unique(np.linspace(0, count, _BLOCKS_PER_THREAD * threads + 1).astype(int))
+    finished: dict[int, dict] = {}
+    results: list[dict] = []
+    with futures.ProcessPoolExecutor(threads, initializer=_set_worker_halt, initargs=(halt,)) as pool:
+        jobs = {
+            pool.submit(_run_block, spec.to_dict(), int(lo), int(hi)): n
+            for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        }
+        try:
+            for job in futures.as_completed(jobs):
+                finished[jobs[job]] = job.result()
+                while len(results) in finished:
+                    results.append(finished.pop(len(results)))
+                _, _, budget, stopped = _replay_serial(spec, results)
+                if budget or stopped:
+                    break
+        finally:  # also when a block failed: leave no block running
+            halt.set()
+            for job in jobs:
+                job.cancel()
+    return results
+
+
 def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], SearchCertificate]:
     start_time = time.monotonic()
     count = _candidate_count(spec.modulus, spec.num_modes)
@@ -473,17 +620,7 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
     if threads <= 1:
         results = [_run_block(spec.to_dict(), 0, count)]
     else:
-        import concurrent.futures as futures
-
-        bounds = np.linspace(0, count, threads + 1).astype(int)
-        with futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            jobs = [
-                pool.submit(_run_block, spec.to_dict(), int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            results = [j.result() for j in jobs]
-
+        results = _run_blocks(spec, count, threads)
     found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)
     codes = []
     for key, payload in found.items():
@@ -509,20 +646,25 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
         estimated_tuples=spec.samples,
     )
     codes: list[PfCode] = []
-    for _ in range(spec.samples):
-        cert.tuples_examined += 1
-        idx = sorted(int(x) for x in rng.choice(engine.count, spec.generator_count, replace=False))
-        if ((engine.pairing[idx] @ engine.cand[idx].T) % spec.modulus).any():
-            continue
-        span, span_codes = engine._zero_span()
-        for i in idx:
-            if engine.codes[i] in span_codes:
-                break  # dependent tuple
-            span, span_codes = engine._grow(span, span_codes, *engine._coset(span, i))
-        else:
-            engine._leaf(idx, span_codes)
-        if engine.stopped:
-            break
+    while cert.tuples_examined < spec.samples and not engine.stopped:
+        size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
+        # One draw per sample, in order, so the chunking leaves the stream unchanged.
+        idx = np.sort([rng.choice(engine.count, spec.generator_count, replace=False) for _ in range(size)], axis=1)
+        pairs = np.einsum("sim,sjm->sij", engine.pairing[idx], engine.cand[idx]) % spec.modulus
+        for s in np.flatnonzero(~pairs.any(axis=(1, 2))).tolist():
+            chosen = idx[s].tolist()
+            span, span_codes = engine._zero_span()
+            for i in chosen:
+                if engine.codes[i] in span_codes:
+                    break  # dependent tuple
+                coset, coset_codes = engine._cosets(span, [i])
+                span, span_codes = engine._grow(span, span_codes, coset[0], coset_codes[0])
+            else:
+                engine._leaf(chosen, span_codes)
+            if engine.stopped:
+                size = s + 1  # the samples after the stop were drawn but not examined
+                break
+        cert.tuples_examined += size
     for _, key, gens in engine.hits:
         codes.append(PfCode(spec.modulus, spec.num_modes, gens))
         cert.hits.append({"key": key, **_code_payload(gens)})
@@ -539,6 +681,7 @@ def find_codes(spec: SearchSpec, threads: int | None = None) -> tuple[list[PfCod
     when ``threads > 1``; results and hit order are identical to a serial
     run.  Randomized mode is always serial and reproducible by seed.
     """
+    _candidate_count(spec.modulus, spec.num_modes)  # an oversized space raises before any primality test
     if spec.symmetry_reduction and not _is_prime(spec.modulus) and spec.mode == "exhaustive":
         spec = SearchSpec.from_dict({**spec.to_dict(), "symmetry_reduction": False})
     if spec.mode == "randomized":

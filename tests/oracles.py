@@ -271,3 +271,123 @@ def reference_codewords(rep, code, cap: int = 100_000):
     if int(round(trace)) != int(keep.sum()):
         raise ValueError("projector trace does not match its eigenvalue-1 multiplicity")
     return vecs[:, keep]
+
+
+def _reference_engine_class():
+    """``search._Engine`` walking one node at a time: the per-child recursion it replaced.
+
+    Only the tables built in ``__init__`` and ``_accept`` are shared with the
+    batched engine; the walk, the coset test, span growth, node counting
+    and both prefilters (``np.isin`` over span codes) are the per-node ones.
+    """
+    from pfstab import search
+
+    class ReferenceEngine(search._Engine):
+        def __init__(self, spec):
+            super().__init__(spec)
+            d, m = spec.modulus, spec.num_modes
+            self.low_codes = search._weight_vectors(d, m, 1, spec.target_d - 1) @ self.place
+            self.exact_codes = search._weight_vectors(d, m, spec.target_d, spec.target_d) @ self.place
+
+        def _coset(self, span, i):
+            rows = ((span[None, :, :] + self.multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
+            return rows, rows @ self.place
+
+        def _grow(self, span, codes, coset, coset_codes):
+            rows = np.vstack((span, coset))
+            all_codes = np.concatenate((codes, coset_codes))
+            if self.prime:
+                return rows, all_codes
+            all_codes, first = np.unique(all_codes, return_index=True)
+            return rows[first], all_codes
+
+        def _leaf(self, chosen, codes):
+            if not self.prime:
+                key = codes.tobytes()
+                if key in self.seen_spans:
+                    return
+                self.seen_spans.add(key)
+            if self._low_weight_clear(chosen, codes) and self._has_exact_weight_logical(chosen, codes):
+                self._accept(chosen)
+
+        def run(self, first_lo=0, first_hi=None):
+            first_hi = self.count if first_hi is None else first_hi
+            span, codes = self._zero_span()
+            for i in range(first_lo, first_hi):
+                self._visit([], None, span, codes, i)
+                if self.stopped:
+                    return
+
+        def _visit(self, chosen, comm_ok, span, codes, j):
+            spec = self.spec
+            self.nodes += 1
+            if self.nodes > spec.max_tuples:
+                raise search.BudgetExceededError(f"tuple budget {spec.max_tuples} exceeded")
+            coset, coset_codes = self._coset(span, j)
+            if spec.symmetry_reduction and coset_codes.min() != self.codes[j]:
+                return
+            chosen = chosen + [j]
+            span, codes = self._grow(span, codes, coset, coset_codes)
+            if len(chosen) == spec.generator_count:
+                self._leaf(chosen, codes)
+                return
+            comm_ok = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
+            comm_ok[np.searchsorted(self.codes, codes[1:])] = False
+            for k in np.nonzero(comm_ok[j + 1 :])[0] + (j + 1):
+                if self.stopped:
+                    return
+                self._visit(chosen, comm_ok, span, codes, int(k))
+
+        def _low_weight_clear(self, chosen, codes):
+            central = self.low_ok[chosen].all(axis=0)
+            return bool(np.isin(self.low_codes[central], codes).all())
+
+        def _has_exact_weight_logical(self, chosen, codes):
+            central = self.exact_ok[chosen].all(axis=0)
+            return not np.isin(self.exact_codes[central], codes).all()
+
+    return ReferenceEngine
+
+
+def reference_search(spec) -> dict:
+    """Hits as (node, key), tuples examined and stop flags of a one-node-at-a-time search.
+
+    Exhaustive mode runs the per-child recursion serially over every first
+    generator (composite D without symmetry reduction, as ``find_codes``
+    does); randomized mode draws and tests one sample at a time.
+    """
+    from pfstab import search
+
+    if spec.mode == "exhaustive" and spec.symmetry_reduction and not search._is_prime(spec.modulus):
+        spec = search.SearchSpec.from_dict({**spec.to_dict(), "symmetry_reduction": False})
+    engine = _reference_engine_class()(spec)
+    budget = False
+    if spec.mode == "exhaustive":
+        try:
+            engine.run()
+        except search.BudgetExceededError:
+            budget = True
+        examined = engine.nodes
+    else:
+        rng = np.random.default_rng(spec.seed)
+        examined = 0
+        for _ in range(spec.samples):
+            examined += 1
+            idx = sorted(int(x) for x in rng.choice(engine.count, spec.generator_count, replace=False))
+            if ((engine.pairing[idx] @ engine.cand[idx].T) % spec.modulus).any():
+                continue
+            span, span_codes = engine._zero_span()
+            for i in idx:
+                if engine.codes[i] in span_codes:
+                    break  # dependent tuple
+                span, span_codes = engine._grow(span, span_codes, *engine._coset(span, i))
+            else:
+                engine._leaf(idx, span_codes)
+            if engine.stopped:
+                break
+    return {
+        "hits": [(node, key) for node, key, _ in engine.hits],
+        "tuples_examined": examined,
+        "budget_exceeded": budget,
+        "stopped": engine.stopped,
+    }

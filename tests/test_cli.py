@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,16 @@ def test_search_huge_mode_count_exits_3_without_printing_the_count(capsys, tmp_p
     assert err.splitlines() == ["error: candidate space 3^19999 exceeds the supported size 400000"]
 
 
+def test_search_huge_prime_modulus_exits_3_quickly(capsys, tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"D": 10**16 + 61, "num_modes": 2, "target_k": 0, "target_d": 1}))
+    start = time.perf_counter()
+    status, out, err = run(capsys, "search", spec_file)
+    assert time.perf_counter() - start < 1.0  # trial division took 10 s
+    assert status == 3 and out == ""
+    assert err.splitlines() == ["error: candidate space 10000000000000061^1 exceeds the supported size 400000"]
+
+
 # sha256 of `search --canonical --out` files, recorded with the
 # non-incremental canonical-prefix test.
 CANONICAL_CERT_SHA = {
@@ -337,3 +348,82 @@ def test_usage_error_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_JUNK = st.sampled_from([-1, 0, 1, 2, 9, True, False, "1", 1.5, None, [], {}, [0, 1], "\u00b2", "\u0661"])
+
+
+@st.composite
+def _code_documents(draw) -> str:
+    """A valid small code file, then up to three fields replaced by junk."""
+    modulus, modes = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([2, 4]))
+    digit = st.integers(0, modulus - 1)
+    payload = {
+        "format_version": 1,
+        "D": modulus,
+        "num_modes": modes,
+        "generators": [
+            {"mu": draw(st.integers(0, 2 * modulus - 1)), "alpha": draw(st.lists(digit, min_size=modes, max_size=modes))}
+            for _ in range(draw(st.integers(0, 2)))
+        ],
+    }
+    if draw(st.booleans()):
+        payload["mode_layout"] = {str(mode): [mode - 1, 0] for mode in range(1, modes + 1)}
+    for _ in range(draw(st.integers(0, 3))):
+        # Overwrite an entry at one level of the document, or add a key there.
+        gens = payload["generators"] if isinstance(payload["generators"], list) else []
+        layout = payload.get("mode_layout")
+        levels = {
+            "top": [payload],
+            "generator": [g for g in gens if isinstance(g, dict)],
+            "alpha": [g["alpha"] for g in gens if isinstance(g, dict) and isinstance(g.get("alpha"), list)],
+            "layout": [layout] if isinstance(layout, dict) else [],
+            "coordinates": [c for c in layout.values() if isinstance(c, list)] if isinstance(layout, dict) else [],
+        }
+        node = draw(st.sampled_from(draw(st.sampled_from([v for v in levels.values() if any(v)]))))
+        if isinstance(node, dict):
+            key = draw(st.one_of(st.sampled_from(list(node) or ["x"]), st.sampled_from(["x", "0", "9", "\u00b2", "\u0661"])))
+        elif node:
+            key = draw(st.integers(0, len(node) - 1))
+        else:
+            continue
+        node[key] = draw(st.one_of(_JUNK, st.just([0, 0])))
+    return json.dumps(payload)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["validate", "params"]),
+    document=st.one_of(
+        _code_documents(),
+        st.one_of(st.lists(st.integers(), max_size=4), st.integers(), st.text(max_size=8), st.none()).map(json.dumps),
+        st.text(max_size=12),
+    ),
+)
+def test_code_file_fuzz_never_raises(capsys, tmp_path, command, document):
+    path = tmp_path / "code.json"
+    path.write_text(document)
+    status, _, err = run(capsys, command, path)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def test_layout_coordinates_reject_booleans(capsys, tmp_path):
+    payload = code_to_payload(build_clock_chain(2, 2))
+    payload["mode_layout"] = {"1": [0], "2": [1], "3": [True], "4": [3]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    status, _, err = run(capsys, "validate", path)
+    assert status == 2
+    assert "mode_layout[3] must be a list of integers" in err
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "\u0661"])  # str.isdigit accepts both; int() rejects the first
+def test_layout_keys_must_be_ascii_mode_numbers(capsys, tmp_path, key):
+    payload = code_to_payload(build_clock_chain(2, 2))
+    payload["mode_layout"] = {"1": [0], "2": [1], "3": [2], key: [3]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    status, _, err = run(capsys, "validate", path)
+    assert status == 2
+    assert err.startswith("error: mode_layout key") and "Traceback" not in err

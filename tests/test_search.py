@@ -1,10 +1,13 @@
 import hashlib
 import re
+import time
 from contextlib import contextmanager, suppress
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import reference_search
 
 from pfstab import search
 from pfstab.algebra import PfOperator
@@ -337,3 +340,149 @@ def test_spec_allows_randomized_generator_count_up_to_the_candidates():
     spec = SearchSpec(3, 16, 1, 3, mode="randomized", generator_count=10**6)
     with pytest.raises(BudgetExceededError):
         find_codes(spec)
+
+
+# -- batched engine against the one-node-at-a-time walk -------------------------
+
+# Nodes the probe run may visit; keeps each example well under a second.
+_PROBE_NODES = 400
+
+
+def _batched_search(spec: SearchSpec) -> dict:
+    """``reference_search``'s record, from the batched engine."""
+    if spec.symmetry_reduction and not search._is_prime(spec.modulus):
+        spec = SearchSpec.from_dict({**spec.to_dict(), "symmetry_reduction": False})
+    engine = search._Engine(spec)
+    budget = False
+    try:
+        engine.run()
+    except BudgetExceededError:
+        budget = True
+    return {
+        "hits": [(node, key) for node, key, _ in engine.hits],
+        "tuples_examined": engine.nodes,
+        "budget_exceeded": budget,
+        "stopped": engine.stopped,
+    }
+
+
+def _chunk_ends(spec: SearchSpec) -> list[int]:
+    """The node count after each step of the batched engine's counter."""
+    engine = search._Engine(spec)
+    ends: list[int] = []
+    advance = engine._advance
+
+    def spy(count):
+        try:
+            advance(count)
+        finally:
+            ends.append(engine.nodes)
+
+    engine._advance = spy
+    with suppress(BudgetExceededError):
+        engine.run()
+    return ends
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.data(),
+    modulus=st.sampled_from([2, 3, 4, 5]),
+    modes=st.sampled_from([4, 6]),
+    gens=st.integers(1, 3),
+    target_d=st.integers(1, 3),
+    reduction=st.booleans(),
+    block_rows=st.sampled_from([1, 5, 64, search._BLOCK_ROWS]),
+)
+def test_batched_engine_matches_the_per_node_walk(data, modulus, modes, gens, target_d, reduction, block_rows):
+    base = dict(num_modes=modes, target_k=max(0, modes // 2 - gens), target_d=target_d,
+                generator_count=gens, symmetry_reduction=reduction)
+    probe = SearchSpec(modulus, max_hits=0, max_tuples=_PROBE_NODES, **base)
+    with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
+        hit_nodes = [node for node, _ in reference_search(probe)["hits"]]
+        ends = _chunk_ends(SearchSpec.from_dict({**probe.to_dict(), "symmetry_reduction": reduction and search._is_prime(modulus)}))
+        # A budget on a hit node, one past it, on a chunk end, or none to speak of.
+        choices = {"chunk end": ends, "none": [_PROBE_NODES]}
+        if hit_nodes:
+            choices.update({"hit": hit_nodes, "past hit": [n + 1 for n in hit_nodes]})
+        budget = data.draw(st.sampled_from(choices[data.draw(st.sampled_from(sorted(choices)))]))
+        max_hits = data.draw(st.integers(0, len(hit_nodes) + 1))
+        spec = SearchSpec(modulus, max_hits=max_hits, max_tuples=budget, **base)
+        batched = _batched_search(spec)
+        assert batched == reference_search(spec)
+    _, cert = find_codes(spec, threads=1)
+    assert cert.tuples_examined == batched["tuples_examined"]
+    assert [h["key"] for h in cert.hits] == [key for _, key in batched["hits"]]
+    assert cert.budget_exceeded == batched["budget_exceeded"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4, 5]),
+    modes=st.sampled_from([4, 6]),
+    gens=st.integers(1, 3),
+    target_d=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    samples=st.integers(0, 300),
+    max_hits=st.integers(0, 3),
+    chunk=st.sampled_from([1, 7, search._SAMPLE_CHUNK]),
+)
+def test_chunked_sampling_matches_one_sample_at_a_time(modulus, modes, gens, target_d, seed, samples, max_hits, chunk):
+    spec = SearchSpec(modulus, modes, max(0, modes // 2 - gens), target_d, mode="randomized", seed=seed,
+                      samples=samples, generator_count=gens, max_hits=max_hits)
+    with mock.patch.object(search, "_SAMPLE_CHUNK", chunk):
+        _, cert = find_codes(spec)
+    reference = reference_search(spec)
+    assert [h["key"] for h in cert.hits] == [key for _, key in reference["hits"]]
+    assert cert.tuples_examined == reference["tuples_examined"]
+    assert cert.early_stopped == reference["stopped"]
+
+
+def test_a_stop_inside_a_sample_chunk_counts_the_samples_up_to_it():
+    spec = SearchSpec(3, 8, 1, 3, mode="randomized", seed=7, samples=20_000, max_hits=2)
+    _, cert = find_codes(spec)
+    assert cert.early_stopped and cert.tuples_examined == 714  # not a multiple of the chunk
+    assert cert.tuples_examined % search._SAMPLE_CHUNK
+
+
+# -- primality ------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    def trial(p):
+        return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(10**5) if search._is_prime(p)] == [p for p in range(10**5) if trial(p)]
+
+
+def test_is_prime_needs_the_base_41():
+    # The smallest strong pseudoprime to every prime base 2 .. 37.
+    assert not search._is_prime(318665857834031151167461)
+    assert search._is_prime(10**16 + 61) and search._is_prime(2**89 - 1)
+    assert not search._is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_huge_prime_spec_reaches_the_candidate_space_error_quickly():
+    start = time.perf_counter()
+    spec = SearchSpec(10**16 + 61, 2, 0, 1)  # about 0.1 ms; trial division took 10 s
+    assert time.perf_counter() - start < 0.1
+    assert spec.generator_count == 1
+    with pytest.raises(BudgetExceededError, match="candidate space"):
+        find_codes(spec)
+    # A composite D past the candidate bound exits the same way, needing no primality answer.
+    with pytest.raises(BudgetExceededError, match="candidate space"):
+        find_codes(SearchSpec(10**16 + 62, 2, 0, 1))
+
+
+# -- threads ----------------------------------------------------------------------
+
+
+def test_threaded_first_hit_search_stops_with_the_serial_replay():
+    spec = SearchSpec(3, 8, 1, 3, max_hits=1)
+    _, serial = find_codes(spec, threads=1)
+    start = time.perf_counter()
+    _, parallel = find_codes(spec, threads=3)
+    elapsed = time.perf_counter() - start
+    assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
+    # Each first-generator block used to run to its own first hit or its end: 3.5 s.
+    assert elapsed < 2.0
