@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import parse_operator
+from .algebra import PfOperator, parse_operator
 from .builders import (
     ToricSpec,
     build_clock_chain,
@@ -20,7 +20,7 @@ from .builders import (
     double_to_css,
     embed_qudit_code,
 )
-from .code import analyze, syndrome, validate
+from .code import analyze, codespace_dim, syndrome, validate
 from .codefile import (
     CodeFileError,
     canonical_json,
@@ -46,13 +46,8 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_code_or_exit(path: str):
-    # CodeFileError propagates to main(), which prints it and returns 2.
-    return load_code(path)
-
-
 def cmd_validate(args) -> int:
-    code, _ = _load_code_or_exit(args.file)
+    code, _ = load_code(args.file)
     flags = validate(code)
     print(json.dumps(flags.to_dict()))
     if flags.all_ok:
@@ -80,7 +75,7 @@ def _print_problems(code, flags) -> None:
 
 
 def cmd_params(args) -> int:
-    code, _ = _load_code_or_exit(args.file)
+    code, _ = load_code(args.file)
     try:
         report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
     except ValueError as exc:  # a cap below 1
@@ -94,7 +89,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_syndrome(args) -> int:
-    code, _ = _load_code_or_exit(args.file)
+    code, _ = load_code(args.file)
     try:
         err = parse_operator(args.error, code.modulus, code.num_modes)
     except ValueError as exc:
@@ -131,25 +126,20 @@ def cmd_search(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        q = load_qudit_code(args.file)
-    except CodeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    code = embed_qudit_code(q)
+    code = embed_qudit_code(load_qudit_code(args.file))
     _emit(args, code_to_payload(code, {"builder": "embed", "parameters": {"source": str(args.file)}}))
     return 0
 
 
 def cmd_double(args) -> int:
-    code, _ = _load_code_or_exit(args.file)
+    code, _ = load_code(args.file)
     css = double_to_css(code)
     _emit(args, qudit_to_payload(css, {"builder": "double", "parameters": {"source": str(args.file)}}))
     return 0
 
 
 def cmd_double_d6(args) -> int:
-    code, _ = _load_code_or_exit(args.file)
+    code, _ = load_code(args.file)
     try:
         doubled = double_code_d6(code)
     except ValueError as exc:
@@ -193,7 +183,7 @@ def cmd_oracle(args) -> int:
         return USAGE_ERROR
     rows = [(name, ok) for name, ok in relation_report(rep).items()]
     if args.file:
-        code, _ = _load_code_or_exit(args.file)
+        code, _ = load_code(args.file)
         if code.modulus != args.D or code.num_modes != 2 * args.n:
             print("error: code file does not match --D/--n", file=sys.stderr)
             return USAGE_ERROR
@@ -201,17 +191,12 @@ def cmd_oracle(args) -> int:
         if not flags.all_ok:
             _print_problems(code, flags)
             return INVALID_CODE
-        from .code import codespace_dim
-        from .code import syndrome as algebraic_syndrome
-
         _, trace = projector(rep, code)
         rows.append(("projector trace", abs(trace - codespace_dim(code)) < 1e-6))
-        from .algebra import PfOperator
-
         agree = True
         for mode in range(1, code.num_modes + 1):
             err = PfOperator.gamma(code.modulus, code.num_modes, mode)
-            agree = agree and syndrome_sim(rep, code, err) == algebraic_syndrome(code, err)
+            agree = agree and syndrome_sim(rep, code, err) == syndrome(code, err)
         rows.append(("syndrome agreement (weight-1 errors)", agree))
     width = max(len(name) for name, _ in rows)
     ok_all = True

@@ -36,14 +36,14 @@ import numpy as np
 from .algebra import PfOperator, lambda_matrix
 from .zmod import (
     ZModMatrix,
+    _augmented_basis,
     _basis_order,
     _coset_minima,
     _howell_basis,
     _reduce_against,
-    coset_minimum,
+    _solve_front,
     howell_form,
     kernel_basis,
-    solve_left,
     span_order,
 )
 
@@ -574,7 +574,8 @@ def canonical_phases(code: PfCode) -> PfCode:
     lifted kernel relation must come out phase-free, which is linear in mu
     (see the module docstring).  Among all solutions the lexicographically
     smallest phase vector is returned; infeasibility raises
-    :class:`PhaseAssignmentError`.
+    :class:`PhaseAssignmentError`.  One Howell form of [system | I] gives
+    both a particular solution and the kernel that is the freedom.
     """
     d = code.modulus
     two_d = 2 * d
@@ -588,11 +589,11 @@ def canonical_phases(code: PfCode) -> PfCode:
     powers = _phase_relations(smat)
     rhs = -_relation_phases(smat.array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
     system = ZModMatrix(two_d, (powers % two_d).T)
-    particular = solve_left(system, rhs)
+    front, freedom = _augmented_basis(system)
+    particular = _solve_front(front, rhs, system.num_rows, two_d)
     if particular is None:
         raise PhaseAssignmentError("no consistent phase assignment exists")
-    freedom = kernel_basis(system)
-    mu = coset_minimum(freedom, particular)
+    mu = _coset_minima(freedom, particular[None, :], two_d)[0]
     fixed = [PfOperator(d, code.num_modes, int(m), g.alpha) for m, g in zip(mu, gens)]
     return code.with_generators(fixed)
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from .algebra import PfOperator
 from .builders import QuditCheckMatrix
 from .code import PfCode
+from .search import _is_int
 
 __all__ = [
     "CodeFileError",
@@ -52,10 +53,6 @@ def canonical_json(payload: dict) -> str:
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise CodeFileError(message)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expect_int(value, name: str) -> int:

@@ -6,6 +6,7 @@ renders them as a table and the acceptance tests assert every row.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .code import (
     group_order,
     l_con,
     logical_basis,
+    syndrome,
     validate,
 )
 from .oracle import DEFAULT_DIM_CAP, jw_modes, projector, relation_report, syndrome_sim
@@ -213,12 +215,8 @@ def check_oracle_suite() -> list[CheckRow]:
             rows.append(_row(f"product homomorphism D={modulus} n={n} (1000 samples)", mismatches, 0))
     code = code_8_1_3_d3()
     rep = jw_modes(3, 4)
-    from .code import syndrome as algebraic_syndrome
-
     disagreements = 0
     checked = 0
-    import itertools
-
     for weight in (1, 2):
         for supp in itertools.combinations(range(8), weight):
             for assign in itertools.product(range(1, 3), repeat=weight):
@@ -227,7 +225,7 @@ def check_oracle_suite() -> list[CheckRow]:
                     alpha[i] = a
                 err = PfOperator(3, 8, 0, tuple(alpha))
                 checked += 1
-                if syndrome_sim(rep, code, err) != algebraic_syndrome(code, err):
+                if syndrome_sim(rep, code, err) != syndrome(code, err):
                     disagreements += 1
     rows.append(_row(f"syndrome agreement on {checked} low-weight errors", disagreements, 0))
     return rows

@@ -10,13 +10,15 @@ tuple has already passed it and candidate indices only grow, so a child
 adding generator g to span S is canonical exactly when g is the minimum of
 the new cosets S + c*g, c = 1 .. D-1.
 
-A full tuple first meets two prefilters over the weight-(< d) and weight-d
-vectors; together they fix the distance at d.  For prime D the tuple is
-also commuting, parity-zero and linearly independent, so the acceptance
-test only assigns the closed-form phases and computes the span key: d, k
-and validity follow from what the engine has already checked.  Composite
-D keeps the full checks (phase solve, validation, k, distance), and a span
-met again under another generating tuple is skipped before the prefilters.
+A full tuple meets one acceptance rule for every modulus.  Its span must
+have D^(n-k) elements, which fixes k; a span met again under another
+generating tuple (no symmetry reduction, or randomized mode) is skipped;
+then two prefilters over the weight-(< d) and weight-d vectors fix the
+distance at d.  The tuple is commuting and parity-zero by construction, so
+the acceptance test only assigns phases and computes the span key: in
+closed form for prime D, where the tuple is also independent, and by the
+phase solve of ``canonical_phases`` for composite D, whose failure is the
+only rejection left.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -55,21 +57,18 @@ from .algebra import PfOperator, lambda_matrix
 from .code import (
     _BLOCK_ROWS,
     PfCode,
-    _codespace_dim,
+    PhaseAssignmentError,
     _colex_supports,
-    _distance,
-    _group_order,
     _independent_phases,
     _lex_digits,
     _place,
     canonical_phases,
     stabilizer_matrix,
-    validate,
 )
 
-# _accept calls only the unvalidated cores, and those only for composite D; the
-# benchmark's span tracer (perfbench/spans.py) still patches these two names here.
-from .code import codespace_dim, distance  # noqa: F401
+# The acceptance test calls none of these; the benchmark's span tracer
+# (perfbench/spans.py) still patches these names here.
+from .code import codespace_dim, distance, validate  # noqa: F401
 from .zmod import howell_form
 
 __all__ = [
@@ -313,8 +312,11 @@ class _Engine:
         self.codes = self.cand @ self.place  # ascending, as the candidates are sorted
         self.multiples = np.arange(1, d, dtype=np.int64)[:, None, None]
         self.prime = _is_prime(d)
-        # For prime D every leaf is an independent tuple, so k = n - generator_count.
-        self.k_ok = not self.prime or m // 2 - spec.generator_count == spec.target_k
+        # |S| = D^(n-k) for a valid code, so a span of any other size has the wrong k.
+        n = m // 2
+        self.span_size = d ** (n - spec.target_k) if spec.target_k <= n else 0
+        # Without symmetry reduction, or when sampling, a span can arrive more than once.
+        self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
         lam = lambda_matrix(d, m).array
         self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
         low = _weight_vectors(d, m, 1, spec.target_d - 1)
@@ -330,7 +332,8 @@ class _Engine:
         # (node index, span key, generators) of each hit, in the order found.
         self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
         self.hit_keys: set[str] = set()
-        # Composite D: ``codes.tobytes()`` of every span that reached _leaf.
+        # Sorted codes (as bytes) of every span of the right size that reached
+        # _leaf, kept only when spans can repeat.
         self.seen_spans: set[bytes] = set()
         self.stopped = False
         # Set by another process to end a block early (``_run_block``).
@@ -393,55 +396,47 @@ class _Engine:
             raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
 
     def _accept(self, chosen: list[int]) -> None:
-        """Record a hit for a tuple that passed both prefilters, once per span.
+        """Record a hit for a span that passed ``_leaf``: assign phases and compute the span key.
 
-        The prefilters fix d: no weight < d logical exists and a weight-d
-        one does.  For prime D the tuple is commuting (the commutation
-        masks), parity-zero (the candidates) and linearly independent (the
+        ``_leaf`` has fixed k (span size) and d (the prefilters), and hands
+        each span over at most once.  The tuple is commuting (the
+        commutation masks) and parity-zero (the candidates), so the phases
+        decide validity.  For prime D it is also linearly independent (the
         span strictly grew at every step; randomized mode drops dependent
-        tuples), so the closed-form phases of ``_independent_phases`` make
-        it valid and |S| = D^r fixes k = n - r, decided once in
-        ``__init__``.  Composite D checks phase solvability, validity, k
-        and d here.
+        tuples) and the closed-form phases of ``_independent_phases`` make
+        it valid.  Composite D solves the phase equations; a span with no
+        solution raises :class:`PhaseAssignmentError` and is not a code.
         """
         spec = self.spec
         d, m = spec.modulus, spec.num_modes
-        gens = tuple(PfOperator(d, m, 0, tuple(int(x) for x in self.cand[i])) for i in chosen)
+        code = PfCode(d, m, tuple(PfOperator(d, m, 0, tuple(int(x) for x in self.cand[i])) for i in chosen))
         if self.prime:
-            if not self.k_ok:
-                return
-            code = _independent_phases(PfCode(d, m, gens))
+            code = _independent_phases(code)
         else:
             try:
-                code = canonical_phases(PfCode(d, m, gens))
-            except ValueError:
-                return
-            if not validate(code).all_ok:
-                return
-            if _codespace_dim(code, _group_order(code)) != d**spec.target_k:
-                return
-            if _distance(code).value != spec.target_d:
+                code = canonical_phases(code)
+            except PhaseAssignmentError:
                 return
         key = canonical_equivalence_key(code)
-        if key in self.hit_keys:
-            return
         self.hit_keys.add(key)
         self.hits.append((self.nodes, key, tuple(code.generators)))
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
     def _leaf(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Hand a full tuple to ``_accept`` if its weight < d and weight-d centralizers allow it.
+        """Hand a full tuple to ``_accept`` if its span has D^(n-k) elements and passes both prefilters.
 
-        The span's candidate positions are set in ``in_span`` for the two
-        prefilters and cleared again before ``_accept``.  Without symmetry
-        reduction (composite D) a span arrives once per generating tuple.
-        Everything from here on is a property of the span (phase
-        solvability, |S|, d), so a span already seen, accepted or not, is
-        skipped; ``_grow`` keeps composite-D codes sorted.
+        Everything from here on is a property of the span (size, the
+        prefilters, phase solvability), so when spans can repeat (no
+        symmetry reduction, or randomized mode) a span already seen,
+        accepted or not, is skipped before the prefilters; it is keyed by
+        its sorted codes.  The span's candidate positions are set in
+        ``in_span`` for the prefilters and cleared again before ``_accept``.
         """
-        if not self.prime:
-            key = codes.tobytes()
+        if len(codes) != self.span_size:
+            return
+        if self.repeats:
+            key = np.sort(codes).tobytes()
             if key in self.seen_spans:
                 return
             self.seen_spans.add(key)
@@ -548,10 +543,9 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     so walking the blocks in first-generator order with a running node
     offset replays the serial stops: the budget at node ``max_tuples + 1``
     and ``max_hits`` at the node of the last hit.  A hit whose span an
-    earlier block found (composite D, no symmetry reduction) does not
-    count.  A block that stopped at its own ``max_hits`` repeats at most as
-    many spans as were found before it, so the replay stops inside that
-    block.  Returns ({key: payload}, tuples examined, budget exceeded,
+    earlier block found (no symmetry reduction) does not count.  A block
+    that stopped at its own ``max_hits`` repeats at most as many spans as
+    were found before it, so the replay stops inside that block.  Returns ({key: payload}, tuples examined, budget exceeded,
     stopped on ``max_hits``).
     """
     found: dict[str, dict] = {}

@@ -259,36 +259,40 @@ def _basis_order(basis: dict[int, np.ndarray], n: int) -> int:
     return order
 
 
-def kernel_basis(m: ZModMatrix) -> ZModMatrix:
-    """Howell basis K of the left kernel {x : x @ M == 0 (mod D)}.
-
-    Computed from the Howell form of [M | I]: rows whose M-part vanished
-    record, in their I-part, the coefficient vectors that witness it.
+def _augmented_basis(m: ZModMatrix) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The Howell basis of [M | I], split: the rows with a pivot in M's c columns,
+    and the rows whose M-part vanished as {pivot - c: I-part}.  The I-parts
+    witness x @ M == 0 and already form the Howell basis of the left kernel.
     """
-    n = m.modulus
-    r, c = m.array.shape
-    aug = np.hstack([m.array, np.eye(r, dtype=np.int64)])
-    basis = _howell_basis(aug, n)
-    kernel_rows = [row[c:] for j, row in sorted(basis.items()) if j >= c]
-    if not kernel_rows:
-        return ZModMatrix(n, np.zeros((0, r), dtype=np.int64))
-    return ZModMatrix(n, np.stack(kernel_rows))
+    c = m.num_cols
+    basis = _howell_basis(np.hstack([m.array, np.eye(m.num_rows, dtype=np.int64)]), m.modulus)
+    return {j: row for j, row in basis.items() if j < c}, {j - c: row[c:] for j, row in basis.items() if j >= c}
 
 
-def solve_left(m: ZModMatrix, v: Sequence[int]) -> np.ndarray | None:
-    """Some x with x @ M == v (mod D), or None when v is outside the span."""
-    n = m.modulus
-    r, c = m.array.shape
-    vec = np.asarray(v, dtype=np.int64) % n
-    if vec.shape != (c,):
-        raise ValueError(f"vector length {vec.shape} does not match {c} columns")
-    aug = np.hstack([m.array, np.eye(r, dtype=np.int64)])
-    basis = _howell_basis(aug, n)
-    front = {j: row for j, row in basis.items() if j < c}
+def _solve_front(front: dict[int, np.ndarray], vec: np.ndarray, r: int, n: int) -> np.ndarray | None:
+    """:func:`solve_left` for an r-row M, from the M-pivot rows of ``_augmented_basis``."""
+    c = vec.shape[0]
     w = _reduce_against(front, np.concatenate([vec, np.zeros(r, dtype=np.int64)]), n, limit=c)
     if w is None or w[:c].any():
         return None
     return (-w[c:]) % n
+
+
+def kernel_basis(m: ZModMatrix) -> ZModMatrix:
+    """Howell basis K of the left kernel {x : x @ M == 0 (mod D)}, read off the Howell form of [M | I]."""
+    _, kernel = _augmented_basis(m)
+    if not kernel:
+        return ZModMatrix(m.modulus, np.zeros((0, m.num_rows), dtype=np.int64))
+    return ZModMatrix(m.modulus, np.stack([kernel[j] for j in sorted(kernel)]))
+
+
+def solve_left(m: ZModMatrix, v: Sequence[int]) -> np.ndarray | None:
+    """Some x with x @ M == v (mod D), or None when v is outside the span."""
+    vec = np.asarray(v, dtype=np.int64) % m.modulus
+    if vec.shape != (m.num_cols,):
+        raise ValueError(f"vector length {vec.shape} does not match {m.num_cols} columns")
+    front, _ = _augmented_basis(m)
+    return _solve_front(front, vec, m.num_rows, m.modulus)
 
 
 def coset_minimum(m: ZModMatrix, v: Sequence[int]) -> np.ndarray:

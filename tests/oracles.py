@@ -277,8 +277,9 @@ def _reference_engine_class():
     """``search._Engine`` walking one node at a time: the per-child recursion it replaced.
 
     Only the tables built in ``__init__`` and ``_accept`` are shared with the
-    batched engine; the walk, the coset test, span growth, node counting
-    and both prefilters (``np.isin`` over span codes) are the per-node ones.
+    batched engine; the walk, the coset test, span growth, node counting,
+    the span-size and repeated-span checks and both prefilters (``np.isin``
+    over span codes) are the per-node ones.
     """
     from pfstab import search
 
@@ -302,8 +303,11 @@ def _reference_engine_class():
             return rows[first], all_codes
 
         def _leaf(self, chosen, codes):
-            if not self.prime:
-                key = codes.tobytes()
+            spec = self.spec
+            if len(codes) * spec.modulus**spec.target_k != spec.modulus ** (spec.num_modes // 2):
+                return  # |S| = D^(n-k)
+            if spec.mode == "randomized" or not spec.symmetry_reduction:
+                key = tuple(sorted(codes.tolist()))
                 if key in self.seen_spans:
                     return
                 self.seen_spans.add(key)

@@ -5,10 +5,11 @@ from contextlib import contextmanager, suppress
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_search
 
+import pfstab.code
 from pfstab import search
 from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
@@ -235,8 +236,6 @@ def _accepted_spans():
 )
 def test_canonical_augmentation_visits_each_span_once(shape, gens, target_d):
     modulus, modes = shape
-    # Unreduced, these call _accept on thousands of tuples: over ten seconds each.
-    assume(not (shape == (3, 6) and gens == 2 and target_d < 3))
     spec = dict(num_modes=modes, target_k=modes // 2 - gens, target_d=target_d, generator_count=gens, max_hits=0)
     with _accepted_spans() as spans:
         _, reduced = find_codes(SearchSpec(modulus, symmetry_reduction=True, **spec), threads=1)
@@ -262,11 +261,16 @@ def test_exhaustive_finds_distance3_code_on_eight_modes():
         SearchSpec(2, 8, 1, 2, max_hits=0),
         SearchSpec(3, 6, 1, 2, max_hits=0),
         SearchSpec(3, 8, 1, 3, mode="randomized", seed=2024, samples=5000, max_hits=0),
+        SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0),
+        SearchSpec(6, 4, 1, 2, generator_count=2, max_hits=0),
+        SearchSpec(9, 4, 1, 2, generator_count=2, max_hits=0),
+        SearchSpec(4, 6, 1, 2, mode="randomized", seed=5, samples=1000, generator_count=2, max_hits=0),
     ],
-    ids=["d2_8modes_all", "d3_6modes_all", "d3_8modes_randomized"],
+    ids=["d2_8modes_all", "d3_6modes_all", "d3_8modes_randomized", "d4_4modes_all", "d6_4modes_all",
+         "d9_4modes_all", "d4_6modes_randomized"],
 )
 def test_every_hit_is_valid_with_target_k_and_d(spec):
-    # _accept checks neither validity, k nor d for prime D; the public
+    # _accept checks neither validity, k nor d for any modulus; the public
     # functions, which check them from scratch, must agree on every hit.
     codes, _ = find_codes(spec, threads=1)
     assert codes
@@ -276,14 +280,30 @@ def test_every_hit_is_valid_with_target_k_and_d(spec):
         assert distance(code).value == spec.target_d
 
 
-def test_prime_accept_skips_phase_solve_validation_k_and_distance(monkeypatch):
+def test_accept_skips_validation_k_and_distance(monkeypatch):
+    # For every modulus the span size fixes k, the prefilters fix d and the
+    # phases decide validity; only composite D solves for its phases.
     def forbidden(*args, **kwargs):
-        raise AssertionError("called on the prime-D accept path")
+        raise AssertionError("called on the accept path")
 
-    for name in ("canonical_phases", "validate", "_codespace_dim", "_group_order", "_distance"):
-        monkeypatch.setattr(search, name, forbidden)
+    for name in ("_codespace_dim", "_group_order", "_distance"):
+        assert not hasattr(search, name)
+        monkeypatch.setattr(pfstab.code, name, forbidden)
+    monkeypatch.setattr(pfstab.code, "validate", forbidden)
+    monkeypatch.setattr(search, "validate", forbidden)
+    _, cert = find_codes(SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0), threads=1)
+    assert _keys(cert) == D4_KEYS
+    monkeypatch.setattr(search, "canonical_phases", forbidden)
     _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0), threads=1)
     assert len(cert.hits) == 220
+
+
+def test_unreduced_search_accepts_each_span_once():
+    # Without symmetry reduction each span reaches _leaf once per generating
+    # tuple (5,280 tuples for these 220 spans); only the first goes further.
+    with _accepted_spans() as spans:
+        _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0, symmetry_reduction=False), threads=1)
+    assert len(spans) == len(set(spans)) == len(cert.hits) == 220
 
 
 @pytest.mark.parametrize(
