@@ -14,8 +14,7 @@ import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
 from .code import InvalidCodeError, PfCode, _first_logical, canonical_phases, is_logical, validate
-from .search import _is_prime
-from .zmod import ZModMatrix, _howell_basis, span_order
+from .zmod import ZModMatrix, _howell_basis, _is_prime, span_order
 
 __all__ = [
     "QuditCheckMatrix",

@@ -20,7 +20,7 @@ from .builders import (
     double_to_css,
     embed_qudit_code,
 )
-from .code import analyze, codespace_dim, syndrome, validate
+from .code import InvalidCodeError, PhaseAssignmentError, analyze, codespace_dim, syndrome, validate
 from .codefile import (
     CodeFileError,
     canonical_json,
@@ -303,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except CodeFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (InvalidCodeError, PhaseAssignmentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INVALID_CODE
 
 
 if __name__ == "__main__":

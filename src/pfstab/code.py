@@ -22,13 +22,22 @@ With S the r x m matrix of rows alpha_i, L the pairing matrix of
 
 :func:`validate` evaluates these for all pairs and relations at once, and
 :func:`canonical_phases` solves the same phase equations for mu.
+
+A code is immutable, so its validity and the Howell basis of S are computed
+once per code object, on first use, from one Howell form of [S | I]: the
+rows with a pivot among S's columns, cut to those columns, are the Howell
+basis of S, and the other rows give the kernel relations of the phase
+check.  Every parameter (|S|, k, d, l_con, the logicals) is defined only
+for a valid code, so each public function raises
+:class:`InvalidCodeError` on an invalid one and otherwise reads the kept
+basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -39,10 +48,9 @@ from .zmod import (
     _augmented_basis,
     _basis_order,
     _coset_minima,
-    _howell_basis,
+    _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
     _reduce_against,
     _solve_front,
-    howell_form,
     kernel_basis,
     span_order,
 )
@@ -86,6 +94,9 @@ class PhaseAssignmentError(ValueError):
 class PfCode:
     """A stabilizer group in PF(D, 2n), given by its generating set.
 
+    Immutable: its validity and stabilizer basis are computed on first use
+    and kept.
+
     ``mode_layout`` optionally maps 1-indexed modes to integer lattice
     coordinates; when absent, modes sit on the 1-D chain i -> (i,).
     """
@@ -115,6 +126,29 @@ class PfCode:
 
     def with_generators(self, generators) -> "PfCode":
         return PfCode(self.modulus, self.num_modes, tuple(generators), self.mode_layout)
+
+    @cached_property
+    def _row_forms(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
+        """(Howell basis {pivot: row} of the rows S, Howell basis of their left
+        kernel), read off one Howell form of [S | I]."""
+        front, kernel = _augmented_basis(stabilizer_matrix(self))
+        relations = np.array([kernel[j] for j in sorted(kernel)], dtype=np.int64)
+        basis = {j: row[: self.num_modes] for j, row in front.items()}
+        return basis, relations.reshape(len(kernel), len(self.generators))
+
+    @cached_property
+    def _flags(self) -> ValidationFlags:
+        """The closed forms of the module docstring, for every generator pair,
+        every D-th power and every kernel relation at once."""
+        if not self.generators:
+            return ValidationFlags(True, True, True)
+        d = self.modulus
+        rows = stabilizer_matrix(self).array
+        abelian = not ((commutation_rows(self) @ rows.T) % d).any()
+        parity_ok = not (rows.sum(axis=1) % d).any()
+        mu = np.array([g.mu for g in self.generators], dtype=np.int64)
+        phase_ok = not _relation_phases(rows, mu, _phase_relations(self), d).any()
+        return ValidationFlags(abelian, parity_ok, phase_ok)
 
 
 @dataclass(frozen=True)
@@ -202,72 +236,47 @@ def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modul
     return (powers @ mu - own - 2 * cross) % two_d
 
 
-def _phase_relations(smat: ZModMatrix) -> np.ndarray:
+def _phase_relations(code: PfCode) -> np.ndarray:
     """Exponent rows k whose products the phase check needs phase-free:
     D e_i for each generator, then a kernel basis of the rows."""
-    return np.vstack([smat.modulus * np.eye(smat.num_rows, dtype=np.int64), kernel_basis(smat).array])
+    r = len(code.generators)
+    return np.vstack([code.modulus * np.eye(r, dtype=np.int64), code._row_forms[1]])
 
 
 def validate(code: PfCode) -> ValidationFlags:
     """Check the three defining conditions; never raises.
 
-    Evaluates the closed forms of the module docstring for every generator
-    pair, every D-th power and every kernel relation at once.
+    Evaluates the closed forms of the module docstring once per code object.
     """
-    if not code.generators:
-        return ValidationFlags(True, True, True)
-    d = code.modulus
-    smat = stabilizer_matrix(code)
-    rows = smat.array
-    abelian = not ((commutation_rows(code) @ rows.T) % d).any()
-    parity_ok = not (rows.sum(axis=1) % d).any()
-    mu = np.array([g.mu for g in code.generators], dtype=np.int64)
-    phase_ok = not _relation_phases(rows, mu, _phase_relations(smat), d).any()
-    return ValidationFlags(abelian, parity_ok, phase_ok)
+    return code._flags
 
 
-def _require_valid(code: PfCode) -> None:
+def _require_valid(code: PfCode) -> dict[int, np.ndarray]:
+    """The Howell basis of the stabilizer rows of a valid code."""
     flags = validate(code)
     if not flags.all_ok:
         raise InvalidCodeError(f"code fails validation: {flags.to_dict()}")
-
-
-# Each public function below checks validity itself; the private cores
-# (_group_order, _codespace_dim, ...) assume a valid code, so callers that
-# validated once already (analyze, the search's acceptance test) use them.
-
-
-def _group_order(code: PfCode) -> int:
-    return span_order(stabilizer_matrix(code))
+    return code._row_forms[0]
 
 
 def group_order(code: PfCode) -> int:
     """|S|: the number of distinct group elements (phases are pinned once valid)."""
-    _require_valid(code)
-    return _group_order(code)
+    return _basis_order(_require_valid(code), code.modulus)
 
 
-def _codespace_dim(code: PfCode, order: int) -> int:
+def codespace_dim(code: PfCode) -> int:
+    """|C_S| = D^n / |S|, always an exact integer division for a valid code."""
+    order = group_order(code)
     total = code.modulus**code.n
     if total % order:
         raise InvalidCodeError(f"D^n = {total} is not divisible by |S| = {order}")
     return total // order
 
 
-def codespace_dim(code: PfCode) -> int:
-    """|C_S| = D^n / |S|, always an exact integer division for a valid code."""
-    return _codespace_dim(code, group_order(code))
-
-
-def _centralizer_basis(code: PfCode) -> ZModMatrix:
-    rows = commutation_rows(code)
-    return kernel_basis(ZModMatrix(code.modulus, rows.T % code.modulus))
-
-
 def centralizer_basis(code: PfCode) -> ZModMatrix:
-    """Basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer."""
+    """Howell basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer."""
     _require_valid(code)
-    return _centralizer_basis(code)
+    return kernel_basis(ZModMatrix(code.modulus, commutation_rows(code).T))
 
 
 def syndrome(code: PfCode, error: PfOperator) -> tuple[int, ...]:
@@ -280,14 +289,13 @@ def syndrome(code: PfCode, error: PfOperator) -> tuple[int, ...]:
 
 def is_logical(code: PfCode, op: PfOperator) -> bool:
     """True iff op centralizes the stabilizer but is not a stabilizer element."""
-    _require_valid(code)
+    basis = _require_valid(code)
     if op.modulus != code.modulus or op.num_modes != code.num_modes:
         raise ValueError("operator does not match the code")
     if any(syndrome(code, op)):
         return False
-    from .zmod import span_membership
-
-    return not span_membership(stabilizer_matrix(code), op.alpha)
+    reduced = _reduce_against(basis, np.asarray(op.alpha, dtype=np.int64), code.modulus)
+    return reduced is None or bool(reduced.any())
 
 
 def logical_basis(code: PfCode) -> list[PfOperator]:
@@ -297,16 +305,10 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     lexicographically smallest element of its stabilizer coset; zero cosets
     drop out.  The images generate the quotient.
     """
-    _require_valid(code)
-    return _logical_basis(code)
-
-
-def _logical_basis(code: PfCode) -> list[PfOperator]:
-    cent = howell_form(_centralizer_basis(code))
-    basis = _howell_basis(stabilizer_matrix(code).array, code.modulus)
+    basis = _require_valid(code)
     seen = set()
     out = []
-    for rep in _coset_minima(basis, cent.array, code.modulus):
+    for rep in _coset_minima(basis, centralizer_basis(code).array, code.modulus):
         key = tuple(int(x) for x in rep)
         if any(rep) and key not in seen:
             seen.add(key)
@@ -472,17 +474,12 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     (meaning d > cap), never a guess.  A cap below 1 raises ValueError.
     """
     _check_cap("max_weight", max_weight)
-    _require_valid(code)
-    return _distance(code, max_weight)
-
-
-def _distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
+    basis = _require_valid(code)
     d, m = code.modulus, code.num_modes
     if max_weight is None:
         if m > FULL_SEARCH_MODE_LIMIT:
             raise ValueError(f"codes with more than {FULL_SEARCH_MODE_LIMIT} modes need an explicit max_weight")
         max_weight = m
-    basis = _howell_basis(stabilizer_matrix(code).array, d)
     rows = commutation_rows(code)
     # The centralizer is the kernel of x -> rows @ x, so |C| = D^m / |rowspan(rows)|
     # (a matrix and its transpose have the same Smith form).
@@ -525,11 +522,7 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     below 1 raises ValueError.
     """
     _check_cap("max_diameter", max_diameter)
-    _require_valid(code)
-    return _l_con(code, max_diameter)
-
-
-def _l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
+    basis = _require_valid(code)
     d, m = code.modulus, code.num_modes
     coords = _layout_coords(code)
     axes = coords.shape[1]
@@ -539,9 +532,6 @@ def _l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     if max_diameter is not None and max_diameter < diameter_bound:
         diameter_bound = cap = max_diameter
     rows = commutation_rows(code)
-    smat = stabilizer_matrix(code)
-    basis = _howell_basis(smat.array, d)
-
     for side in range(1, diameter_bound + 1):
         seen_windows: set[frozenset] = set()
         for corner in itertools.product(*anchors):
@@ -585,9 +575,8 @@ def canonical_phases(code: PfCode) -> PfCode:
             raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
     if not gens:
         return code
-    smat = stabilizer_matrix(code)
-    powers = _phase_relations(smat)
-    rhs = -_relation_phases(smat.array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
+    powers = _phase_relations(code)
+    rhs = -_relation_phases(stabilizer_matrix(code).array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
     system = ZModMatrix(two_d, (powers % two_d).T)
     front, freedom = _augmented_basis(system)
     particular = _solve_front(front, rhs, system.num_rows, two_d)
@@ -703,15 +692,15 @@ def analyze(
     flags = validate(code)
     if not flags.all_ok:
         return CodeReport(code.modulus, code.num_modes, flags)
-    order = _group_order(code)
-    dim = _codespace_dim(code, order)
+    order = group_order(code)
+    dim = codespace_dim(code)
     k = _integral_log(dim, code.modulus)
-    logicals = _logical_basis(code)
+    logicals = logical_basis(code)
     dist = None
     lc = None
     if logicals:
         if with_distance and (code.num_modes <= FULL_SEARCH_MODE_LIMIT or max_weight is not None):
-            dist = _distance(code, max_weight)
+            dist = distance(code, max_weight)
         if with_lcon and (code.num_modes <= FULL_SEARCH_MODE_LIMIT or max_diameter is not None):
-            lc = _l_con(code, max_diameter)
+            lc = l_con(code, max_diameter)
     return CodeReport(code.modulus, code.num_modes, flags, order, dim, k, dist, lc, tuple(logicals))

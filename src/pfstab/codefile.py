@@ -24,7 +24,7 @@ from pathlib import Path
 from .algebra import PfOperator
 from .builders import QuditCheckMatrix
 from .code import PfCode
-from .search import _is_int
+from .zmod import _is_int
 
 __all__ = [
     "CodeFileError",

@@ -69,7 +69,7 @@ from .code import (
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
 from .code import codespace_dim, distance, validate  # noqa: F401
-from .zmod import howell_form
+from .zmod import _is_int, _is_prime, howell_form
 
 __all__ = [
     "SearchSpec",
@@ -90,42 +90,6 @@ _BLOCKS_PER_THREAD = 4
 
 class BudgetExceededError(RuntimeError):
     """The enumeration went past the configured tuple budget."""
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the prime bases 2 .. 41, exact for p < 3.3e24.
-
-    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-    Math. Comp. 86, 2017.)  Above that bound it is a strong probable-prime
-    test; the search never asks there, since such a D has no searchable
-    candidate space.
-    """
-    if p < 2:
-        return False
-    for q in _WITNESSES:
-        if p % q == 0:
-            return p == q
-    odd, twos = p - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for a in _WITNESSES:
-        x = pow(a, odd, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

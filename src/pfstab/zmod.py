@@ -319,3 +319,40 @@ def _coset_minima(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -> 
         row = basis[j]
         w = (w - (w[:, j] // int(row[j]))[:, None] * row) % n
     return w
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the prime bases 2 .. 41, exact for p < 3.3e24.
+
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    Math. Comp. 86, 2017.)  Above that bound it is a strong probable-prime
+    test; no modulus pfstab can work with comes near it (the search has no
+    candidate space for such a D).
+    """
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _WITNESSES:
+        x = pow(a, odd, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` is no integer field)."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -393,7 +393,7 @@ def _code_documents(draw) -> str:
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["validate", "params"]),
+    command=st.sampled_from(["validate", "params", "double", "double-d6"]),
     document=st.one_of(
         _code_documents(),
         st.one_of(st.lists(st.integers(), max_size=4), st.integers(), st.text(max_size=8), st.none()).map(json.dumps),
@@ -406,6 +406,51 @@ def test_code_file_fuzz_never_raises(capsys, tmp_path, command, document):
     status, _, err = run(capsys, command, path)
     assert status in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@st.composite
+def _qudit_documents(draw) -> str:
+    """A small qudit check file, commuting or not, then up to two fields replaced by junk."""
+    modulus, qudits = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 3))
+    digits = st.lists(st.integers(0, modulus - 1), min_size=qudits, max_size=qudits)
+    payload = {
+        "format_version": 1,
+        "D": modulus,
+        "num_qudits": qudits,
+        "rows": [{"x": draw(digits), "z": draw(digits)} for _ in range(draw(st.integers(0, 3)))],
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        rows = [r for r in payload["rows"] if isinstance(r, dict)] if isinstance(payload["rows"], list) else []
+        node = draw(st.sampled_from([payload, *rows]))
+        node[draw(st.sampled_from(list(node)))] = draw(_JUNK)
+    return json.dumps(payload)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_qudit_documents())
+def test_qudit_file_fuzz_never_raises(capsys, tmp_path, document):
+    path = tmp_path / "qudit.json"
+    path.write_text(document)
+    status, _, err = run(capsys, "embed", path, "--out", tmp_path / "embedded.json")
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["embed", "double"])
+def test_invalid_input_exits_1_with_one_error_line(capsys, tmp_path, command):
+    path = tmp_path / "input.json"
+    if command == "embed":  # X and Z on the same qudit do not commute
+        path.write_text(json.dumps({"format_version": 1, "D": 3, "num_qudits": 1, "rows": [
+            {"x": [1], "z": [0]}, {"x": [0], "z": [1]}]}))
+    else:  # a generator of charge 1
+        path.write_text(json.dumps({"format_version": 1, "D": 3, "num_modes": 2, "generators": [
+            {"mu": 0, "alpha": [1, 0]}]}))
+    status, out, err = run(capsys, command, path)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_layout_coordinates_reject_booleans(capsys, tmp_path):

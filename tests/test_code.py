@@ -33,7 +33,7 @@ from pfstab.code import (
     syndrome,
     validate,
 )
-from pfstab.zmod import ZModMatrix, kernel_basis, span_order
+from pfstab.zmod import ZModMatrix, _howell_basis, kernel_basis, span_order
 
 from oracles import (
     brute_distance,
@@ -366,6 +366,10 @@ def _random_generators(
 def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parity, commuting, dependent, seed):
     code = _random_generators(modulus, modes, gens, parity, commuting, dependent and gens > 1, seed)
     assert validate(code) == reference_validate(code)
+    # The kept basis, cut from the Howell form of [S | I], is the Howell basis of S.
+    kept, howell = code._row_forms[0], _howell_basis(stabilizer_matrix(code).array, modulus)
+    assert sorted(kept) == sorted(howell)
+    assert all(np.array_equal(kept[j], howell[j]) for j in howell)
     try:
         want = reference_canonical_phases(code)
     except PhaseAssignmentError:
@@ -412,6 +416,27 @@ def test_analyze_report_known_code():
     assert d["D"] == 3 and d["k"] == 1 and d["distance"]["value"] == 3
     table = report.render_table()
     assert "distance" in table and "27" in table
+
+
+def test_one_howell_form_of_s_and_i_per_code_object(monkeypatch):
+    code = PfCode(3, 8, code_8_1_3_d3().generators)
+    augmented, calls = pfstab.code._augmented_basis, []
+
+    def counted(matrix):
+        calls.append(matrix.num_cols)
+        return augmented(matrix)
+
+    monkeypatch.setattr(pfstab.code, "_augmented_basis", counted)
+    assert validate(code).all_ok
+    assert group_order(code) == 27 and codespace_dim(code) == 3
+    logicals = logical_basis(code)
+    assert logicals and all(is_logical(code, L) for L in logicals)
+    assert distance(code).value == 3
+    assert l_con(code).value == 4
+    report = analyze(code)
+    assert (report.k, report.distance.value, report.lcon.value) == (1, 3, 4)
+    assert calls == [8]
+    assert validate(code) is validate(code)
 
 
 def test_analyze_invalid_code_reports_flags_only():

@@ -286,11 +286,9 @@ def test_accept_skips_validation_k_and_distance(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the accept path")
 
-    for name in ("_codespace_dim", "_group_order", "_distance"):
-        assert not hasattr(search, name)
+    for name in ("codespace_dim", "group_order", "distance", "validate"):
         monkeypatch.setattr(pfstab.code, name, forbidden)
-    monkeypatch.setattr(pfstab.code, "validate", forbidden)
-    monkeypatch.setattr(search, "validate", forbidden)
+        monkeypatch.setattr(search, name, forbidden, raising=False)
     _, cert = find_codes(SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0), threads=1)
     assert _keys(cert) == D4_KEYS
     monkeypatch.setattr(search, "canonical_phases", forbidden)
