@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .zmod import ZModMatrix
+from .zmod import ZModMatrix, _check_range
 
 __all__ = ["PfOperator", "lambda_matrix", "parse_operator"]
 
@@ -44,6 +44,7 @@ class PfOperator:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if self.num_modes < 2 or self.num_modes % 2:
             raise ValueError(f"num_modes must be even and >= 2, got {self.num_modes}")
+        _check_range(self.modulus, self.num_modes, "an operator")
         alpha = tuple(int(a) % self.modulus for a in self.alpha)
         if len(alpha) != self.num_modes:
             raise ValueError(f"alpha has length {len(alpha)}, expected {self.num_modes}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
 from .code import InvalidCodeError, PfCode, _first_logical, canonical_phases, is_logical, validate
-from .zmod import ZModMatrix, _howell_basis, _is_prime, span_order
+from .zmod import ZModMatrix, _check_range, _howell_basis, _is_prime, span_order
 
 __all__ = [
     "QuditCheckMatrix",
@@ -40,6 +40,7 @@ class QuditCheckMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_range(self.modulus, self.num_qudits, "a qudit check matrix")
         rows = tuple(tuple(int(e) % self.modulus for e in r) for r in self.rows)
         for r in rows:
             if len(r) != 2 * self.num_qudits:
@@ -94,6 +95,15 @@ class QuditCheckMatrix:
         return None if found is None else found[0]
 
 
+def _validated(code: PfCode, what: str) -> PfCode:
+    """``code`` with canonical phases; raises :class:`InvalidCodeError` unless it is then valid."""
+    code = canonical_phases(code)
+    flags = validate(code)
+    if not flags.all_ok:
+        raise InvalidCodeError(f"{what} failed validation: {flags.to_dict()}")
+    return code
+
+
 def _mode_base(site: int) -> int:
     """First 1-indexed mode of 0-indexed qudit ``site`` (four modes per qudit)."""
     return 4 * site + 1
@@ -120,7 +130,7 @@ def build_clock_chain(modulus: int, n: int) -> PfCode:
         PfOperator.from_factors(modulus, num_modes, [(2 * j, -1), (2 * j + 1, 1)])
         for j in range(1, n)
     ]
-    return canonical_phases(PfCode(modulus, num_modes, tuple(gens)))
+    return _validated(PfCode(modulus, num_modes, tuple(gens)), "clock chain")
 
 
 def embed_qudit_code(q: QuditCheckMatrix) -> PfCode:
@@ -149,10 +159,7 @@ def embed_qudit_code(q: QuditCheckMatrix) -> PfCode:
             z_like, x_like = site_pairs[site]
             op = op * x_like.power(int(u[site])) * z_like.power(int(v[site]))
         gens.append(op)
-    code = canonical_phases(PfCode(d, num_modes, tuple(gens)))
-    if not validate(code).all_ok:
-        raise InvalidCodeError("embedding produced an invalid code")
-    return code
+    return _validated(PfCode(d, num_modes, tuple(gens)), "embedded code")
 
 
 def double_to_css(code: PfCode) -> QuditCheckMatrix:
@@ -196,10 +203,7 @@ def double_code_d6(code3: PfCode) -> PfCode:
     for g in code3.generators:
         doubled = tuple((2 * a) % 6 for a in g.alpha)
         gens.append(PfOperator(6, m, 0, doubled))
-    code = canonical_phases(PfCode(6, m, tuple(gens)))
-    if not validate(code).all_ok:
-        raise InvalidCodeError("doubled code failed validation")
-    return code
+    return _validated(PfCode(6, m, tuple(gens)), "doubled code")
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,7 @@ class ToricSpec:
             raise ValueError("exponent must be >= 1")
         if self.a < 2 or self.b < 2:
             raise ValueError("lattice sides must be >= 2")
+        _check_range(self.modulus, 8 * self.a * self.b, "a toric code")  # 8ab modes
 
     @property
     def modulus(self) -> int:
@@ -332,9 +337,7 @@ def build_toric(spec: ToricSpec) -> ToricCode:
                 layout[4 * h_edge(x, y) + 1 + offset] = (2 * x + 1, 2 * y)
                 layout[4 * v_edge(x, y) + 1 + offset] = (2 * x, 2 * y + 1)
 
-    code = canonical_phases(PfCode(d, num_modes, tuple(gens), mode_layout=layout))
-    if not validate(code).all_ok:
-        raise InvalidCodeError("toric construction failed validation")
+    code = _validated(PfCode(d, num_modes, tuple(gens), mode_layout=layout), "toric construction")
 
     logicals = {
         "horizontal_z": product([z_op(h_edge(x, 0), +1) for x in range(a)]),
@@ -374,7 +377,7 @@ def code_8_1_3_d3() -> PfCode:
         (0, 0, 2, 1, 0, 2, 0, 1),
     ]
     gens = tuple(PfOperator(3, 8, 0, a) for a in alphas)
-    return canonical_phases(PfCode(3, 8, gens))
+    return _validated(PfCode(3, 8, gens), "[[8,1,3]]_3 code")
 
 
 def code_6_1_3_d7() -> PfCode:
@@ -384,4 +387,4 @@ def code_6_1_3_d7() -> PfCode:
         (1, 0, 0, 5, 0, 1),
     ]
     gens = tuple(PfOperator(7, 6, 0, a) for a in alphas)
-    return canonical_phases(PfCode(7, 6, gens))
+    return _validated(PfCode(7, 6, gens), "[[6,1,3]]_7 code")

@@ -21,16 +21,20 @@ With S the r x m matrix of rows alpha_i, L the pairing matrix of
   every kernel row k of S.
 
 :func:`validate` evaluates these for all pairs and relations at once, and
-:func:`canonical_phases` solves the same phase equations for mu.
+:func:`canonical_phases` solves the same phase equations for mu, the one
+phase assignment every caller (builders, search) uses: in closed form when
+S has a trivial left kernel, so that only the D-th powers constrain mu, and
+by a Howell form over Z_2D otherwise.
 
 A code is immutable, so its validity and the Howell basis of S are computed
 once per code object, on first use, from one Howell form of [S | I]: the
 rows with a pivot among S's columns, cut to those columns, are the Howell
 basis of S, and the other rows give the kernel relations of the phase
-check.  Every parameter (|S|, k, d, l_con, the logicals) is defined only
-for a valid code, so each public function raises
-:class:`InvalidCodeError` on an invalid one and otherwise reads the kept
-basis.
+check.  These forms do not depend on mu, so the code that
+:func:`canonical_phases` returns keeps its input's.  Every parameter (|S|,
+k, d, l_con, the logicals) is defined only for a valid code, so each public
+function raises :class:`InvalidCodeError` on an invalid one and otherwise
+reads the kept basis.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .zmod import (
     ZModMatrix,
     _augmented_basis,
     _basis_order,
+    _check_range,
     _coset_minima,
     _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
     _reduce_against,
@@ -113,6 +118,7 @@ class PfCode:
                 raise ValueError("generator does not match the code's modulus or mode count")
         if self.num_modes < 2 or self.num_modes % 2:
             raise ValueError("num_modes must be even and >= 2")
+        _check_range(self.modulus, max(self.num_modes, len(self.generators)), "a code")
         if self.mode_layout is not None:
             if set(self.mode_layout) != set(range(1, self.num_modes + 1)):
                 raise ValueError("mode_layout must cover modes 1..num_modes")
@@ -126,6 +132,14 @@ class PfCode:
 
     def with_generators(self, generators) -> "PfCode":
         return PfCode(self.modulus, self.num_modes, tuple(generators), self.mode_layout)
+
+    def _with_phases(self, mu) -> "PfCode":
+        """This code with phases ``mu``, keeping the Howell forms of [S | I] (they do not depend on mu)."""
+        code = self.with_generators(
+            PfOperator(self.modulus, self.num_modes, int(m), g.alpha) for m, g in zip(mu, self.generators)
+        )
+        code.__dict__["_row_forms"] = self._row_forms
+        return code
 
     @cached_property
     def _row_forms(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -240,7 +254,7 @@ def _phase_relations(code: PfCode) -> np.ndarray:
     """Exponent rows k whose products the phase check needs phase-free:
     D e_i for each generator, then a kernel basis of the rows."""
     r = len(code.generators)
-    return np.vstack([code.modulus * np.eye(r, dtype=np.int64), code._row_forms[1]])
+    return np.concatenate([code.modulus * np.eye(r, dtype=np.int64), code._row_forms[1]])
 
 
 def validate(code: PfCode) -> ValidationFlags:
@@ -564,8 +578,12 @@ def canonical_phases(code: PfCode) -> PfCode:
     lifted kernel relation must come out phase-free, which is linear in mu
     (see the module docstring).  Among all solutions the lexicographically
     smallest phase vector is returned; infeasibility raises
-    :class:`PhaseAssignmentError`.  One Howell form of [system | I] gives
-    both a particular solution and the kernel that is the freedom.
+    :class:`PhaseAssignmentError`.  When the rows have a trivial left
+    kernel the only relations are the D-th powers, D mu_i == rhs_i in
+    {0, D} (mod 2D), whose smallest solution is mu = rhs // D.  Otherwise
+    one Howell form of [system | I] gives both a particular solution and
+    the kernel that is the freedom.  The returned code keeps the input's
+    Howell forms of [S | I].
     """
     d = code.modulus
     two_d = 2 * d
@@ -577,32 +595,14 @@ def canonical_phases(code: PfCode) -> PfCode:
         return code
     powers = _phase_relations(code)
     rhs = -_relation_phases(stabilizer_matrix(code).array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
+    if not len(code._row_forms[1]):
+        return code._with_phases(rhs // d)
     system = ZModMatrix(two_d, (powers % two_d).T)
     front, freedom = _augmented_basis(system)
     particular = _solve_front(front, rhs, system.num_rows, two_d)
     if particular is None:
         raise PhaseAssignmentError("no consistent phase assignment exists")
-    mu = _coset_minima(freedom, particular[None, :], two_d)[0]
-    fixed = [PfOperator(d, code.num_modes, int(m), g.alpha) for m, g in zip(mu, gens)]
-    return code.with_generators(fixed)
-
-
-def _independent_phases(code: PfCode) -> PfCode:
-    """:func:`canonical_phases` for linearly independent rows over a prime D.
-
-    The left kernel of the rows is then trivial, so the only phase
-    relations are the D-th powers k = D e_i: D mu_i == D (D-1) P_ii
-    (mod 2D), whose smallest solution is mu_i = (D-1) P_ii mod 2 (0 for
-    odd D).  Always solvable; the caller guarantees independence.
-    """
-    d = code.modulus
-    r = len(code.generators)
-    powers = d * np.eye(r, dtype=np.int64)
-    # With mu = 0, g_i^D has phase -D (D-1) P_ii: 0 or D (mod 2D), its own
-    # negative, so mu_i is that phase over D.
-    mu = _relation_phases(stabilizer_matrix(code).array, np.zeros(r, dtype=np.int64), powers, d) // d
-    fixed = [PfOperator(d, code.num_modes, int(m), g.alpha) for m, g in zip(mu, code.generators)]
-    return code.with_generators(fixed)
+    return code._with_phases(_coset_minima(freedom, particular[None, :], two_d)[0])
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def code_from_payload(payload: dict) -> PfCode:
         for pos, entry in enumerate(alpha):
             value = _expect_int(entry, f"generators[{idx}].alpha[{pos}]")
             _expect(0 <= value < modulus, f"generators[{idx}].alpha[{pos}] must lie in [0, {modulus})")
-        gens.append(PfOperator(modulus, num_modes, mu, tuple(alpha)))
+        gens.append((mu, tuple(alpha)))
     layout = None
     if "mode_layout" in payload:
         raw_layout = payload["mode_layout"]
@@ -107,7 +107,8 @@ def code_from_payload(payload: dict) -> PfCode:
                     f"mode_layout[{key}] must be a list of integers")
             layout[int(key)] = tuple(coords)
     try:
-        return PfCode(modulus, num_modes, tuple(gens), mode_layout=layout)
+        ops = tuple(PfOperator(modulus, num_modes, mu, alpha) for mu, alpha in gens)
+        return PfCode(modulus, num_modes, ops, mode_layout=layout)
     except ValueError as exc:
         raise CodeFileError(str(exc)) from exc
 
@@ -162,7 +163,10 @@ def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
                 value = _expect_int(entry, f"rows[{idx}].{part}[{pos}]")
                 _expect(0 <= value < modulus, f"rows[{idx}].{part}[{pos}] must lie in [0, {modulus})")
         rows.append(tuple(item["x"]) + tuple(item["z"]))
-    return QuditCheckMatrix(modulus, num_qudits, tuple(rows))
+    try:
+        return QuditCheckMatrix(modulus, num_qudits, tuple(rows))
+    except ValueError as exc:
+        raise CodeFileError(str(exc)) from exc
 
 
 def load_qudit_code(path: str | Path) -> QuditCheckMatrix:

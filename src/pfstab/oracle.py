@@ -110,10 +110,6 @@ class Monomial:
         m[self.perm, np.arange(dim)] = self.roots()[self.phase]
         return m
 
-    def trace(self) -> complex:
-        fixed = self.perm == np.arange(self.perm.shape[0])
-        return complex(self.roots()[self.phase[fixed]].sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented

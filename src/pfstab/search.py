@@ -15,10 +15,10 @@ have D^(n-k) elements, which fixes k; a span met again under another
 generating tuple (no symmetry reduction, or randomized mode) is skipped;
 then two prefilters over the weight-(< d) and weight-d vectors fix the
 distance at d.  The tuple is commuting and parity-zero by construction, so
-the acceptance test only assigns phases and computes the span key: in
-closed form for prime D, where the tuple is also independent, and by the
-phase solve of ``canonical_phases`` for composite D, whose failure is the
-only rejection left.
+the acceptance test only assigns phases with ``canonical_phases`` and reads
+the span key off the Howell form that assignment computed.  For prime D the
+tuple is independent, so the phases come in closed form; for composite D a
+phase solve that has no solution is the only rejection left.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -48,28 +48,18 @@ import json
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
-from .code import (
-    _BLOCK_ROWS,
-    PfCode,
-    PhaseAssignmentError,
-    _colex_supports,
-    _independent_phases,
-    _lex_digits,
-    _place,
-    canonical_phases,
-    stabilizer_matrix,
-)
+from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _colex_supports, _lex_digits, _place, canonical_phases
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
 from .code import codespace_dim, distance, validate  # noqa: F401
-from .zmod import _is_int, _is_prime, howell_form
+from .zmod import _is_int, _is_prime
 
 __all__ = [
     "SearchSpec",
@@ -206,9 +196,11 @@ class SearchCertificate:
 
 
 def canonical_equivalence_key(code: PfCode) -> str:
-    """Equal keys iff equal stabilizer spans (Howell form of the row matrix)."""
-    h = howell_form(stabilizer_matrix(code))
-    raw = f"{code.modulus}:{code.num_modes}:".encode() + h.array.tobytes()
+    """Equal keys iff equal stabilizer spans: the Howell form of the row matrix,
+    as the code keeps it, rows stacked in pivot order."""
+    basis = code._row_forms[0]
+    rows = np.array([basis[j] for j in sorted(basis)], dtype=np.int64).reshape(-1, code.num_modes)
+    raw = f"{code.modulus}:{code.num_modes}:".encode() + rows.tobytes()
     return hashlib.sha256(raw).hexdigest()
 
 
@@ -293,7 +285,7 @@ class _Engine:
         self.exact_pos = self._positions(exact)
         self.in_span = np.zeros(self.count + 1, dtype=bool)
         self.nodes = 0
-        # (node index, span key, generators) of each hit, in the order found.
+        # (node index, span key, phased generators) of each hit, in the order found.
         self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
         self.hit_keys: set[str] = set()
         # Sorted codes (as bytes) of every span of the right size that reached
@@ -365,25 +357,23 @@ class _Engine:
         ``_leaf`` has fixed k (span size) and d (the prefilters), and hands
         each span over at most once.  The tuple is commuting (the
         commutation masks) and parity-zero (the candidates), so the phases
-        decide validity.  For prime D it is also linearly independent (the
-        span strictly grew at every step; randomized mode drops dependent
-        tuples) and the closed-form phases of ``_independent_phases`` make
-        it valid.  Composite D solves the phase equations; a span with no
-        solution raises :class:`PhaseAssignmentError` and is not a code.
+        decide validity, and ``canonical_phases`` assigns them.  For prime D
+        the tuple is linearly independent (the span strictly grew at every
+        step; randomized mode drops dependent tuples), so the phases come
+        in closed form and always exist.  A composite span with no solution
+        raises :class:`PhaseAssignmentError` and is not a code.  The span
+        key reads the Howell form the phase assignment already computed.
         """
         spec = self.spec
         d, m = spec.modulus, spec.num_modes
         code = PfCode(d, m, tuple(PfOperator(d, m, 0, tuple(int(x) for x in self.cand[i])) for i in chosen))
-        if self.prime:
-            code = _independent_phases(code)
-        else:
-            try:
-                code = canonical_phases(code)
-            except PhaseAssignmentError:
-                return
+        try:
+            code = canonical_phases(code)
+        except PhaseAssignmentError:
+            return
         key = canonical_equivalence_key(code)
         self.hit_keys.add(key)
-        self.hits.append((self.nodes, key, tuple(code.generators)))
+        self.hits.append((self.nodes, key, code.generators))
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
@@ -468,12 +458,6 @@ class _Engine:
             self._advance(len(block) - counted)
 
 
-def _code_payload(generators: tuple[PfOperator, ...]) -> dict:
-    return {
-        "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in generators],
-    }
-
-
 # The event a worker process's blocks poll to stop early (None when serial).
 _worker_halt = None
 
@@ -483,21 +467,12 @@ def _set_worker_halt(event) -> None:
     _worker_halt = event
 
 
-def _run_block(spec_dict: dict, lo: int, hi: int) -> dict:
-    spec = SearchSpec.from_dict(spec_dict)
+def _run_block(spec: SearchSpec, lo: int, hi: int) -> dict:
     engine = _Engine(spec)
     engine.halt = _worker_halt
-    budget_hit = False
-    try:
+    with suppress(BudgetExceededError):  # the replay reads the budget stop off the node count
         engine.run(lo, hi)
-    except BudgetExceededError:
-        budget_hit = True
-    return {
-        "nodes": engine.nodes,
-        "hits": [(node, key, _code_payload(gens)) for node, key, gens in engine.hits],
-        "stopped": engine.stopped,
-        "budget": budget_hit,
-    }
+    return {"nodes": engine.nodes, "hits": engine.hits}
 
 
 def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bool, bool]:
@@ -509,18 +484,18 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     and ``max_hits`` at the node of the last hit.  A hit whose span an
     earlier block found (no symmetry reduction) does not count.  A block
     that stopped at its own ``max_hits`` repeats at most as many spans as
-    were found before it, so the replay stops inside that block.  Returns ({key: payload}, tuples examined, budget exceeded,
-    stopped on ``max_hits``).
+    were found before it, so the replay stops inside that block.  Returns
+    ({key: generators}, tuples examined, budget exceeded, stopped on ``max_hits``).
     """
-    found: dict[str, dict] = {}
+    found: dict[str, tuple[PfOperator, ...]] = {}
     offset = 0
     for res in results:
-        for node, key, payload in res["hits"]:
+        for node, key, gens in res["hits"]:
             if offset + node > spec.max_tuples:
                 break
             if key in found:
                 continue
-            found[key] = payload
+            found[key] = gens
             if spec.max_hits and len(found) >= spec.max_hits:
                 return found, offset + node, False, True
         if offset + res["nodes"] > spec.max_tuples:
@@ -548,7 +523,7 @@ def _run_blocks(spec: SearchSpec, count: int, threads: int) -> list[dict]:
     results: list[dict] = []
     with futures.ProcessPoolExecutor(threads, initializer=_set_worker_halt, initargs=(halt,)) as pool:
         jobs = {
-            pool.submit(_run_block, spec.to_dict(), int(lo), int(hi)): n
+            pool.submit(_run_block, spec, int(lo), int(hi)): n
             for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         }
         try:
@@ -576,22 +551,13 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
         threads=threads,
     )
     if threads <= 1:
-        results = [_run_block(spec.to_dict(), 0, count)]
+        results = [_run_block(spec, 0, count)]
     else:
         results = _run_blocks(spec, count, threads)
     found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)
-    codes = []
-    for key, payload in found.items():
-        gens = tuple(
-            PfOperator(spec.modulus, spec.num_modes, g["mu"], tuple(g["alpha"]))
-            for g in payload["generators"]
-        )
-        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
-        cert.hits.append({"key": key, **payload})
-    cert.early_stopped = bool(spec.max_hits) and len(codes) >= spec.max_hits
+    cert.early_stopped = bool(spec.max_hits) and len(found) >= spec.max_hits
     cert.exhausted = not cert.budget_exceeded and not stopped
-    cert.wall_time_s = time.monotonic() - start_time
-    return codes, cert
+    return _finish(spec, cert, found.items(), start_time)
 
 
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
@@ -603,7 +569,6 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
         candidate_count=engine.count,
         estimated_tuples=spec.samples,
     )
-    codes: list[PfCode] = []
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
         # One draw per sample, in order, so the chunking leaves the stream unchanged.
@@ -623,11 +588,17 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
                 size = s + 1  # the samples after the stop were drawn but not examined
                 break
         cert.tuples_examined += size
-    for _, key, gens in engine.hits:
-        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
-        cert.hits.append({"key": key, **_code_payload(gens)})
     cert.early_stopped = engine.stopped
     cert.exhausted = False  # sampling can never certify nonexistence
+    return _finish(spec, cert, [(key, gens) for _, key, gens in engine.hits], start_time)
+
+
+def _finish(spec: SearchSpec, cert: SearchCertificate, hits, start_time: float):
+    """(codes, certificate) of a search, from its (key, generators) hits in order."""
+    codes = []
+    for key, gens in hits:
+        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
+        cert.hits.append({"key": key, "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in gens]})
     cert.wall_time_s = time.monotonic() - start_time
     return codes, cert
 
@@ -641,7 +612,7 @@ def find_codes(spec: SearchSpec, threads: int | None = None) -> tuple[list[PfCod
     """
     _candidate_count(spec.modulus, spec.num_modes)  # an oversized space raises before any primality test
     if spec.symmetry_reduction and not _is_prime(spec.modulus) and spec.mode == "exhaustive":
-        spec = SearchSpec.from_dict({**spec.to_dict(), "symmetry_reduction": False})
+        spec = replace(spec, symmetry_reduction=False)
     if spec.mode == "randomized":
         return _find_randomized(spec)
     threads = default_thread_count() if threads is None else max(1, threads)

@@ -27,6 +27,20 @@ __all__ = [
 ]
 
 
+def _check_range(modulus: int, width: int, what: str) -> None:
+    """Raise ValueError unless (2 * width * modulus)**2 < 2**63.
+
+    The largest int64 intermediates are the prefix-sum pairings of two rows
+    over m modes, below (m D)^2 / 2 (``PfOperator.__mul__``,
+    ``code._relation_phases``), the phase sums of r generators, below
+    6 r D^2, and Howell-form combinations mod n, below 2 n^2.  So operators
+    (width m), codes (width max(m, r)) and matrices (width 1) within the
+    bound compute exactly, and such a code does also modulo 2D.
+    """
+    if (2 * width * int(modulus)) ** 2 >= 2**63:
+        raise ValueError(f"modulus {modulus} is too large for {what}: exact int64 needs (2 * {width} * D)^2 < 2^63")
+
+
 class ZModMatrix:
     """A rectangular matrix with entries in Z_D (least nonnegative residues)."""
 
@@ -35,6 +49,7 @@ class ZModMatrix:
     def __init__(self, modulus: int, array) -> None:
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
+        _check_range(modulus, 1, "a matrix")
         arr = np.asarray(array, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got ndim={arr.ndim}")
@@ -68,9 +83,6 @@ class ZModMatrix:
     @property
     def num_cols(self) -> int:
         return self.array.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.array[i]
 
     def transpose(self) -> "ZModMatrix":
         return ZModMatrix(self.modulus, self.array.T.copy())
@@ -167,14 +179,15 @@ def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:
     basis: dict[int, np.ndarray] = {}
     for r in array:
         _echelon_insert(basis, r % n, n)
-    # Howell property: fold in the annihilator multiple of every pivot row.
-    # Inserted rows only touch columns to the right, so one sweep suffices.
+    # Howell property: fold in the annihilator multiple of every pivot row;
+    # a unit pivot (u = n) has none.  Inserted rows only touch columns to
+    # the right, so one sweep suffices.
     for j in range(ncols):
         if j not in basis:
             continue
         a = int(basis[j][j])
         u = n // gcd(a, n)
-        if u != 1:
+        if u != n:
             w = (u * basis[j]) % n
             if w.any():
                 _echelon_insert(basis, w, n)

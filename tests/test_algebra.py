@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,23 @@ def test_constructor_normalizes_residues():
 def test_constructor_rejects_odd_mode_count():
     with pytest.raises(ValueError):
         PfOperator(3, 3, 0, (0, 0, 0))
+
+
+@pytest.mark.parametrize("num_modes", [2, 4, 10])
+def test_largest_modulus_multiplies_exactly_and_the_next_is_rejected(num_modes):
+    # The bound is (2 m D)^2 < 2^63; at the largest such D every product
+    # phase must match exact integer arithmetic.
+    largest = isqrt(2**63 - 1) // (2 * num_modes)
+    with pytest.raises(ValueError, match="too large"):
+        PfOperator.identity(largest + 1, num_modes)
+    rng = np.random.default_rng(num_modes)
+    for _ in range(50):
+        a, b = ([int(x) for x in largest - 1 - rng.integers(0, 3, size=num_modes)] for _ in range(2))
+        mu = 2 * sum(a[i] * b[j] for i in range(num_modes) for j in range(i))
+        assert (op(largest, a) * op(largest, b)).mu == -mu % (2 * largest)
+        assert op(largest, a).commutation_exponent(op(largest, b)) == (
+            sum(a[i] * b[j] for i in range(num_modes) for j in range(num_modes) if j > i) - mu // 2
+        ) % largest
 
 
 def test_multiply_single_swap():

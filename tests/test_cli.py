@@ -472,3 +472,42 @@ def test_layout_keys_must_be_ascii_mode_numbers(capsys, tmp_path, key):
     status, _, err = run(capsys, "validate", path)
     assert status == 2
     assert err.startswith("error: mode_layout key") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--D", 4294967311, "--n", 2],
+        ["chain", "--D", 3037000507, "--n", 2],
+        ["chain", "--D", 2**70, "--n", 2],
+        ["toric", "--p", 2, "--l", 40, "--a", 2, "--b", 2],
+    ],
+)
+def test_modulus_beyond_exact_int64_arithmetic_exits_2(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith("error: modulus") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "params", "embed"])
+def test_file_with_modulus_beyond_exact_int64_arithmetic_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "input.json"
+    big = 4294967311
+    if command == "embed":
+        path.write_text(json.dumps({"format_version": 1, "D": big, "num_qudits": 1, "rows": [{"x": [1], "z": [0]}]}))
+    else:
+        path.write_text(json.dumps({"format_version": 1, "D": big, "num_modes": 4, "generators": [
+            {"mu": 0, "alpha": [0, big - 1, 1, 0]}]}))
+    status, out, err = run(capsys, command, path)
+    assert status == 2 and out == ""
+    assert err.startswith("error: modulus") and err.count("\n") == 1
+
+
+def test_largest_chain_modulus_builds_a_valid_code(capsys, tmp_path):
+    largest = 379625062  # the largest D with (2 * 4 * D)^2 < 2^63
+    path = tmp_path / "chain.json"
+    assert run(capsys, "chain", "--D", largest, "--n", 2, "--out", path)[0] == 0
+    status, out, _ = run(capsys, "validate", path)
+    assert status == 0
+    assert json.loads(out) == {"abelian": True, "parity_ok": True, "phase_ok": True}
+    assert run(capsys, "chain", "--D", largest + 1, "--n", 2)[0] == 2

@@ -1,3 +1,4 @@
+import hashlib
 from unittest.mock import patch
 
 import numpy as np
@@ -13,6 +14,7 @@ from pfstab.builders import (
     build_toric,
     code_6_1_3_d7,
     code_8_1_3_d3,
+    double_code_d6,
     embed_qudit_code,
     five_qutrit_code,
 )
@@ -33,7 +35,9 @@ from pfstab.code import (
     syndrome,
     validate,
 )
-from pfstab.zmod import ZModMatrix, _howell_basis, kernel_basis, span_order
+from pfstab.repro import corpus
+from pfstab.search import canonical_equivalence_key
+from pfstab.zmod import ZModMatrix, _howell_basis, howell_form, kernel_basis, span_order
 
 from oracles import (
     brute_distance,
@@ -370,6 +374,9 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
     kept, howell = code._row_forms[0], _howell_basis(stabilizer_matrix(code).array, modulus)
     assert sorted(kept) == sorted(howell)
     assert all(np.array_equal(kept[j], howell[j]) for j in howell)
+    # The span key format: sha256 of D, m and the Howell form of S, here read off the kept basis.
+    raw = f"{modulus}:{modes}:".encode() + howell_form(stabilizer_matrix(code)).array.tobytes()
+    assert canonical_equivalence_key(code) == hashlib.sha256(raw).hexdigest()
     try:
         want = reference_canonical_phases(code)
     except PhaseAssignmentError:
@@ -379,21 +386,7 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
     fixed = canonical_phases(code)
     assert [g.mu for g in fixed.generators] == [g.mu for g in want.generators]
     assert validate(fixed).phase_ok
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    modulus=st.sampled_from([2, 3, 5, 7]),
-    modes=st.sampled_from([2, 4, 6, 8, 10]),
-    gens=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_independent_phases_match_canonical_phases(modulus, modes, gens, seed):
-    code = _random_generators(modulus, modes, gens, True, True, False, seed)
-    assume(span_order(stabilizer_matrix(code)) == modulus**gens)  # independent rows
-    fixed = pfstab.code._independent_phases(code)
-    assert fixed == canonical_phases(code)
-    assert validate(fixed).all_ok
+    assert canonical_equivalence_key(fixed) == canonical_equivalence_key(code)
 
 
 def test_logical_basis_generates_quotient():
@@ -437,6 +430,43 @@ def test_one_howell_form_of_s_and_i_per_code_object(monkeypatch):
     assert (report.k, report.distance.value, report.lcon.value) == (1, 3, 4)
     assert calls == [8]
     assert validate(code) is validate(code)
+
+
+# Each construction of repro.corpus(), and the codes it is built from.
+_CORPUS_BUILDS = {
+    "pf_8_1_3_d3": (code_8_1_3_d3, ()),
+    "pf_6_1_3_d7": (code_6_1_3_d7, ()),
+    "pf_d6_doubled": (lambda: double_code_d6(code_8_1_3_d3()), (code_8_1_3_d3,)),
+    "chain_d2_n2": (lambda: build_clock_chain(2, 2), ()),
+    "chain_d3_n4": (lambda: build_clock_chain(3, 4), ()),
+    "chain_d5_n3": (lambda: build_clock_chain(5, 3), ()),
+    "embedded_5_1_3_d3": (lambda: embed_qudit_code(five_qutrit_code()), ()),
+    "toric_p2_l1_a2_b2": (lambda: build_toric(ToricSpec(2, 1, 2, 2)).code, ()),
+    "toric_p2_l1_a2_b3": (lambda: build_toric(ToricSpec(2, 1, 2, 3)).code, ()),
+}
+
+
+def test_corpus_builds_cover_the_corpus():
+    built = {name: build() for name, (build, _) in _CORPUS_BUILDS.items()}
+    assert built == corpus()
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_BUILDS))
+def test_building_a_corpus_code_forms_s_and_i_once_per_row_set(monkeypatch, name):
+    # Phasing a construction and validating the result share one Howell form
+    # of [S | I]; any other form is a Z_2D phase solve, of another matrix.
+    build, sources = _CORPUS_BUILDS[name]
+    row_sets = [(c.modulus, stabilizer_matrix(c).array.tobytes()) for c in (build(), *(s() for s in sources))]
+    augmented, formed = pfstab.code._augmented_basis, []
+
+    def counted(matrix):
+        formed.append((matrix.modulus, matrix.array.tobytes()))
+        return augmented(matrix)
+
+    monkeypatch.setattr(pfstab.code, "_augmented_basis", counted)
+    code = build()
+    assert validate(code).all_ok
+    assert sorted(f for f in formed if f in row_sets) == sorted(row_sets)
 
 
 def test_analyze_invalid_code_reports_flags_only():

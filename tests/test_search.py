@@ -282,7 +282,8 @@ def test_every_hit_is_valid_with_target_k_and_d(spec):
 
 def test_accept_skips_validation_k_and_distance(monkeypatch):
     # For every modulus the span size fixes k, the prefilters fix d and the
-    # phases decide validity; only composite D solves for its phases.
+    # phases decide validity.  Prime-D tuples are independent, so their rows
+    # have a trivial kernel and no Z_2D phase solve runs.
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the accept path")
 
@@ -291,7 +292,7 @@ def test_accept_skips_validation_k_and_distance(monkeypatch):
         monkeypatch.setattr(search, name, forbidden, raising=False)
     _, cert = find_codes(SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0), threads=1)
     assert _keys(cert) == D4_KEYS
-    monkeypatch.setattr(search, "canonical_phases", forbidden)
+    monkeypatch.setattr(pfstab.code, "_solve_front", forbidden)
     _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0), threads=1)
     assert len(cert.hits) == 220
 

@@ -34,3 +34,16 @@ def test_tracer_entry_point_resolves(layer, dotted):
         # The tracer swaps the class's own attribute, so it may not be inherited.
         assert attr in owner.__dict__, dotted
     assert callable(getattr(owner, attr)), dotted
+
+
+# Aliases the tracer patches alongside the originals
+# (perfbench/tests/test_helpers.py::test_tracer_patches_aliases_and_restores_them).
+TRACED_ALIASES = [
+    ("search", name, "code") for name in ("distance", "validate", "canonical_phases", "codespace_dim")
+] + [("code", name, "zmod") for name in ("_howell_basis", "_reduce_against", "kernel_basis")]
+
+
+@pytest.mark.parametrize("module, name, origin", TRACED_ALIASES)
+def test_tracer_alias_is_the_original(module, name, origin):
+    alias = getattr(importlib.import_module(f"pfstab.{module}"), name)
+    assert alias is getattr(importlib.import_module(f"pfstab.{origin}"), name)
