@@ -1,7 +1,10 @@
 """Regenerate every JSON artifact in codes/ from its constructor.
 
 Output is canonical (sorted keys, no timestamps), so rerunning this script
-on an unchanged library must leave the directory byte-identical.
+on an unchanged library must leave the directory byte-identical.  Each
+shipped search spec ``search_*.json`` comes with ``search_*.cert.json``, the
+certificate ``pfstab --threads 1 search <spec> --canonical`` writes for it,
+so a change to the search's hits or node counts shows up in codes/ too.
 """
 
 from pathlib import Path
@@ -15,6 +18,7 @@ from pfstab import (
     code_8_1_3_d3,
     double_code_d6,
     embed_qudit_code,
+    find_codes,
     five_qutrit_code,
     save_code,
     save_qudit_code,
@@ -54,12 +58,13 @@ def main() -> None:
             toric.code,
             {"builder": "toric", "parameters": {"p": 2, "l": 1, "a": a, "b": b}},
         )
-    (OUT / "search_d3_8modes.json").write_text(
-        canonical_json(SearchSpec(3, 8, 1, 3, max_hits=1).to_dict())
-    )
-    (OUT / "search_d3_6modes.json").write_text(
-        canonical_json(SearchSpec(3, 6, 1, 3, max_hits=0).to_dict())
-    )
+    for name, spec in [
+        ("search_d3_8modes", SearchSpec(3, 8, 1, 3, max_hits=1)),
+        ("search_d3_6modes", SearchSpec(3, 6, 1, 3, max_hits=0)),
+    ]:
+        (OUT / f"{name}.json").write_text(canonical_json(spec.to_dict()))
+        _, cert = find_codes(spec, threads=1)
+        (OUT / f"{name}.cert.json").write_text(canonical_json(cert.to_dict(canonical=True)))
     print(f"wrote {len(list(OUT.glob('*.json')))} files to {OUT}")
 
 

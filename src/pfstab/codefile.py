@@ -113,13 +113,19 @@ def code_from_payload(payload: dict) -> PfCode:
         raise CodeFileError(str(exc)) from exc
 
 
-def load_code(path: str | Path) -> tuple[PfCode, dict | None]:
+def _read_json(path: str | Path):
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise CodeFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CodeFileError(f"{path} is not UTF-8 text: byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise CodeFileError(f"{path} is not valid JSON: line {exc.lineno}, column {exc.colno}") from exc
+
+
+def load_code(path: str | Path) -> tuple[PfCode, dict | None]:
+    payload = _read_json(path)
     return code_from_payload(payload), payload.get("provenance")
 
 
@@ -170,13 +176,7 @@ def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
 
 
 def load_qudit_code(path: str | Path) -> QuditCheckMatrix:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CodeFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CodeFileError(f"{path} is not valid JSON: line {exc.lineno}, column {exc.colno}") from exc
-    return qudit_from_payload(payload)
+    return qudit_from_payload(_read_json(path))
 
 
 def save_qudit_code(path: str | Path, q: QuditCheckMatrix, provenance: dict | None = None) -> None:

@@ -13,12 +13,13 @@ the new cosets S + c*g, c = 1 .. D-1.
 A full tuple meets one acceptance rule for every modulus.  Its span must
 have D^(n-k) elements, which fixes k; a span met again under another
 generating tuple (no symmetry reduction, or randomized mode) is skipped;
-then two prefilters over the weight-(< d) and weight-d vectors fix the
-distance at d.  The tuple is commuting and parity-zero by construction, so
-the acceptance test only assigns phases with ``canonical_phases`` and reads
-the span key off the Howell form that assignment computed.  For prime D the
-tuple is independent, so the phases come in closed form; for composite D a
-phase solve that has no solution is the only rejection left.
+then two prefilters, each one product at the leaf of the tuple's pairing
+rows with the weight-(< d), then the weight-d, vectors, fix d.  The tuple
+is commuting and parity-zero by construction, so the acceptance test only
+assigns phases with ``canonical_phases`` and reads the span key off the
+Howell form that assignment computed.  For prime D the tuple is
+independent, so the phases come in closed form; for composite D a phase
+solve that has no solution is the only rejection left.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -236,16 +237,14 @@ def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
     return cand[1:]  # drop the all-zero row
 
 
-def _weight_vectors(modulus: int, num_modes: int, lo: int, hi: int) -> np.ndarray:
-    """All exponent vectors with weight in [lo, hi] (in no particular order)."""
-    out = [np.zeros((0, num_modes), dtype=np.int64)]
-    for w in range(lo, hi + 1):
-        supports = _colex_supports(num_modes, w)
-        assignments = _lex_digits(np.arange((modulus - 1) ** w), modulus - 1, w)
-        positions = np.repeat(supports, len(assignments), axis=0)
-        letter_idx = np.tile(assignments, (len(supports), 1))
-        out.append(_place(positions, letter_idx, np.arange(1, modulus)[:, None], num_modes))
-    return np.vstack(out)
+def _bound_prefilters(spec: SearchSpec) -> None:
+    """Raise :class:`BudgetExceededError` when the prefilters' weight vectors,
+    sum over 1 <= w <= min(d, m) of C(m, w) (D-1)^w, exceed ``MAX_CANDIDATES``
+    (``_candidate_count`` must bound m first)."""
+    m, d = spec.num_modes, spec.target_d
+    total = sum(comb(m, w) * (spec.modulus - 1) ** w for w in range(1, min(d, m) + 1))
+    if total > MAX_CANDIDATES:
+        raise BudgetExceededError(f"prefilter space of {total} vectors of weight <= {d} exceeds the supported size {MAX_CANDIDATES}")
 
 
 class _Engine:
@@ -275,18 +274,13 @@ class _Engine:
         self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
         lam = lambda_matrix(d, m).array
         self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
-        low = _weight_vectors(d, m, 1, spec.target_d - 1)
-        exact = _weight_vectors(d, m, spec.target_d, spec.target_d)
-        self.low_ok = self._commutes(low)
-        self.exact_ok = self._commutes(exact)
-        # Candidate position of each weight vector; one that is not parity-zero
-        # gets the sentinel slot ``count``, which no span ever sets.
-        self.low_pos = self._positions(low)
-        self.exact_pos = self._positions(exact)
+        self.low = self._weight_vectors(1, spec.target_d - 1)
+        self.exact = self._weight_vectors(spec.target_d, spec.target_d)
         self.in_span = np.zeros(self.count + 1, dtype=bool)
         self.nodes = 0
         # (node index, span key, phased generators) of each hit, in the order found.
         self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
+        # Filled once per hit and read only by the benchmark's span tracer (perfbench/spans.py).
         self.hit_keys: set[str] = set()
         # Sorted codes (as bytes) of every span of the right size that reached
         # _leaf, kept only when spans can repeat.
@@ -297,20 +291,30 @@ class _Engine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _commutes(self, vectors: np.ndarray) -> np.ndarray:
-        """[i, t]: candidate i commutes with ``vectors[t]``.
+    def _weight_vectors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The exponent vectors of weight lo .. hi (none above m), as columns, and their candidate positions.
 
-        Each pairing is below m (D-1)^2 < 2^53, so the float (BLAS) product
-        and ``fmod`` are exact; reducing in place keeps one table-sized
-        temporary.
+        A vector that is not parity-zero gets the sentinel position ``count``, which no span ever sets.
         """
-        pairs = self.pairing.astype(np.float64) @ vectors.T
-        np.fmod(pairs, self.spec.modulus, out=pairs)
-        return pairs == 0
+        d, m = self.spec.modulus, self.spec.num_modes
+        out = [np.zeros((0, m), dtype=np.int64)]
+        for w in range(lo, min(hi, m) + 1):
+            supports = _colex_supports(m, w)
+            assignments = _lex_digits(np.arange((d - 1) ** w), d - 1, w)
+            out.append(_place(np.repeat(supports, len(assignments), axis=0), np.tile(assignments, (len(supports), 1)),
+                              np.arange(1, d)[:, None], m))
+        vectors = np.vstack(out)
+        positions = np.where(vectors.sum(axis=1) % d == 0, (vectors @ self.place) // d - 1, self.count)
+        return np.ascontiguousarray(vectors.T, dtype=np.float64), positions
 
-    def _positions(self, vectors: np.ndarray) -> np.ndarray:
-        d = self.spec.modulus
-        return np.where(vectors.sum(axis=1) % d == 0, (vectors @ self.place) // d - 1, self.count)
+    def _central_in_span(self, chosen: list[int], columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Span membership of each vector (a column of ``columns``) that commutes with every chosen generator.
+
+        Each pairing is an integer below m (D-1)^2 < 2^53, so the BLAS product and ``fmod`` are exact.
+        """
+        pairs = self.pairing[chosen].astype(np.float64) @ columns
+        np.fmod(pairs, self.spec.modulus, out=pairs)
+        return self.in_span[positions[~pairs.any(axis=0)]]
 
     def _members(self, codes: np.ndarray) -> np.ndarray:
         """Candidate positions of a span's nonzero elements (``codes[0]`` is the zero vector)."""
@@ -385,7 +389,8 @@ class _Engine:
         symmetry reduction, or randomized mode) a span already seen,
         accepted or not, is skipped before the prefilters; it is keyed by
         its sorted codes.  The span's candidate positions are set in
-        ``in_span`` for the prefilters and cleared again before ``_accept``.
+        ``in_span`` for the prefilters (every centralizing vector of weight
+        below d is in the span, some weight-d one is not) and cleared again.
         """
         if len(codes) != self.span_size:
             return
@@ -396,19 +401,10 @@ class _Engine:
             self.seen_spans.add(key)
         members = self._members(codes)
         self.in_span[members] = True
-        passed = self._low_weight_clear(chosen) and self._has_exact_weight_logical(chosen)
+        passed = self._central_in_span(chosen, *self.low).all() and not self._central_in_span(chosen, *self.exact).all()
         self.in_span[members] = False
         if passed:
             self._accept(chosen)
-
-    def _low_weight_clear(self, chosen: list[int]) -> bool:
-        """Every weight < d vector centralizing all generators must be a stabilizer."""
-        central = self.low_ok[chosen].all(axis=0)
-        return bool(self.in_span[self.low_pos[central]].all())
-
-    def _has_exact_weight_logical(self, chosen: list[int]) -> bool:
-        central = self.exact_ok[chosen].all(axis=0)
-        return not self.in_span[self.exact_pos[central]].all()
 
     # -- enumeration --------------------------------------------------------
 
@@ -611,6 +607,7 @@ def find_codes(spec: SearchSpec, threads: int | None = None) -> tuple[list[PfCod
     run.  Randomized mode is always serial and reproducible by seed.
     """
     _candidate_count(spec.modulus, spec.num_modes)  # an oversized space raises before any primality test
+    _bound_prefilters(spec)
     if spec.symmetry_reduction and not _is_prime(spec.modulus) and spec.mode == "exhaustive":
         spec = replace(spec, symmetry_reduction=False)
     if spec.mode == "randomized":

@@ -276,19 +276,24 @@ def reference_codewords(rep, code, cap: int = 100_000):
 def _reference_engine_class():
     """``search._Engine`` walking one node at a time: the per-child recursion it replaced.
 
-    Only the tables built in ``__init__`` and ``_accept`` are shared with the
-    batched engine; the walk, the coset test, span growth, node counting,
-    the span-size and repeated-span checks and both prefilters (``np.isin``
-    over span codes) are the per-node ones.
+    Only the candidates, their pairing rows and ``_accept`` are shared with
+    the batched engine; the walk, the coset test, span growth, node
+    counting, the span-size and repeated-span checks and both prefilters
+    (``lambda_matrix`` products with every vector of Z_D^m of the weight,
+    ``np.isin`` over span codes) are the per-node ones.
     """
     from pfstab import search
+    from pfstab.algebra import lambda_matrix
 
     class ReferenceEngine(search._Engine):
         def __init__(self, spec):
             super().__init__(spec)
             d, m = spec.modulus, spec.num_modes
-            self.low_codes = search._weight_vectors(d, m, 1, spec.target_d - 1) @ self.place
-            self.exact_codes = search._weight_vectors(d, m, spec.target_d, spec.target_d) @ self.place
+            vectors = np.array(list(_all_vectors(d, m)), dtype=np.int64)
+            weight = np.count_nonzero(vectors, axis=1)
+            self.low_vectors = vectors[(weight > 0) & (weight < spec.target_d)]
+            self.exact_vectors = vectors[weight == spec.target_d]
+            self.lam = lambda_matrix(d, m).array
 
         def _coset(self, span, i):
             rows = ((span[None, :, :] + self.multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
@@ -311,7 +316,8 @@ def _reference_engine_class():
                 if key in self.seen_spans:
                     return
                 self.seen_spans.add(key)
-            if self._low_weight_clear(chosen, codes) and self._has_exact_weight_logical(chosen, codes):
+            low_clear = self._central_in_span_codes(chosen, self.low_vectors, codes).all()
+            if low_clear and not self._central_in_span_codes(chosen, self.exact_vectors, codes).all():
                 self._accept(chosen)
 
         def run(self, first_lo=0, first_hi=None):
@@ -342,13 +348,11 @@ def _reference_engine_class():
                     return
                 self._visit(chosen, comm_ok, span, codes, int(k))
 
-        def _low_weight_clear(self, chosen, codes):
-            central = self.low_ok[chosen].all(axis=0)
-            return bool(np.isin(self.low_codes[central], codes).all())
-
-        def _has_exact_weight_logical(self, chosen, codes):
-            central = self.exact_ok[chosen].all(axis=0)
-            return not np.isin(self.exact_codes[central], codes).all()
+        def _central_in_span_codes(self, chosen, vectors, codes):
+            """Span membership of each of ``vectors`` that commutes with every chosen generator."""
+            pairs = self.cand[chosen] @ self.lam @ vectors.T
+            central = vectors[~(pairs % self.spec.modulus).any(axis=0)]
+            return np.isin(central @ self.place, codes)
 
     return ReferenceEngine
 

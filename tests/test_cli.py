@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,15 @@ def test_validate_malformed_file_exits_2(capsys, tmp_path):
     status, _, err = run(capsys, "validate", path)
     assert status == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "embed"])
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"D": \xff}')
+    status, _, err = run(capsys, command, path)
+    assert status == 2
+    assert err.splitlines() == [f"error: {path} is not UTF-8 text: byte 6"]
 
 
 def test_params_reports_known_parameters(capsys):
@@ -217,6 +228,54 @@ def test_search_huge_prime_modulus_exits_3_quickly(capsys, tmp_path):
     assert err.splitlines() == ["error: candidate space 10000000000000061^1 exceeds the supported size 400000"]
 
 
+def traced_run(capsys, *argv):
+    """``run`` and the peak of the memory Python allocated meanwhile, in MiB."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        return (*result, tracemalloc.get_traced_memory()[1] / 2**20)
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_d6_eight_modes_runs_to_its_budget(capsys, tmp_path):
+    # 279,935 candidates: the prefilter tables used to ask for 14.6 GiB before the first node.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "D": 6, "num_modes": 8, "target_k": 1, "target_d": 3, "generator_count": 3, "max_tuples": 2000,
+    }))
+    out_file = tmp_path / "cert.json"
+    status, _, _, peak = traced_run(capsys, "--threads", 1, "search", spec_file, "--canonical", "--out", out_file)
+    assert status == 3
+    cert = json.loads(out_file.read_text())
+    assert cert["budget_exceeded"] and cert["tuples_examined"] == 2001 and cert["hits"] == []
+    assert peak < 256
+
+
+def test_search_too_many_prefilter_vectors_exits_3_before_allocating(capsys, tmp_path):
+    # 73^3 - 1 candidates fit, but weights 1..4 hold about 28 million vectors.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"D": 73, "num_modes": 4, "target_k": 1, "target_d": 4}))
+    status, out, err, peak = traced_run(capsys, "search", spec_file)
+    assert status == 3 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: prefilter space of 28398240 vectors of weight <= 4 exceeds the supported size 400000"
+    )
+    assert peak < 16
+
+
+def test_search_target_d_above_the_mode_count_exhausts_with_no_hits(capsys, tmp_path):
+    # No support has more than num_modes modes, so no weight-d vector exists to allocate.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"D": 3, "num_modes": 4, "target_k": 1, "target_d": 1000, "max_hits": 0}))
+    out_file = tmp_path / "cert.json"
+    status, _, _, peak = traced_run(capsys, "search", spec_file, "--canonical", "--out", out_file)
+    assert status == 0
+    cert = json.loads(out_file.read_text())
+    assert cert["exhausted"] and cert["hits"] == []
+    assert peak < 16
+
+
 # sha256 of `search --canonical --out` files, recorded with the
 # non-incremental canonical-prefix test.
 CANONICAL_CERT_SHA = {
@@ -350,7 +409,9 @@ def test_usage_error_on_unknown_command(capsys):
     assert exc.value.code == 2
 
 
-_JUNK = st.sampled_from([-1, 0, 1, 2, 9, True, False, "1", 1.5, None, [], {}, [0, 1], "\u00b2", "\u0661"])
+# A fresh copy per draw: a junk list written into a document can itself be
+# overwritten later, which must not change (or make circular) the shared value.
+_JUNK = st.sampled_from([-1, 0, 1, 2, 9, True, False, "1", 1.5, None, [], {}, [0, 1], "\u00b2", "\u0661"]).map(copy.deepcopy)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+import tracemalloc
 from contextlib import contextmanager, suppress
 from unittest import mock
 
@@ -491,6 +492,16 @@ def test_huge_prime_spec_reaches_the_candidate_space_error_quickly():
     # A composite D past the candidate bound exits the same way, needing no primality answer.
     with pytest.raises(BudgetExceededError, match="candidate space"):
         find_codes(SearchSpec(10**16 + 62, 2, 0, 1))
+
+
+def test_engine_setup_keeps_no_candidate_by_weight_vector_table():
+    tracemalloc.start()
+    try:
+        search._Engine(SearchSpec(3, 10, 1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # 19,682 candidates by 4,520 weight vectors took 593 MiB
 
 
 # -- threads ----------------------------------------------------------------------
