@@ -108,14 +108,13 @@ class PfOperator:
         b = np.asarray(other.alpha, dtype=np.int64)
         swaps = int(a @ _exclusive_prefix_sums(b))
         mu = self.mu + other.mu - 2 * swaps
-        alpha = tuple(int(x) for x in (a + b) % self.modulus)
-        return PfOperator(self.modulus, self.num_modes, mu, alpha)
+        return PfOperator(self.modulus, self.num_modes, mu, (a + b).tolist())
 
     def inverse(self) -> "PfOperator":
         a = np.asarray(self.alpha, dtype=np.int64)
         b = (-a) % self.modulus
         swaps = int(a @ _exclusive_prefix_sums(b))
-        return PfOperator(self.modulus, self.num_modes, 2 * swaps - self.mu, tuple(int(x) for x in b))
+        return PfOperator(self.modulus, self.num_modes, 2 * swaps - self.mu, b.tolist())
 
     def power(self, m: int) -> "PfOperator":
         """self^m in closed form.
@@ -129,7 +128,7 @@ class PfOperator:
         a = np.asarray(self.alpha, dtype=np.int64)
         q = int(a @ _exclusive_prefix_sums(a)) % self.modulus
         mu = m * self.mu - m * (m - 1) * q
-        return PfOperator(self.modulus, self.num_modes, mu, tuple(int(x) for x in (m % self.modulus) * a))
+        return PfOperator(self.modulus, self.num_modes, mu, ((m % self.modulus) * a).tolist())
 
     def commutation_exponent(self, other: "PfOperator") -> int:
         """c with self * other == w^{2c} * other * self, as a residue mod D.

@@ -1,8 +1,10 @@
 """Code constructors and converters between qudit and parafermion codes.
 
-Builders return codes that already pass full validation (phases are solved
-with :func:`pfstab.code.canonical_phases`); a construction that cannot be
-validated raises instead of returning a broken object.
+Every construction here is a linear map on exponent rows, so a builder
+computes its generators' rows alpha_i with integer arithmetic mod D and
+then solves the phases once, with :func:`pfstab.code.canonical_phases`.
+Builders return codes that already pass full validation; a construction
+that cannot be validated raises instead of returning a broken object.
 """
 
 from __future__ import annotations
@@ -12,8 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PfOperator, lambda_matrix
-from .code import InvalidCodeError, PfCode, _first_logical, canonical_phases, is_logical, validate
+from .algebra import PfOperator
+from .code import (
+    InvalidCodeError,
+    PfCode,
+    _first_logical,
+    canonical_phases,
+    commutation_rows,
+    is_logical,
+    stabilizer_matrix,
+    validate,
+)
 from .zmod import ZModMatrix, _check_range, _howell_basis, _is_prime, span_order
 
 __all__ = [
@@ -47,21 +58,11 @@ class QuditCheckMatrix:
                 raise ValueError("each row must have 2 * num_qudits entries")
         object.__setattr__(self, "rows", rows)
 
-    def x_part(self, row: int) -> np.ndarray:
-        return np.asarray(self.rows[row][: self.num_qudits], dtype=np.int64)
-
-    def z_part(self, row: int) -> np.ndarray:
-        return np.asarray(self.rows[row][self.num_qudits :], dtype=np.int64)
-
     def commutes(self) -> bool:
         """u.v' == v.u' (mod D) for every pair of rows."""
-        for i in range(len(self.rows)):
-            for j in range(i + 1, len(self.rows)):
-                lhs = int(self.x_part(i) @ self.z_part(j)) % self.modulus
-                rhs = int(self.z_part(i) @ self.x_part(j)) % self.modulus
-                if lhs != rhs:
-                    return False
-        return True
+        mat = self.matrix().array
+        u, v = mat[:, : self.num_qudits], mat[:, self.num_qudits :]
+        return not ((u @ v.T - v @ u.T) % self.modulus).any()
 
     def matrix(self) -> ZModMatrix:
         return ZModMatrix.from_rows(self.modulus, self.rows, cols=2 * self.num_qudits)
@@ -95,42 +96,37 @@ class QuditCheckMatrix:
         return None if found is None else found[0]
 
 
-def _validated(code: PfCode, what: str) -> PfCode:
-    """``code`` with canonical phases; raises :class:`InvalidCodeError` unless it is then valid."""
-    code = canonical_phases(code)
+def _validated(modulus: int, rows: np.ndarray, what: str, mode_layout=None) -> PfCode:
+    """The code with exponent rows ``rows`` and canonical phases; raises
+    :class:`InvalidCodeError` unless it is then valid."""
+    num_modes = rows.shape[1]
+    gens = tuple(PfOperator(modulus, num_modes, 0, row) for row in rows.tolist())
+    code = canonical_phases(PfCode(modulus, num_modes, gens, mode_layout))
     flags = validate(code)
     if not flags.all_ok:
         raise InvalidCodeError(f"{what} failed validation: {flags.to_dict()}")
     return code
 
 
-def _mode_base(site: int) -> int:
-    """First 1-indexed mode of 0-indexed qudit ``site`` (four modes per qudit)."""
-    return 4 * site + 1
-
-
-def _site_operators(modulus: int, num_modes: int, site: int, x_exp: int) -> tuple[PfOperator, PfOperator]:
-    """(Z-like, X-like) pair g_1^{x_exp} g_2 and g_1^{x_exp} g_3 on one qudit site."""
-    base = _mode_base(site)
-    z = PfOperator.from_factors(modulus, num_modes, [(base, x_exp), (base + 1, 1)])
-    x = PfOperator.from_factors(modulus, num_modes, [(base, x_exp), (base + 2, 1)])
-    return z, x
+def _on_sites(num_qudits: int, pattern) -> np.ndarray:
+    """Row i: ``pattern``, the exponents on one qudit's four modes, put on qudit i."""
+    return np.kron(np.eye(num_qudits, dtype=np.int64), np.asarray(pattern, dtype=np.int64))
 
 
 def build_clock_chain(modulus: int, n: int) -> PfCode:
-    """Clock-model chain code on 2n modes: generators pair modes (2j, 2j+1).
+    """Clock-model chain code on 2n modes: generators g_{2j}^dag g_{2j+1}, j = 1 .. n-1.
 
     Encodes one qudit with d = 1; the only parity-preserving logicals join
     the chain ends, so l_con = 2n.
     """
     if n < 2:
         raise ValueError("the chain needs n >= 2 qudit sites")
-    num_modes = 2 * n
-    gens = [
-        PfOperator.from_factors(modulus, num_modes, [(2 * j, -1), (2 * j + 1, 1)])
-        for j in range(1, n)
-    ]
-    return _validated(PfCode(modulus, num_modes, tuple(gens)), "clock chain")
+    _check_range(modulus, 2 * n, "a code")  # before any int64 arithmetic
+    rows = np.zeros((n - 1, 2 * n), dtype=np.int64)
+    j = np.arange(n - 1)
+    rows[j, 2 * j + 1] = modulus - 1
+    rows[j, 2 * j + 2] = 1
+    return _validated(modulus, rows, "clock chain")
 
 
 def embed_qudit_code(q: QuditCheckMatrix) -> PfCode:
@@ -138,28 +134,17 @@ def embed_qudit_code(q: QuditCheckMatrix) -> PfCode:
 
     Each qudit becomes four modes carrying a Weyl pair Z~ = g1^dag g2,
     X~ = g1^dag g3 plus the parity-fixing site stabilizer
-    Q~ = g1^dag g2 g3^dag g4; each check row (u|v) maps to the product of
-    X~^u Z~^v across sites.
+    Q~ = g1^dag g2 g3^dag g4; each check row (u|v) maps to the exponent row
+    of X~^u Z~^v across sites, sum_i u_i X~_i + v_i Z~_i.
     """
     if not q.commutes():
         raise InvalidCodeError("qudit check rows do not pairwise commute")
-    d = q.modulus
-    num_modes = 4 * q.num_qudits
-    gens: list[PfOperator] = []
-    for site in range(q.num_qudits):
-        base = _mode_base(site)
-        gens.append(
-            PfOperator.from_factors(d, num_modes, [(base, -1), (base + 1, 1), (base + 2, -1), (base + 3, 1)])
-        )
-    site_pairs = [_site_operators(d, num_modes, site, d - 1) for site in range(q.num_qudits)]
-    for r in range(len(q.rows)):
-        op = PfOperator.identity(d, num_modes)
-        u, v = q.x_part(r), q.z_part(r)
-        for site in range(q.num_qudits):
-            z_like, x_like = site_pairs[site]
-            op = op * x_like.power(int(u[site])) * z_like.power(int(v[site]))
-        gens.append(op)
-    return _validated(PfCode(d, num_modes, tuple(gens)), "embedded code")
+    d, nq = q.modulus, q.num_qudits
+    checks = q.matrix().array
+    x_rows = _on_sites(nq, (d - 1, 0, 1, 0))
+    z_rows = _on_sites(nq, (d - 1, 1, 0, 0))
+    rows = np.vstack([_on_sites(nq, (-1, 1, -1, 1)), checks[:, :nq] @ x_rows + checks[:, nq:] @ z_rows]) % d
+    return _validated(d, rows, "embedded code")
 
 
 def double_to_css(code: PfCode) -> QuditCheckMatrix:
@@ -170,17 +155,9 @@ def double_to_css(code: PfCode) -> QuditCheckMatrix:
     """
     if not validate(code).all_ok:
         raise InvalidCodeError("doubling requires a valid code")
-    d, m = code.modulus, code.num_modes
-    lam = lambda_matrix(d, m).array
-    rows: list[tuple[int, ...]] = []
-    zeros = (0,) * m
-    for g in code.generators:
-        alpha = np.asarray(g.alpha, dtype=np.int64)
-        x_row = tuple(int(e) for e in (alpha @ lam) % d)
-        rows.append(x_row + zeros)
-    for g in code.generators:
-        rows.append(zeros + g.alpha)
-    out = QuditCheckMatrix(d, m, tuple(rows))
+    zeros = np.zeros((len(code.generators), code.num_modes), dtype=np.int64)
+    rows = np.block([[commutation_rows(code), zeros], [zeros, stabilizer_matrix(code).array]])
+    out = QuditCheckMatrix(code.modulus, code.num_modes, rows.tolist())
     if not out.commutes():
         raise InvalidCodeError("doubled CSS rows fail the commutation condition")
     return out
@@ -196,14 +173,8 @@ def double_code_d6(code3: PfCode) -> PfCode:
     """
     if code3.modulus != 3:
         raise ValueError("input must be a D=3 code")
-    m = code3.num_modes
-    gens: list[PfOperator] = []
-    for j in range(code3.n):
-        gens.append(PfOperator.from_factors(6, m, [(2 * j + 1, 3), (2 * j + 2, 3)]))
-    for g in code3.generators:
-        doubled = tuple((2 * a) % 6 for a in g.alpha)
-        gens.append(PfOperator(6, m, 0, doubled))
-    return _validated(PfCode(6, m, tuple(gens)), "doubled code")
+    rows = np.vstack([np.kron(np.eye(code3.n, dtype=np.int64), [3, 3]), 2 * stabilizer_matrix(code3).array]) % 6
+    return _validated(6, rows, "doubled code")
 
 
 @dataclass(frozen=True)
@@ -236,7 +207,11 @@ class ToricSpec:
 @dataclass(frozen=True)
 class ToricCode:
     """A toric construction: the code, its designated loop logicals, and the
-    full star/plaquette families (including the two dropped dependent ones)."""
+    full star/plaquette families (including the two dropped dependent ones).
+
+    The logicals, stars and plaquettes are given by their exponent rows, with
+    mu = 0; each kept star or plaquette equals its generator in ``code``.
+    """
 
     spec: ToricSpec
     code: PfCode
@@ -257,98 +232,57 @@ def build_toric(spec: ToricSpec) -> ToricCode:
     four noncontractible loops; each is checked to centralize the
     stabilizer without belonging to it.
     """
-    d = spec.modulus
-    r = spec.half_power
+    d, r = spec.modulus, spec.half_power
     a, b = spec.a, spec.b
     num_qudits = 2 * a * b
     num_modes = 4 * num_qudits
+    y, x = np.divmod(np.arange(a * b), a)  # cell (x, y), in row-major order
 
-    def h_edge(x: int, y: int) -> int:
+    def h_edge(x, y):
         return (y % b) * 2 * a + (x % a)
 
-    def v_edge(x: int, y: int) -> int:
+    def v_edge(x, y):
         return (y % b) * 2 * a + a + (x % a)
 
-    site_pairs = [_site_operators(d, num_modes, site, r - 1) for site in range(num_qudits)]
-
-    def x_op(site: int, sign: int) -> PfOperator:
-        op = site_pairs[site][1]
-        return op if sign > 0 else op.inverse()
-
-    def z_op(site: int, sign: int) -> PfOperator:
-        op = site_pairs[site][0]
-        return op if sign > 0 else op.inverse()
-
-    def product(ops: list[PfOperator]) -> PfOperator:
-        out = PfOperator.identity(d, num_modes)
-        for op in ops:
-            out = out * op
+    def incidence(*signed_edges) -> np.ndarray:
+        """Cell-by-qudit matrix: for each (edges, sign), ``sign`` at cell i, qudit edges[i]."""
+        out = np.zeros((a * b, num_qudits), dtype=np.int64)
+        for edges, sign in signed_edges:
+            out[np.arange(a * b), edges] += sign
         return out
 
-    gens: list[PfOperator] = []
-    for site in range(num_qudits):
-        base = _mode_base(site)
-        gens.append(
-            PfOperator.from_factors(
-                d, num_modes, [(base, -1), (base + 1, r + 1), (base + 2, -(r + 1)), (base + 3, 1)]
-            )
-        )
-    stars: list[PfOperator] = []
-    for y in range(b):
-        for x in range(a):
-            stars.append(
-                product(
-                    [
-                        x_op(h_edge(x, y), +1),
-                        x_op(h_edge(x - 1, y), -1),
-                        x_op(v_edge(x, y), +1),
-                        x_op(v_edge(x, y - 1), -1),
-                    ]
-                )
-            )
-    plaquettes: list[PfOperator] = []
-    for y in range(b):
-        for x in range(a):
-            plaquettes.append(
-                product(
-                    [
-                        z_op(h_edge(x, y), +1),
-                        z_op(h_edge(x, y + 1), -1),
-                        z_op(v_edge(x, y), -1),
-                        z_op(v_edge(x + 1, y), +1),
-                    ]
-                )
-            )
-    star_total = np.zeros(num_modes, dtype=np.int64)
-    plaq_total = np.zeros(num_modes, dtype=np.int64)
-    for s in stars:
-        star_total = (star_total + np.asarray(s.alpha)) % d
-    for p in plaquettes:
-        plaq_total = (plaq_total + np.asarray(p.alpha)) % d
-    if star_total.any() or plaq_total.any():
+    x_rows = _on_sites(num_qudits, (r - 1, 0, 1, 0))
+    z_rows = _on_sites(num_qudits, (r - 1, 1, 0, 0))
+    star_inc = incidence((h_edge(x, y), 1), (h_edge(x - 1, y), -1), (v_edge(x, y), 1), (v_edge(x, y - 1), -1))
+    plaq_inc = incidence((h_edge(x, y), 1), (h_edge(x, y + 1), -1), (v_edge(x, y), -1), (v_edge(x + 1, y), 1))
+    stars = star_inc @ x_rows % d
+    plaquettes = plaq_inc @ z_rows % d
+    if (stars.sum(axis=0) % d).any() or (plaquettes.sum(axis=0) % d).any():
         raise InvalidCodeError("global star/plaquette products are not the identity")
-    gens.extend(stars[:-1])
-    gens.extend(plaquettes[:-1])
+    sites = _on_sites(num_qudits, (-1, r + 1, -(r + 1), 1)) % d
 
     layout: dict[int, tuple[int, int]] = {}
-    for y in range(b):
-        for x in range(a):
-            for offset in range(4):
-                layout[4 * h_edge(x, y) + 1 + offset] = (2 * x + 1, 2 * y)
-                layout[4 * v_edge(x, y) + 1 + offset] = (2 * x, 2 * y + 1)
+    for cx, cy in zip(x.tolist(), y.tolist()):
+        for offset in range(4):
+            layout[4 * h_edge(cx, cy) + 1 + offset] = (2 * cx + 1, 2 * cy)
+            layout[4 * v_edge(cx, cy) + 1 + offset] = (2 * cx, 2 * cy + 1)
 
-    code = _validated(PfCode(d, num_modes, tuple(gens), mode_layout=layout), "toric construction")
+    code = _validated(d, np.vstack([sites, stars[:-1], plaquettes[:-1]]), "toric construction", layout)
 
-    logicals = {
-        "horizontal_z": product([z_op(h_edge(x, 0), +1) for x in range(a)]),
-        "vertical_z": product([z_op(v_edge(0, y), +1) for y in range(b)]),
-        "horizontal_x": product([x_op(v_edge(x, 0), +1) for x in range(a)]),
-        "vertical_x": product([x_op(h_edge(0, y), +1) for y in range(b)]),
+    def operators(rows: np.ndarray) -> tuple[PfOperator, ...]:
+        return tuple(PfOperator(d, num_modes, 0, row) for row in rows.tolist())
+
+    loops = {
+        "horizontal_z": z_rows[h_edge(np.arange(a), 0)],
+        "vertical_z": z_rows[v_edge(0, np.arange(b))],
+        "horizontal_x": x_rows[v_edge(np.arange(a), 0)],
+        "vertical_x": x_rows[h_edge(0, np.arange(b))],
     }
+    logicals = dict(zip(loops, operators(np.array([rows.sum(axis=0) for rows in loops.values()]))))
     for name, op in logicals.items():
         if not is_logical(code, op):
             raise InvalidCodeError(f"designated {name} loop is not a logical operator")
-    return ToricCode(spec, code, logicals, tuple(stars), tuple(plaquettes))
+    return ToricCode(spec, code, logicals, operators(stars), operators(plaquettes))
 
 
 def five_qutrit_code(modulus: int = 3) -> QuditCheckMatrix:
@@ -376,8 +310,7 @@ def code_8_1_3_d3() -> PfCode:
         (0, 2, 1, 0, 2, 0, 1, 0),
         (0, 0, 2, 1, 0, 2, 0, 1),
     ]
-    gens = tuple(PfOperator(3, 8, 0, a) for a in alphas)
-    return _validated(PfCode(3, 8, gens), "[[8,1,3]]_3 code")
+    return _validated(3, np.array(alphas), "[[8,1,3]]_3 code")
 
 
 def code_6_1_3_d7() -> PfCode:
@@ -386,5 +319,4 @@ def code_6_1_3_d7() -> PfCode:
         (1, 1, 0, 0, 5, 0),
         (1, 0, 0, 5, 0, 1),
     ]
-    gens = tuple(PfOperator(7, 6, 0, a) for a in alphas)
-    return _validated(PfCode(7, 6, gens), "[[6,1,3]]_7 code")
+    return _validated(7, np.array(alphas), "[[6,1,3]]_7 code")

@@ -78,7 +78,7 @@ def cmd_params(args) -> int:
     code, _ = load_code(args.file)
     try:
         report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
-    except ValueError as exc:  # a cap below 1
+    except ValueError as exc:  # a cap below 1, or a distance letter table over its bound
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:

@@ -40,7 +40,7 @@ reads the kept basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -57,7 +57,6 @@ from .zmod import (
     _reduce_against,
     _solve_front,
     kernel_basis,
-    span_order,
 )
 
 __all__ = [
@@ -130,16 +129,29 @@ class PfCode:
     def n(self) -> int:
         return self.num_modes // 2
 
+    def __getstate__(self) -> dict:
+        """Pickle the fields only: an unpickled code recomputes what it keeps
+        on first use, so its rows stay read-only."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def with_generators(self, generators) -> "PfCode":
         return PfCode(self.modulus, self.num_modes, tuple(generators), self.mode_layout)
 
     def _with_phases(self, mu) -> "PfCode":
-        """This code with phases ``mu``, keeping the Howell forms of [S | I] (they do not depend on mu)."""
+        """This code with phases ``mu``, keeping the rows S and the Howell forms of [S | I] (they do not depend on mu)."""
         code = self.with_generators(
             PfOperator(self.modulus, self.num_modes, int(m), g.alpha) for m, g in zip(mu, self.generators)
         )
+        code.__dict__["_rows"] = self._rows
         code.__dict__["_row_forms"] = self._row_forms
         return code
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The generators' exponent rows S, one read-only r x m int64 array."""
+        rows = np.array([g.alpha for g in self.generators], dtype=np.int64).reshape(-1, self.num_modes)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def _row_forms(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -157,7 +169,7 @@ class PfCode:
         if not self.generators:
             return ValidationFlags(True, True, True)
         d = self.modulus
-        rows = stabilizer_matrix(self).array
+        rows = self._rows
         abelian = not ((commutation_rows(self) @ rows.T) % d).any()
         parity_ok = not (rows.sum(axis=1) % d).any()
         mu = np.array([g.mu for g in self.generators], dtype=np.int64)
@@ -222,16 +234,13 @@ class LconResult:
 
 def stabilizer_matrix(code: PfCode) -> ZModMatrix:
     """Exponent rows of the generators as a matrix over Z_D."""
-    if not code.generators:
-        return ZModMatrix.zeros(code.modulus, 0, code.num_modes)
-    return ZModMatrix(code.modulus, np.array([g.alpha for g in code.generators], dtype=np.int64))
+    return ZModMatrix(code.modulus, code._rows)
 
 
 def commutation_rows(code: PfCode) -> np.ndarray:
     """Rows S @ L mod D: the syndrome of x is (S @ L) @ x."""
-    smat = stabilizer_matrix(code).array
     lam = lambda_matrix(code.modulus, code.num_modes).array
-    return (smat @ lam) % code.modulus
+    return (code._rows @ lam) % code.modulus
 
 
 def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modulus: int) -> np.ndarray:
@@ -323,8 +332,8 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     seen = set()
     out = []
     for rep in _coset_minima(basis, centralizer_basis(code).array, code.modulus):
-        key = tuple(int(x) for x in rep)
-        if any(rep) and key not in seen:
+        key = tuple(rep.tolist())
+        if any(key) and key not in seen:
             seen.add(key)
             out.append(PfOperator(code.modulus, code.num_modes, 0, key))
     return out
@@ -347,6 +356,10 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
 _BLOCK_ROWS = 1 << 16
 # Largest syndrome table kept for the next weight.
 _TABLE_BYTES = 1 << 27
+# Largest one-letter table (8 * m * (D-1) * r bytes) that ``distance`` builds.
+# Its own name, so that setting _TABLE_BYTES to 0 (keep no table, as a test
+# does) does not refuse every scan.
+_LETTER_TABLE_BYTES = _TABLE_BYTES
 
 
 @lru_cache(maxsize=32)
@@ -483,9 +496,11 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     of 8, D <= 128), and the zero-syndrome rows of a batch are tested
     against the stabilizer span together.  A table above 128 MiB is not
     kept; higher weights then grow from the last kept table by several
-    columns.  Codes with more than 20 modes require an explicit
-    ``max_weight``; a capped search that finds nothing reports value None
-    (meaning d > cap), never a guess.  A cap below 1 raises ValueError.
+    columns.  The one-letter table, 8 * m * (D-1) * r bytes, must itself fit
+    in 128 MiB, else ValueError.  Codes with more than 20 modes require an
+    explicit ``max_weight``; a capped search that finds nothing reports
+    value None (meaning d > cap), never a guess.  A cap below 1 raises
+    ValueError.
     """
     _check_cap("max_weight", max_weight)
     basis = _require_valid(code)
@@ -494,11 +509,16 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
         if m > FULL_SEARCH_MODE_LIMIT:
             raise ValueError(f"codes with more than {FULL_SEARCH_MODE_LIMIT} modes need an explicit max_weight")
         max_weight = m
-    rows = commutation_rows(code)
-    # The centralizer is the kernel of x -> rows @ x, so |C| = D^m / |rowspan(rows)|
-    # (a matrix and its transpose have the same Smith form).
-    if d**m == span_order(ZModMatrix(d, rows)) * _basis_order(basis, d):
+    # The centralizer is the kernel of x -> S L x, so |C| = D^m / |rowspan(S L)|
+    # (a matrix and its transpose have the same Smith form), and L has
+    # determinant 1 for even m, so |rowspan(S L)| = |S|.  Hence C = S, that
+    # is k = 0, exactly when |S| = D^n.
+    if codespace_dim(code) == 1:
         raise InvalidCodeError("code has no logical operators (k = 0)")
+    table_bytes = 8 * m * (d - 1) * len(code.generators)
+    if table_bytes > _LETTER_TABLE_BYTES:
+        raise ValueError(f"the distance scan's letter table would take {table_bytes} bytes, over {_LETTER_TABLE_BYTES}")
+    rows = commutation_rows(code)
     multiples = np.arange(1, d, dtype=np.int64)
     contrib = (multiples[None, :, None] * rows.T[:, None, :]) % d
     found = _first_logical(contrib, multiples[:, None], basis, d, max_weight)
@@ -594,7 +614,7 @@ def canonical_phases(code: PfCode) -> PfCode:
     if not gens:
         return code
     powers = _phase_relations(code)
-    rhs = -_relation_phases(stabilizer_matrix(code).array, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
+    rhs = -_relation_phases(code._rows, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
     if not len(code._row_forms[1]):
         return code._with_phases(rhs // d)
     system = ZModMatrix(two_d, (powers % two_d).T)

@@ -278,8 +278,8 @@ class _Engine:
         self.exact = self._weight_vectors(spec.target_d, spec.target_d)
         self.in_span = np.zeros(self.count + 1, dtype=bool)
         self.nodes = 0
-        # (node index, span key, phased generators) of each hit, in the order found.
-        self.hits: list[tuple[int, str, tuple[PfOperator, ...]]] = []
+        # (node index, span key, phased code) of each hit, in the order found.
+        self.hits: list[tuple[int, str, PfCode]] = []
         # Filled once per hit and read only by the benchmark's span tracer (perfbench/spans.py).
         self.hit_keys: set[str] = set()
         # Sorted codes (as bytes) of every span of the right size that reached
@@ -370,14 +370,14 @@ class _Engine:
         """
         spec = self.spec
         d, m = spec.modulus, spec.num_modes
-        code = PfCode(d, m, tuple(PfOperator(d, m, 0, tuple(int(x) for x in self.cand[i])) for i in chosen))
+        code = PfCode(d, m, tuple(PfOperator(d, m, 0, self.cand[i].tolist()) for i in chosen))
         try:
             code = canonical_phases(code)
         except PhaseAssignmentError:
             return
         key = canonical_equivalence_key(code)
         self.hit_keys.add(key)
-        self.hits.append((self.nodes, key, code.generators))
+        self.hits.append((self.nodes, key, code))
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
@@ -481,17 +481,17 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     earlier block found (no symmetry reduction) does not count.  A block
     that stopped at its own ``max_hits`` repeats at most as many spans as
     were found before it, so the replay stops inside that block.  Returns
-    ({key: generators}, tuples examined, budget exceeded, stopped on ``max_hits``).
+    ({key: code}, tuples examined, budget exceeded, stopped on ``max_hits``).
     """
-    found: dict[str, tuple[PfOperator, ...]] = {}
+    found: dict[str, PfCode] = {}
     offset = 0
     for res in results:
-        for node, key, gens in res["hits"]:
+        for node, key, code in res["hits"]:
             if offset + node > spec.max_tuples:
                 break
             if key in found:
                 continue
-            found[key] = gens
+            found[key] = code
             if spec.max_hits and len(found) >= spec.max_hits:
                 return found, offset + node, False, True
         if offset + res["nodes"] > spec.max_tuples:
@@ -553,7 +553,7 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
     found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)
     cert.early_stopped = bool(spec.max_hits) and len(found) >= spec.max_hits
     cert.exhausted = not cert.budget_exceeded and not stopped
-    return _finish(spec, cert, found.items(), start_time)
+    return _finish(cert, found.items(), start_time)
 
 
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
@@ -586,15 +586,15 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
         cert.tuples_examined += size
     cert.early_stopped = engine.stopped
     cert.exhausted = False  # sampling can never certify nonexistence
-    return _finish(spec, cert, [(key, gens) for _, key, gens in engine.hits], start_time)
+    return _finish(cert, [(key, code) for _, key, code in engine.hits], start_time)
 
 
-def _finish(spec: SearchSpec, cert: SearchCertificate, hits, start_time: float):
-    """(codes, certificate) of a search, from its (key, generators) hits in order."""
+def _finish(cert: SearchCertificate, hits, start_time: float):
+    """(codes, certificate) of a search, from its (key, code) hits in order."""
     codes = []
-    for key, gens in hits:
-        codes.append(PfCode(spec.modulus, spec.num_modes, gens))
-        cert.hits.append({"key": key, "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in gens]})
+    for key, code in hits:
+        codes.append(code)
+        cert.hits.append({"key": key, "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in code.generators]})
     cert.wall_time_s = time.monotonic() - start_time
     return codes, cert
 

@@ -399,3 +399,118 @@ def reference_search(spec) -> dict:
         "budget_exceeded": budget,
         "stopped": engine.stopped,
     }
+
+
+# -- product-built constructions ------------------------------------------------
+#
+# pfstab.builders computes the generators' exponent rows directly.  These build
+# the same constructions by multiplying phase-tracked operators, one factor at
+# a time, so each generator carries the phase of its product, not a canonical
+# one.
+
+
+def _operator_product(ops, modulus: int, num_modes: int):
+    from pfstab.algebra import PfOperator
+
+    out = PfOperator.identity(modulus, num_modes)
+    for op in ops:
+        out = out * op
+    return out
+
+
+def _site_operators(modulus: int, num_modes: int, site: int, x_exp: int):
+    """(Z-like, X-like) pair g_1^{x_exp} g_2 and g_1^{x_exp} g_3 on one qudit site."""
+    from pfstab.algebra import PfOperator
+
+    base = 4 * site + 1
+    z = PfOperator.from_factors(modulus, num_modes, [(base, x_exp), (base + 1, 1)])
+    x = PfOperator.from_factors(modulus, num_modes, [(base, x_exp), (base + 2, 1)])
+    return z, x
+
+
+def _site_stabilizers(modulus: int, num_modes: int, middle: int) -> list:
+    """g_1^-1 g_2^middle g_3^-middle g_4 on each four-mode site."""
+    from pfstab.algebra import PfOperator
+
+    return [
+        PfOperator.from_factors(modulus, num_modes, [(base, -1), (base + 1, middle), (base + 2, -middle), (base + 3, 1)])
+        for base in range(1, num_modes, 4)
+    ]
+
+
+def reference_clock_chain(modulus: int, n: int):
+    """The clock chain's generators g_{2j}^dag g_{2j+1}, multiplied out."""
+    from pfstab.algebra import PfOperator
+    from pfstab.code import PfCode
+
+    gens = [PfOperator.from_factors(modulus, 2 * n, [(2 * j, -1), (2 * j + 1, 1)]) for j in range(1, n)]
+    return PfCode(modulus, 2 * n, tuple(gens))
+
+
+def reference_embedding(q):
+    """The qudit embedding: site stabilizers, then prod over sites of X~^u Z~^v per check row."""
+    from pfstab.code import PfCode
+
+    d, nq = q.modulus, q.num_qudits
+    m = 4 * nq
+    gens = _site_stabilizers(d, m, 1)
+    pairs = [_site_operators(d, m, site, d - 1) for site in range(nq)]
+    for row in q.rows:
+        factors = []
+        for site, (z_like, x_like) in enumerate(pairs):
+            factors += [x_like.power(row[site]), z_like.power(row[nq + site])]
+        gens.append(_operator_product(factors, d, m))
+    return PfCode(d, m, tuple(gens))
+
+
+def reference_double_d6(code3):
+    """Mode-pair cubes g_{2j-1}^3 g_{2j}^3, then the D=3 generators' exponents doubled into Z_6."""
+    from pfstab.algebra import PfOperator
+    from pfstab.code import PfCode
+
+    m = code3.num_modes
+    gens = [PfOperator.from_factors(6, m, [(2 * j + 1, 3), (2 * j + 2, 3)]) for j in range(code3.n)]
+    gens += [PfOperator(6, m, 0, tuple(2 * a for a in g.alpha)) for g in code3.generators]
+    return PfCode(6, m, tuple(gens))
+
+
+def reference_toric(spec):
+    """(code, stars, plaquettes, logicals) of the toric construction, each a product of site operators."""
+    from pfstab.code import PfCode
+
+    d, r, a, b = spec.modulus, spec.half_power, spec.a, spec.b
+    nq = 2 * a * b
+    m = 4 * nq
+
+    def h_edge(x, y):
+        return (y % b) * 2 * a + (x % a)
+
+    def v_edge(x, y):
+        return (y % b) * 2 * a + a + (x % a)
+
+    pairs = [_site_operators(d, m, site, r - 1) for site in range(nq)]
+
+    def signed(site: int, sign: int, which: int):
+        op = pairs[site][which]
+        return op if sign > 0 else op.inverse()
+
+    def product(*terms, which: int):
+        return _operator_product([signed(site, sign, which) for site, sign in terms], d, m)
+
+    cells = [(x, y) for y in range(b) for x in range(a)]
+    stars = [
+        product((h_edge(x, y), 1), (h_edge(x - 1, y), -1), (v_edge(x, y), 1), (v_edge(x, y - 1), -1), which=1)
+        for x, y in cells
+    ]
+    plaquettes = [
+        product((h_edge(x, y), 1), (h_edge(x, y + 1), -1), (v_edge(x, y), -1), (v_edge(x + 1, y), 1), which=0)
+        for x, y in cells
+    ]
+    logicals = {
+        "horizontal_z": product(*[(h_edge(x, 0), 1) for x in range(a)], which=0),
+        "vertical_z": product(*[(v_edge(0, y), 1) for y in range(b)], which=0),
+        "horizontal_x": product(*[(v_edge(x, 0), 1) for x in range(a)], which=1),
+        "vertical_x": product(*[(h_edge(0, y), 1) for y in range(b)], which=1),
+    }
+    gens = _site_stabilizers(d, m, r + 1) + stars[:-1] + plaquettes[:-1]
+    return PfCode(d, m, tuple(gens)), stars, plaquettes, logicals

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pfstab.algebra import PfOperator, lambda_matrix, parse_operator
 from pfstab.oracle import jw_modes
+from pfstab.zmod import span_order
 
 
 def op(modulus, alpha, mu=0):
@@ -270,3 +271,10 @@ def test_out_of_order_factors_accumulate_phase():
     # g2 * g1 written in that order picks up the swap phase.
     a = PfOperator.from_factors(3, 4, [(2, 1), (1, 1)])
     assert a.mu == 4 and a.alpha == (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6])
+@pytest.mark.parametrize("num_modes", [2, 4, 6, 8, 10, 12])
+def test_lambda_matrix_is_invertible(modulus, num_modes):
+    # det L = 1 for even m, so S L spans as many vectors as S (code.distance relies on it).
+    assert span_order(lambda_matrix(modulus, num_modes)) == modulus**num_modes

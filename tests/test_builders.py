@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,23 @@ from pfstab.code import (
     logical_basis,
     validate,
 )
+from pfstab.codefile import canonical_json, code_to_payload
 
-from oracles import brute_qudit_distance
+from oracles import (
+    brute_qudit_distance,
+    reference_canonical_phases,
+    reference_clock_chain,
+    reference_double_d6,
+    reference_embedding,
+    reference_toric,
+)
+
+
+def assert_row_built(code, reference):
+    """``code`` has the product-built reference's exponent rows and, as phases,
+    the reference's canonical ones (found by multiplying every constraint out)."""
+    assert [g.alpha for g in code.generators] == [g.alpha for g in reference.generators]
+    assert code == reference_canonical_phases(reference)
 
 
 # -- clock chains -----------------------------------------------------------
@@ -60,6 +77,11 @@ def test_clock_chain_end_to_end_logicals():
     assert joined.charge() == 0
     assert is_logical(code, joined)
     assert joined.diameter() == 8
+
+
+@pytest.mark.parametrize("modulus,n", [(2, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+def test_clock_chain_matches_product_reference(modulus, n):
+    assert_row_built(build_clock_chain(modulus, n), reference_clock_chain(modulus, n))
 
 
 def test_clock_chain_rejects_single_site():
@@ -151,6 +173,21 @@ def test_embed_five_qubit_code_doubles_distance():
     assert distance(code).value == 6
 
 
+@pytest.mark.parametrize(
+    "remix",
+    [
+        np.eye(4, dtype=np.int64),
+        np.array([[1, 0, 0, 0], [2, 1, 0, 0], [1, 1, 1, 0], [0, 2, 1, 1]]),
+        np.array([[1, 1, 2, 0], [0, 1, 0, 1], [0, 0, 1, 2], [0, 0, 0, 1]]),
+    ],
+    ids=["five-qutrit", "lower-remix", "upper-remix"],
+)
+def test_embedding_matches_product_reference(remix):
+    rows = (remix @ five_qutrit_code().matrix().array) % 3
+    q = QuditCheckMatrix(3, 5, rows.tolist())
+    assert_row_built(embed_qudit_code(q), reference_embedding(q))
+
+
 def test_embed_rejects_noncommuting_input():
     q = QuditCheckMatrix(3, 1, ((1, 0), (0, 1)))
     with pytest.raises(InvalidCodeError):
@@ -222,6 +259,12 @@ def test_double_d6_squared_logicals_have_order_three():
         acc = (acc + c) % 6
         order += 1
     assert order == 3
+
+
+@pytest.mark.parametrize("source", [code_8_1_3_d3, lambda: build_clock_chain(3, 3)], ids=["8_1_3", "chain"])
+def test_double_d6_matches_product_reference(source):
+    code3 = source()
+    assert_row_built(double_code_d6(code3), reference_double_d6(code3))
 
 
 def test_double_d6_rejects_wrong_modulus():
@@ -297,3 +340,39 @@ def test_toric_layout_present():
     layout = toric.code.mode_layout
     assert layout is not None and len(layout) == 32
     assert all(len(coord) == 2 for coord in layout.values())
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2, 2), (2, 1, 2, 3), (2, 1, 3, 3), (3, 1, 2, 2)])
+def test_toric_matches_product_reference(spec):
+    toric = build_toric(ToricSpec(*spec))
+    code, stars, plaquettes, logicals = reference_toric(ToricSpec(*spec))
+    assert_row_built(toric.code, code)
+    assert [s.alpha for s in toric.stars] == [s.alpha for s in stars]
+    assert [p.alpha for p in toric.plaquettes] == [p.alpha for p in plaquettes]
+    assert toric.logicals == logicals
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 2, 2), (2, 1, 2, 3), (3, 1, 2, 2)])
+def test_toric_families_are_the_code_generators(spec):
+    toric = build_toric(ToricSpec(*spec))
+    sites, cells = 2 * spec[2] * spec[3], spec[2] * spec[3]
+    gens = toric.code.generators
+    assert gens[sites : sites + cells - 1] == toric.stars[:-1]
+    assert gens[sites + cells - 1 :] == toric.plaquettes[:-1]
+    assert all(op.mu == 0 for op in (*toric.stars, *toric.plaquettes))
+
+
+# sha256 of the canonical JSON of built codes that codes/ does not ship.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: build_toric(ToricSpec(2, 1, 3, 3)).code, "95bf4de08184c4dd9048db0e5bf7c81506618f7e9e9155a1c483fd33d222c66a"),
+        (lambda: build_toric(ToricSpec(2, 1, 3, 4)).code, "9815f6151ad48f7e7946753f9c10b219fff29b37ea997f43cd53bbc480031fa5"),
+        (lambda: build_toric(ToricSpec(3, 1, 2, 2)).code, "daa3566544d8711647b739e228c42e7cfd3ed5744253e8be51568796b076c410"),
+        (lambda: build_clock_chain(4, 5), "0d241c84c207d330aaa756733d70afd2c2e627fff414cac637585ee003e81a93"),
+        (lambda: build_clock_chain(5, 6), "7be70f60da6e5a3c0294926c6346ff1c99489e72f71bcd9246dba0ba688df25c"),
+    ],
+    ids=["toric_2_1_3_3", "toric_2_1_3_4", "toric_3_1_2_2", "chain_4_5", "chain_5_6"],
+)
+def test_built_code_payload_is_pinned(build, digest):
+    assert hashlib.sha256(canonical_json(code_to_payload(build())).encode()).hexdigest() == digest

@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,6 +17,7 @@ from pfstab.cli import main
 from pfstab.codefile import canonical_json, code_to_payload, save_code
 
 REPO_CODES = Path(__file__).resolve().parent.parent / "codes"
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -572,3 +576,23 @@ def test_largest_chain_modulus_builds_a_valid_code(capsys, tmp_path):
     assert status == 0
     assert json.loads(out) == {"abelian": True, "parity_ok": True, "phase_ok": True}
     assert run(capsys, "chain", "--D", largest + 1, "--n", 2)[0] == 2
+
+
+def _address_space_limit():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_params_refuses_an_oversized_distance_letter_table(tmp_path):
+    # A valid 4-mode chain whose distance letter table would take 8 * 4 * (D - 1) bytes, 3.2 GB.
+    # The child runs under a 2 GiB address-space limit, so a scan that allocated it would fail there.
+    path = tmp_path / "chain.json"
+    save_code(path, build_clock_chain(100000007, 2))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfstab.cli", "params", str(path)],
+        capture_output=True, text=True, env=env, preexec_fn=_address_space_limit, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the distance scan's letter table") and proc.stderr.count("\n") == 1

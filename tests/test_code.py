@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -385,8 +386,18 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
         return
     fixed = canonical_phases(code)
     assert [g.mu for g in fixed.generators] == [g.mu for g in want.generators]
+    # The rows are kept once, read-only, and handed on with the Howell forms.
+    assert fixed._rows is code._rows and not code._rows.flags.writeable
+    assert code._rows.tolist() == [list(g.alpha) for g in code.generators]
     assert validate(fixed).phase_ok
     assert canonical_equivalence_key(fixed) == canonical_equivalence_key(code)
+
+
+def test_unpickled_code_recomputes_its_kept_forms():
+    code = code_8_1_3_d3()
+    copy = pickle.loads(pickle.dumps(code))
+    assert copy == code and "_row_forms" not in copy.__dict__
+    assert not copy._rows.flags.writeable and validate(copy).all_ok
 
 
 def test_logical_basis_generates_quotient():

@@ -71,6 +71,7 @@ def test_soundness_of_hits():
     codes, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=3))
     assert codes
     for code in codes:
+        assert "_row_forms" in code.__dict__  # the code the search phased, not a rebuilt one
         assert validate(code).all_ok
         report = analyze(code)
         assert report.k == 1 and report.distance.value == 2
