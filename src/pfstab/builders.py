@@ -9,13 +9,13 @@ that cannot be validated raises instead of returning a broken object.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import PfOperator
 from .code import (
+    _LETTER_TABLE_BYTES,
     InvalidCodeError,
     PfCode,
     _first_logical,
@@ -83,13 +83,19 @@ class QuditCheckMatrix:
         An error (u|v) is undetected iff u.v_r == v.u_r (mod D) against every
         row r; it is logical if additionally (u|v) is outside the row span.
         Sites are scanned like parafermion modes in :func:`pfstab.code.distance`,
-        with the D^2 - 1 site operators (a, b) != (0, 0) as letters.
+        with the D^2 - 1 site operators (a, b) != (0, 0) as letters, in
+        lexicographic order.  The letters and the one-letter syndrome table,
+        16 * (D^2 - 1) + 8 * n * (D^2 - 1) * r bytes, must fit in 128 MiB,
+        else ValueError.
         """
         d, nq = self.modulus, self.num_qudits
         cap = max_weight if max_weight is not None else nq
+        table_bytes = 8 * (d * d - 1) * (2 + nq * len(self.rows))
+        if table_bytes > _LETTER_TABLE_BYTES:
+            raise ValueError(f"the distance scan's letter table would take {table_bytes} bytes, over {_LETTER_TABLE_BYTES}")
         mat = self.matrix().array
         u_rows, v_rows = mat[:, :nq].T[:, None, :], mat[:, nq:].T[:, None, :]
-        site_ops = np.array([p for p in itertools.product(range(d), repeat=2) if p != (0, 0)], dtype=np.int64)
+        site_ops = np.stack(np.divmod(np.arange(1, d * d, dtype=np.int64), d), axis=1)
         a, b = site_ops[:, 0, None], site_ops[:, 1, None]
         contrib = (u_rows * b - v_rows * a) % d
         found = _first_logical(contrib, site_ops, _howell_basis(mat, d), d, cap)

@@ -138,18 +138,28 @@ class PfCode:
         return PfCode(self.modulus, self.num_modes, tuple(generators), self.mode_layout)
 
     def _with_phases(self, mu) -> "PfCode":
-        """This code with phases ``mu``, keeping the rows S and the Howell forms of [S | I] (they do not depend on mu)."""
+        """This code with phases ``mu``, keeping the rows S, the Howell forms of
+        [S | I] and, once computed, S L mod D (none of them depends on mu)."""
         code = self.with_generators(
             PfOperator(self.modulus, self.num_modes, int(m), g.alpha) for m, g in zip(mu, self.generators)
         )
         code.__dict__["_rows"] = self._rows
         code.__dict__["_row_forms"] = self._row_forms
+        if "_comm_rows" in self.__dict__:
+            code.__dict__["_comm_rows"] = self._comm_rows
         return code
 
     @cached_property
     def _rows(self) -> np.ndarray:
         """The generators' exponent rows S, one read-only r x m int64 array."""
         rows = np.array([g.alpha for g in self.generators], dtype=np.int64).reshape(-1, self.num_modes)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _comm_rows(self) -> np.ndarray:
+        """S L mod D, read-only: the syndrome of x is (S L) x."""
+        rows = (self._rows @ lambda_matrix(self.modulus, self.num_modes).array) % self.modulus
         rows.flags.writeable = False
         return rows
 
@@ -170,7 +180,7 @@ class PfCode:
             return ValidationFlags(True, True, True)
         d = self.modulus
         rows = self._rows
-        abelian = not ((commutation_rows(self) @ rows.T) % d).any()
+        abelian = not ((self._comm_rows @ rows.T) % d).any()
         parity_ok = not (rows.sum(axis=1) % d).any()
         mu = np.array([g.mu for g in self.generators], dtype=np.int64)
         phase_ok = not _relation_phases(rows, mu, _phase_relations(self), d).any()
@@ -238,9 +248,9 @@ def stabilizer_matrix(code: PfCode) -> ZModMatrix:
 
 
 def commutation_rows(code: PfCode) -> np.ndarray:
-    """Rows S @ L mod D: the syndrome of x is (S @ L) @ x."""
-    lam = lambda_matrix(code.modulus, code.num_modes).array
-    return (code._rows @ lam) % code.modulus
+    """Rows S @ L mod D: the syndrome of x is (S @ L) @ x.  The code keeps
+    this array, so it is read-only."""
+    return code._comm_rows
 
 
 def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modulus: int) -> np.ndarray:
@@ -299,15 +309,14 @@ def codespace_dim(code: PfCode) -> int:
 def centralizer_basis(code: PfCode) -> ZModMatrix:
     """Howell basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer."""
     _require_valid(code)
-    return kernel_basis(ZModMatrix(code.modulus, commutation_rows(code).T))
+    return kernel_basis(ZModMatrix(code.modulus, code._comm_rows.T))
 
 
 def syndrome(code: PfCode, error: PfOperator) -> tuple[int, ...]:
     """Commutation exponent of each generator with the error operator."""
     if error.modulus != code.modulus or error.num_modes != code.num_modes:
         raise ValueError("error operator does not match the code")
-    rows = commutation_rows(code)
-    return tuple(int(x) for x in (rows @ np.asarray(error.alpha, dtype=np.int64)) % code.modulus)
+    return tuple(int(x) for x in (code._comm_rows @ np.asarray(error.alpha, dtype=np.int64)) % code.modulus)
 
 
 def is_logical(code: PfCode, op: PfOperator) -> bool:
@@ -518,7 +527,7 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     table_bytes = 8 * m * (d - 1) * len(code.generators)
     if table_bytes > _LETTER_TABLE_BYTES:
         raise ValueError(f"the distance scan's letter table would take {table_bytes} bytes, over {_LETTER_TABLE_BYTES}")
-    rows = commutation_rows(code)
+    rows = code._comm_rows
     multiples = np.arange(1, d, dtype=np.int64)
     contrib = (multiples[None, :, None] * rows.T[:, None, :]) % d
     found = _first_logical(contrib, multiples[:, None], basis, d, max_weight)
@@ -565,7 +574,7 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     cap = None
     if max_diameter is not None and max_diameter < diameter_bound:
         diameter_bound = cap = max_diameter
-    rows = commutation_rows(code)
+    rows = code._comm_rows
     for side in range(1, diameter_bound + 1):
         seen_windows: set[frozenset] = set()
         for corner in itertools.product(*anchors):

@@ -60,6 +60,12 @@ def _expect_int(value, name: str) -> int:
     return value
 
 
+def _all_in_range(values: list, bound: int) -> bool:
+    """Whether every entry is a plain int in [0, bound), in one pass and
+    without building the per-entry messages."""
+    return all(type(v) is int for v in values) and min(values, default=0) >= 0 and max(values, default=0) < bound
+
+
 def code_to_payload(code: PfCode, provenance: dict | None = None) -> dict:
     payload: dict = {
         "format_version": FORMAT_VERSION,
@@ -92,9 +98,10 @@ def code_from_payload(payload: dict) -> PfCode:
         alpha = item.get("alpha")
         _expect(isinstance(alpha, list), f"generators[{idx}].alpha must be a list")
         _expect(len(alpha) == num_modes, f"generators[{idx}].alpha must have {num_modes} entries")
-        for pos, entry in enumerate(alpha):
-            value = _expect_int(entry, f"generators[{idx}].alpha[{pos}]")
-            _expect(0 <= value < modulus, f"generators[{idx}].alpha[{pos}] must lie in [0, {modulus})")
+        if not _all_in_range(alpha, modulus):  # name the first bad entry
+            for pos, entry in enumerate(alpha):
+                value = _expect_int(entry, f"generators[{idx}].alpha[{pos}]")
+                _expect(0 <= value < modulus, f"generators[{idx}].alpha[{pos}] must lie in [0, {modulus})")
         gens.append((mu, tuple(alpha)))
     layout = None
     if "mode_layout" in payload:
@@ -165,9 +172,10 @@ def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
             vec = item.get(part)
             _expect(isinstance(vec, list) and len(vec) == num_qudits,
                     f"rows[{idx}].{part} must be a list of {num_qudits} entries")
-            for pos, entry in enumerate(vec):
-                value = _expect_int(entry, f"rows[{idx}].{part}[{pos}]")
-                _expect(0 <= value < modulus, f"rows[{idx}].{part}[{pos}] must lie in [0, {modulus})")
+            if not _all_in_range(vec, modulus):  # name the first bad entry
+                for pos, entry in enumerate(vec):
+                    value = _expect_int(entry, f"rows[{idx}].{part}[{pos}]")
+                    _expect(0 <= value < modulus, f"rows[{idx}].{part}[{pos}] must lie in [0, {modulus})")
         rows.append(tuple(item["x"]) + tuple(item["z"]))
     try:
         return QuditCheckMatrix(modulus, num_qudits, tuple(rows))

@@ -12,7 +12,9 @@ representation is stored exactly as a permutation plus integer phase
 exponents; dense complex matrices are materialized on demand.  This keeps
 group arithmetic exact, independent of the normal-ordering bookkeeping in
 :mod:`pfstab.algebra` that it is used to cross-check: no ``PfOperator``
-is ever multiplied here.
+is ever multiplied here.  An operator's monomial is the ordered product of
+tabulated mode powers, composed on the raw permutation and phase arrays
+with one reduction mod 2D at the end.
 
 A code's stabilizer group is enumerated as stacked monomials, one row of
 permutation and one row of phase exponents per element: starting from the
@@ -21,7 +23,9 @@ falls into the group H found so far (compared as integer rows).  Since
 P = (1/|S|) sum_s M_s maps e_x onto the orbit of x, the codespace basis is
 read off those rows without diagonalising anything: one normalised column
 P e_x per orbit whose stabilizing elements all fix x with phase 0, which
-gives tr P columns with disjoint supports.
+gives tr P columns with disjoint supports.  A representation keeps the
+last codespace it computed, so the projector, the codewords and every
+simulated syndrome of one code enumerate its group once.
 """
 
 from __future__ import annotations
@@ -135,8 +139,11 @@ class DenseRep:
     """Jordan-Wigner representation of PF(D, 2n) on n qudits.
 
     Each mode's powers g_j^0 .. g_j^{D-1} are tabulated once, by repeated
-    composition (2n * D monomials of dimension D^n), so an operator's
-    monomial costs one composition per nonzero exponent.
+    composition (2n * D read-only monomials of dimension D^n), so an
+    operator's monomial costs one composition per nonzero exponent.  The
+    last codespace computed (:func:`codewords`) is kept for the next call
+    with the same code and cap: one slot, so a long-lived representation
+    holds at most one basis.
     """
 
     def __init__(self, modulus: int, num_qudits: int, max_dim: int = DEFAULT_DIM_CAP, tol: float = DEFAULT_TOL):
@@ -155,6 +162,8 @@ class DenseRep:
         self.tol = tol
         # _powers[j][e] is g_{j+1}^e, e = 0 .. D-1.
         self._powers = [self._power_table(g) for g in self._build_modes()]
+        # ((code, cap), (basis, trace)) of the last _codespace call.
+        self._last_codespace = None
 
     # -- construction -------------------------------------------------------
 
@@ -189,6 +198,10 @@ class DenseRep:
         table = [Monomial.identity(self.order, self.dim)]
         for _ in range(1, self.modulus):
             table.append(table[-1] @ mode)
+        # The table's arrays are shared by mode_monomial and op_monomial results.
+        for power in table:
+            power.perm.flags.writeable = False
+            power.phase.flags.writeable = False
         return table
 
     # -- accessors ------------------------------------------------------------
@@ -204,11 +217,16 @@ class DenseRep:
     def op_monomial(self, op: PfOperator) -> Monomial:
         if op.modulus != self.modulus or op.num_modes != self.num_modes:
             raise ValueError("operator does not match this representation")
-        out = Monomial.identity(self.order, self.dim).scale(op.mu)
-        for powers, exponent in zip(self._powers, op.alpha):
-            if exponent:
-                out = out @ powers[exponent]
-        return out
+        factors = [powers[exponent] for powers, exponent in zip(self._powers, op.alpha) if exponent]
+        if not factors:
+            return Monomial.identity(self.order, self.dim).scale(op.mu)
+        # out @ p on the raw arrays; each phase is below 2D, so the unreduced
+        # sum stays below (2n + 1) * 2D.
+        perm, phase = factors[0].perm, factors[0].phase
+        for p in factors[1:]:
+            phase = p.phase + phase[p.perm]
+            perm = perm[p.perm]
+        return Monomial(self.order, perm, (phase + op.mu) % self.order)
 
     def charge_monomial(self) -> Monomial:
         """Q = prod_j g_{2j-1}^dagger g_{2j}; g^a Q = w^{2p} Q g^a with p the charge."""
@@ -270,8 +288,12 @@ def _codespace(rep: DenseRep, code, cap: int) -> tuple[np.ndarray, float]:
     columns at the orbit representatives (the least index of each orbit)
     span the codespace and have disjoint supports, so normalising them
     gives an orthonormal basis.  tr P = (1/|S|) sum_s tr M_s, summed over
-    the fixed points of each element, must equal their number.
+    the fixed points of each element, must equal their number.  The result
+    is kept on ``rep`` until a call with another code or cap.
     """
+    key = (code, cap)
+    if rep._last_codespace is not None and rep._last_codespace[0] == key:
+        return rep._last_codespace[1]
     perms, phases = _stabilizer_group(rep, code, cap)
     roots = _roots(rep.order)
     fixed = perms == np.arange(rep.dim)
@@ -289,6 +311,8 @@ def _codespace(rep: DenseRep, code, cap: int) -> tuple[np.ndarray, float]:
     # Elements that map x to the same index carry the same phase there, so repeated writes agree.
     basis[rows, np.arange(reps.size)] = roots[exps]
     basis /= np.linalg.norm(basis, axis=0)
+    basis.flags.writeable = False
+    rep._last_codespace = (key, (basis, trace))
     return basis, trace
 
 
@@ -306,7 +330,11 @@ def projector(rep: DenseRep, code, cap: int = 100_000) -> tuple[np.ndarray, floa
 
 
 def codewords(rep: DenseRep, code, cap: int = 100_000) -> np.ndarray:
-    """Orthonormal basis of the codespace (columns), one column per codeword orbit."""
+    """Orthonormal basis of the codespace (columns), one column per codeword orbit.
+
+    The array is read-only: ``rep`` keeps it for the next call with the same
+    code and cap.
+    """
     return _codespace(rep, code, cap)[0]
 
 

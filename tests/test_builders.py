@@ -122,6 +122,14 @@ def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed):
         assert q.distance(max_weight=want - 1) is None
 
 
+def test_qudit_distance_bounds_its_letter_table():
+    # 25e6 letters and their syndromes would take 400 MB; the bound refuses before building them.
+    with pytest.raises(ValueError, match="letter table would take 399999984 bytes"):
+        QuditCheckMatrix(5000, 1, ()).distance()
+    # One qudit with no checks: every nonzero site operator is logical.
+    assert QuditCheckMatrix(300, 1, ()).distance() == 1
+
+
 def test_qudit_check_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         QuditCheckMatrix(3, 2, ((1, 0, 0),))

@@ -27,6 +27,7 @@ from pfstab.code import (
     canonical_phases,
     centralizer_basis,
     codespace_dim,
+    commutation_rows,
     distance,
     group_order,
     is_logical,
@@ -371,6 +372,11 @@ def _random_generators(
 def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parity, commuting, dependent, seed):
     code = _random_generators(modulus, modes, gens, parity, commuting, dependent and gens > 1, seed)
     assert validate(code) == reference_validate(code)
+    # S L mod D is kept read-only and handed on by canonical_phases.
+    rows = commutation_rows(code)
+    smat = np.array([g.alpha for g in code.generators], dtype=np.int64)
+    assert np.array_equal(rows, (smat @ lambda_matrix(modulus, modes).array) % modulus)
+    assert not rows.flags.writeable and commutation_rows(code) is rows
     # The kept basis, cut from the Howell form of [S | I], is the Howell basis of S.
     kept, howell = code._row_forms[0], _howell_basis(stabilizer_matrix(code).array, modulus)
     assert sorted(kept) == sorted(howell)
@@ -388,6 +394,7 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
     assert [g.mu for g in fixed.generators] == [g.mu for g in want.generators]
     # The rows are kept once, read-only, and handed on with the Howell forms.
     assert fixed._rows is code._rows and not code._rows.flags.writeable
+    assert commutation_rows(fixed) is rows
     assert code._rows.tolist() == [list(g.alpha) for g in code.generators]
     assert validate(fixed).phase_ok
     assert canonical_equivalence_key(fixed) == canonical_equivalence_key(code)

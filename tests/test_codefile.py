@@ -71,6 +71,45 @@ def test_rejects_wrong_lengths_and_versions():
         code_from_payload(bad)
 
 
+def _set_entry(path: tuple, value):
+    def edit(payload):
+        *keys, last = path
+        for key in keys:
+            payload = payload[key]
+        if last is None:
+            payload.append(value)
+        else:
+            payload[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "load, edit, message",
+    [
+        (code_from_payload, _set_entry(("generators", 1, "alpha", 2), True),
+         "field 'generators[1].alpha[2]' must be an integer"),
+        (code_from_payload, _set_entry(("generators", 1, "alpha", 2), 3),
+         "generators[1].alpha[2] must lie in [0, 3)"),
+        (code_from_payload, _set_entry(("generators", 1, "alpha", None), 0),
+         "generators[1].alpha must have 6 entries"),
+        (qudit_from_payload, _set_entry(("rows", 1, "z", 2), False),
+         "field 'rows[1].z[2]' must be an integer"),
+        (qudit_from_payload, _set_entry(("rows", 1, "z", 2), -1),
+         "rows[1].z[2] must lie in [0, 3)"),
+        (qudit_from_payload, _set_entry(("rows", 1, "z", None), 0),
+         "rows[1].z must be a list of 5 entries"),
+    ],
+    ids=["code-bool", "code-range", "code-length", "qudit-bool", "qudit-range", "qudit-length"],
+)
+def test_bad_entry_messages_name_the_entry(load, edit, message):
+    source = code_to_payload(build_clock_chain(3, 3)) if load is code_from_payload else qudit_to_payload(five_qutrit_code())
+    payload = json.loads(json.dumps(source))
+    edit(payload)
+    with pytest.raises(CodeFileError) as err:
+        load(payload)
+    assert str(err.value) == message
+
+
 def test_load_errors_carry_diagnostics(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(CodeFileError):

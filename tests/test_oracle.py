@@ -145,13 +145,16 @@ def test_degenerate_representation_rejected(modulus, qudits):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (6, 2), (7, 1)]),
+    shape=st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (6, 2), (7, 1), (6, 4), (2, 5)]),
     data=st.data(),
 )
 def test_op_monomial_is_product_of_mode_powers(shape, data):
     modulus, qudits = shape
     rep = jw_modes(modulus, qudits)
-    alpha = data.draw(st.lists(st.integers(0, modulus - 1), min_size=2 * qudits, max_size=2 * qudits))
+    alpha = data.draw(
+        st.just([0] * (2 * qudits))
+        | st.lists(st.integers(0, modulus - 1), min_size=2 * qudits, max_size=2 * qudits)
+    )
     mu = data.draw(st.integers(0, 2 * modulus - 1))
     want = Monomial.identity(rep.order, rep.dim).scale(mu)
     for mode, exponent in enumerate(alpha, start=1):
@@ -250,6 +253,21 @@ def test_orbit_oracle_matches_dense_reference_on_random_codes(shape, gens, depen
     except PhaseAssignmentError:
         return
     _assert_matches_reference(rep, code, np.random.default_rng(seed))
+
+
+def test_kept_codespace_follows_the_code_asked_for():
+    codes = [code_8_1_3_d3(), build_clock_chain(3, 4), code_8_1_3_d3()]
+    errors = [PfOperator.gamma(3, 8, 1), PfOperator.gamma(3, 8, 5, 2)]
+    rep = jw_modes(3, 4)
+    for code in codes:
+        basis = codewords(rep, code)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, codewords(jw_modes(3, 4), code))
+        p, trace = projector(rep, code)
+        want_p, want_trace = projector(jw_modes(3, 4), code)
+        assert np.array_equal(p, want_p) and trace == want_trace
+        for error in errors:
+            assert syndrome_sim(rep, code, error) == syndrome_sim(jw_modes(3, 4), code, error)
 
 
 def test_syndrome_sim_rejects_states_outside_one_eigenspace(monkeypatch):
