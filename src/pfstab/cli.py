@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .algebra import PfOperator, parse_operator
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=default_thread_count(),
+        default=None,
         help="worker cap for parallel search (default: PFSTAB_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,9 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.threads is None:  # read per call, so that a changed PFSTAB_THREADS counts
+        args.threads = default_thread_count()
     try:
         return args.fn(args)
     except CodeFileError as exc:

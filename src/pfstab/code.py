@@ -350,20 +350,21 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
 
 # -- minimum-weight enumeration ------------------------------------------------
 #
-# One enumerator serves every minimum-weight scan: supports of weight w in
-# colexicographic order, and on each support the assignments of letters
-# (nonzero exponents, or qudit site operators) in lexicographic order.  In
-# colex order the supports of weight L + j split into a tail of j positions
-# t_1 < ... < t_j, in colex order, and a head: one of the first C(t_1, L)
-# supports of weight L, in colex order.  So a table of every weight-L
-# syndrome, plus the syndromes of the tails, yields every weight above L
-# in scan order.  The scan keeps such a table for L = w - 1 (tails of one
-# position) while it fits in _TABLE_BYTES, and uses longer tails above it.
+# One enumerator serves every minimum-weight scan: weight w ascending, the
+# supports of weight w in colexicographic order, and on each support the
+# assignments of letters (nonzero exponents, or qudit site operators) in
+# lexicographic order.  A weight-w vector splits into a low part on its
+# w1 = w // 2 smallest positions and a high part on the other w2 = w - w1;
+# its syndrome is zero iff the high syndrome is minus the low one.  So the
+# scan keeps a table of the negated weight-w1 syndromes, sorted by a hash of
+# their words, and looks up the weight-w2 syndromes in blocks of whole
+# supports in colex order.  Colex order weighs the largest positions first,
+# so the first block that holds a logical holds the first logical.
 
-# Consecutive tails share one block while it stays under this many rows,
-# so small codes pay the per-block numpy work about once per weight.
+# Weight-w2 rows per block (at least one support's), and per streamed table block.
 _BLOCK_ROWS = 1 << 16
-# Largest syndrome table kept for the next weight.
+# Largest half table kept, r syndrome bytes plus 24 lookup bytes a row; a
+# larger one is built in blocks for each block of the other half.
 _TABLE_BYTES = 1 << 27
 # Largest one-letter table (8 * m * (D-1) * r bytes) that ``distance`` builds.
 # Its own name, so that setting _TABLE_BYTES to 0 (keep no table, as a test
@@ -402,6 +403,52 @@ def _place(positions: np.ndarray, letter_idx: np.ndarray, letters: np.ndarray, u
     return out
 
 
+def _syndromes(contrib: np.ndarray, supports: np.ndarray, modulus: int) -> np.ndarray:
+    """Syndrome of each letter assignment on each support, rows in (support, lex) order."""
+    syn = np.zeros((len(supports), 1, contrib.shape[2]), dtype=contrib.dtype)
+    for i in range(supports.shape[1]):
+        syn = (syn[:, :, None] + contrib[supports[:, i]][:, None]).reshape(len(syn), -1, syn.shape[2])
+        np.minimum(syn, syn - modulus, out=syn)  # reduce mod D; unsigned wrap-around
+    return syn.reshape(-1, syn.shape[2])
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of whole 8-byte words; equal rows hash alike."""
+    hashes = np.zeros(len(rows), dtype=np.uint64)
+    for word in rows.view(np.uint64).T:
+        hashes ^= word
+        hashes *= np.uint64(0x9E3779B97F4A7C15)
+        hashes ^= hashes >> np.uint64(29)
+    return hashes
+
+
+def _half_table(rows: np.ndarray):
+    """``rows`` as words, their hashes sorted, the sorting order, and the start
+    of each bucket of hashes that agree on their top bits."""
+    hashes = _row_hashes(rows)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    shift = 64 - max(1, len(hashes).bit_length() - 1)
+    starts = np.zeros((1 << (64 - shift)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount((hashes >> np.uint64(shift)).astype(np.intp), minlength=len(starts) - 1), out=starts[1:])
+    return rows.view(np.uint64), hashes, order, starts, np.uint64(shift)
+
+
+def _lookup(table, rows: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (``offset`` + table row, query row) of equal rows.  Candidates
+    share a bucket and a hash, then compare whole, since hashes can collide."""
+    words, hashes, order, starts, shift = table
+    query_hashes = _row_hashes(rows)
+    bucket = (query_hashes >> shift).astype(np.intp)
+    first, counts = starts[bucket], starts[bucket + 1] - starts[bucket]
+    query = np.repeat(np.arange(len(rows)), counts)
+    at = np.arange(len(query)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    hit = hashes[at] == query_hashes[query]
+    query, row = query[hit], order[at[hit]]
+    same = (words[row] == rows.view(np.uint64)[query]).all(axis=1)
+    return row[same] + offset, query[same]
+
+
 def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: dict, modulus: int, max_weight: int):
     """First undetected error outside the stabilizer span, by weight, then colex/lex order.
 
@@ -410,83 +457,47 @@ def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: dict, modulu
     the stabilizer rows.  Returns (weight, vector), or None when every
     weight up to ``max_weight`` is clear.
 
-    A block is a run of tails: each tail's heads (a prefix of the table)
-    times the tail's letter tuples, in row-major order, which is the scan
-    order.  With one-position tails the blocks, in order, are the table of
-    the next weight.  Only zero-syndrome rows are reduced against the
-    stabilizer span, a block's all at once.
+    A block's zero-syndrome vectors, the pairs whose syndromes cancel and
+    whose low positions come first, are reduced at once, in scan order.
     """
     positions, q, r = contrib.shape
     # Unsigned entries wide enough for a sum of two residues, and rows padded
-    # to whole 8-byte words so that a row compares as a few integers.
+    # to whole 8-byte words, so that a row hashes and compares as a few integers.
     dtype = np.min_scalar_type(2 * modulus - 2)
     per_word = 8 // dtype.itemsize
     padded = np.zeros((positions, q, max(per_word, -(-r // per_word) * per_word)), dtype=dtype)
     padded[:, :, :r] = contrib % modulus
-    contrib, cols = padded, padded.shape[2]
-    level, table = 0, np.zeros((1, 1, cols), dtype=dtype)  # syndromes of weight `level`
+    contrib, negated = padded, (modulus - padded) % modulus
+    level, table = -1, None  # the kept table of weight `level`, if any
     for w in range(1, min(max_weight, positions) + 1):
-        j = w - level
-        tails = _colex_supports(positions, j)
-        tails = tails[tails[:, 0] >= level]
-        head_counts = np.array([comb(int(t), level) for t in tails[:, 0]], dtype=np.int64)
-        width = table.shape[1] * q**j  # rows per head
-        grown = None
-        if j == 1 and w < max_weight and comb(positions, w) * width * cols * dtype.itemsize <= _TABLE_BYTES:
-            grown = np.empty((comb(positions, w), width, cols), dtype=dtype)
-        done = 0  # supports of weight w scanned so far
-        for lo, hi, first, stop in _blocks(head_counts, width):
-            run = tails[lo:hi]
-            counts = head_counts[lo:hi] if hi - lo > 1 else np.array([stop - first])
-            syn = contrib[run[:, 0]]
-            for i in range(1, j):
-                syn = (syn[:, :, None, :] + contrib[run[:, i]][:, None, :, :]).reshape(hi - lo, -1, cols)
-                np.minimum(syn, syn - modulus, out=syn)  # reduce mod D; unsigned wrap-around
-            tail_of = np.repeat(np.arange(hi - lo), counts)
-            head = first + np.arange(tail_of.size) - (np.cumsum(counts) - counts)[tail_of]
-            prefix = table[first:stop] if hi - lo == 1 else table[head]
-            # A head row plus the tail syndrome is zero iff the row equals its negation.
-            negated = ((modulus - syn) % modulus).view(np.uint64)[tail_of]
-            zero = np.flatnonzero((prefix.view(np.uint64)[:, :, None, :] == negated[:, None]).all(axis=3))
-            if grown is not None:
-                dest = grown[done : done + tail_of.size].reshape(tail_of.size, -1, q, cols)
-                np.add(prefix[:, :, None, :], syn[tail_of][:, None], out=dest)
-                np.minimum(dest, dest - modulus, out=dest)
-            done += tail_of.size
-            if not zero.size:
+        w1, w2 = w // 2, w - w // 2
+        ql, qh = q**w1, q**w2
+        lows, highs = _colex_supports(positions, w1), _colex_supports(positions, w2)
+        if level != w1:
+            fits = len(lows) * ql * (padded.shape[2] * dtype.itemsize + 24) <= _TABLE_BYTES
+            level, table = w1, _half_table(_syndromes(negated, lows, modulus)) if fits else None
+        highs = highs[highs[:, 0] >= w1]
+        step = max(1, _BLOCK_ROWS // qh)
+        for start in range(0, len(highs), step):
+            high = highs[start : start + step]
+            syn = _syndromes(contrib, high, modulus)
+            below, low_step = comb(int(high[:, 0].max()), w1), max(1, _BLOCK_ROWS // ql)  # lows below some high
+            parts = [(0, table)] if table is not None else (
+                (lo, _half_table(_syndromes(negated, lows[lo : min(lo + low_step, below)], modulus)))
+                for lo in range(0, below, low_step))
+            low, row = (np.concatenate(found) for found in zip(*(_lookup(t, syn, lo * ql) for lo, t in parts)))
+            keep = np.flatnonzero(lows.max(axis=1, initial=-1)[low // ql] < high[row // qh, 0])
+            if not keep.size:
                 continue
-            row, assignment = np.divmod(zero, width)
-            support = np.column_stack([_colex_supports(positions, level)[head[row]], run[tail_of[row]]])
-            vectors = _place(support, _lex_digits(assignment, q, w), letters, positions)
+            keep = keep[np.lexsort((row[keep] % qh, low[keep], row[keep] // qh))]
+            low, row = low[keep], row[keep]
+            support = np.column_stack([lows[low // ql], high[row // qh]])
+            digits = np.column_stack([_lex_digits(low % ql, q, w1), _lex_digits(row % qh, q, w2)])
+            vectors = _place(support, digits, letters, positions)
             outside = _coset_minima(basis, vectors, modulus).any(axis=1)
             if outside.any():
                 return w, vectors[int(np.argmax(outside))]
-        if grown is not None:
-            level, table = w, grown
     return None
-
-
-def _blocks(head_counts: np.ndarray, width: int):
-    """Split the scan of one weight into blocks of about ``_BLOCK_ROWS`` rows.
-
-    Tail i has ``head_counts[i]`` heads of ``width`` rows each.  Yields
-    (lo, hi, first, stop): tails lo .. hi-1 with all their heads, or, when
-    hi = lo + 1, heads first .. stop-1 of tail lo.
-    """
-    per_block = max(1, _BLOCK_ROWS // width)
-    lo, size = 0, 0
-    for i, n in enumerate(head_counts.tolist()):
-        if i > lo and size + n > per_block:
-            yield lo, i, 0, size
-            lo, size = i, 0
-        if n > per_block:
-            for first in range(0, n, per_block):
-                yield i, i + 1, first, min(n, first + per_block)
-            lo = i + 1
-        else:
-            size += n
-    if lo < len(head_counts):
-        yield lo, len(head_counts), 0, size
 
 
 def _check_cap(name: str, cap: int | None) -> None:
@@ -498,15 +509,13 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     """Exact minimum logical weight by enumeration in increasing weight.
 
     Supports are scanned in colexicographic order and exponent assignments
-    in lexicographic order, so the certificate is reproducible.  Each weight
-    is scanned in batches: the syndromes of weight w grow by one column from
-    a table of the weight-(w-1) syndromes, which holds
-    C(m, w-1) * (D-1)^(w-1) * r bytes (r generators rounded up to a multiple
-    of 8, D <= 128), and the zero-syndrome rows of a batch are tested
-    against the stabilizer span together.  A table above 128 MiB is not
-    kept; higher weights then grow from the last kept table by several
-    columns.  The one-letter table, 8 * m * (D-1) * r bytes, must itself fit
-    in 128 MiB, else ValueError.  Codes with more than 20 modes require an
+    in lexicographic order, so the certificate is reproducible.  Weight w
+    joins two halves: a kept table of the syndromes of weight w1 = w // 2,
+    sorted by hash, which takes C(m, w1) * (D-1)^w1 * (r + 24) bytes (r
+    generators rounded up to a multiple of 8, D <= 128), and the vectors of
+    weight w - w1, looked up in blocks.  A table above 128 MiB is not kept
+    but rebuilt in blocks for each block.  The one-letter table,
+    8 * m * (D-1) * r bytes, must itself fit in 128 MiB, else ValueError.  Codes with more than 20 modes require an
     explicit ``max_weight``; a capped search that finds nothing reports
     value None (meaning d > cap), never a guess.  A cap below 1 raises
     ValueError.
@@ -568,20 +577,16 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     basis = _require_valid(code)
     d, m = code.modulus, code.num_modes
     coords = _layout_coords(code)
-    axes = coords.shape[1]
-    anchors = [np.unique(coords[:, a]) for a in range(axes)]
+    anchors = [np.unique(column) for column in coords.T]
     diameter_bound = int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
     cap = None
     if max_diameter is not None and max_diameter < diameter_bound:
         diameter_bound = cap = max_diameter
     rows = code._comm_rows
+    seen_windows: set[frozenset] = set()  # a window met at a smaller side held no logical
     for side in range(1, diameter_bound + 1):
-        seen_windows: set[frozenset] = set()
         for corner in itertools.product(*anchors):
-            inside = np.ones(m, dtype=bool)
-            for a in range(axes):
-                inside &= (coords[:, a] >= corner[a]) & (coords[:, a] <= corner[a] + side - 1)
-            modes = np.nonzero(inside)[0]
+            modes = np.flatnonzero(((coords >= corner) & (coords < np.add(corner, side))).all(axis=1))
             if modes.size == 0:
                 continue
             key = frozenset(int(x) for x in modes)

@@ -95,33 +95,25 @@ def brute_lcon(code) -> int | None:
 
 
 def brute_qudit_distance(modulus: int, num_qudits: int, rows: np.ndarray) -> int | None:
-    """Distance of a qudit stabilizer code given (u|v) check rows, brute force.
+    """Distance of a qudit stabilizer code given (u|v) check rows, by full enumeration.
 
-    An error (u|v) commutes with a row (u', v') iff u.v' == v.u' (mod D).
+    Every error (u|v) in Z_D^(2n) is listed; it commutes with a row (u', v')
+    iff u.v' == v.u' (mod D), and it is logical iff it commutes with every
+    row and is none of the D^r combinations of the rows.  Returns the least
+    site weight of a logical error, or None when there is none.
     """
     n, nq = modulus, num_qudits
-    rows = np.asarray(rows, dtype=np.int64)
-    u_rows, v_rows = rows[:, :nq], rows[:, nq:]
-
-    def commutes_all(u, v) -> bool:
-        return not ((u_rows @ v - v_rows @ u) % n).any()
-
-    def in_span(vec) -> bool:
-        from pfstab.zmod import span_membership
-
-        return span_membership(ZModMatrix(n, rows), vec)
-
-    site_ops = [p for p in itertools.product(range(n), repeat=2) if p != (0, 0)]
-    for w in range(1, nq + 1):
-        for sites in itertools.combinations(range(nq), w):
-            for assignment in itertools.product(site_ops, repeat=w):
-                u = np.zeros(nq, dtype=np.int64)
-                v = np.zeros(nq, dtype=np.int64)
-                for site, (a, b) in zip(sites, assignment):
-                    u[site], v[site] = a, b
-                if commutes_all(u, v) and not in_span(np.concatenate([u, v])):
-                    return w
-    return None
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * nq)
+    if n ** (2 * nq) > MAX_ENUM:
+        raise ValueError(f"vector enumeration too large: {n}^{2 * nq}")
+    errors = (np.arange(n ** (2 * nq))[:, None] // n ** np.arange(2 * nq)) % n
+    u, v = errors[:, :nq], errors[:, nq:]
+    commuting = ~((u @ rows[:, nq:].T - v @ rows[:, :nq].T) % n).any(axis=1)
+    combos = (np.arange(n ** len(rows))[:, None] // n ** np.arange(len(rows))) % n
+    place = n ** np.arange(2 * nq)
+    logical = commuting & ~np.isin(errors @ place, ((combos @ rows) % n) @ place)
+    weights = ((u != 0) | (v != 0)).sum(axis=1)
+    return int(weights[logical].min()) if logical.any() else None
 
 
 def reference_distance(code, cap=None) -> tuple[int | None, str | None]:

@@ -1,10 +1,12 @@
 import hashlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pfstab.code
 from pfstab.algebra import PfOperator
 from pfstab.builders import (
     QuditCheckMatrix,
@@ -100,13 +102,16 @@ def test_five_qudit_code_is_valid_and_distance_three():
     assert q.distance() == brute_qudit_distance(3, 5, np.array([list(r) for r in q.rows]))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    modulus=st.sampled_from([2, 3, 4]),
+    modulus=st.sampled_from([2, 3, 4, 5]),
     num_qudits=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
+    # With no kept table both halves of every weight are built in blocks.
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+    block_rows=st.sampled_from([pfstab.code._BLOCK_ROWS, 1]),
 )
-def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed):
+def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed, table_bytes, block_rows):
     rng = np.random.default_rng(seed)
     rows: list[np.ndarray] = []
     for _ in range(60):
@@ -117,9 +122,10 @@ def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed):
             rows.append(row)
     q = QuditCheckMatrix(modulus, num_qudits, tuple(tuple(r) for r in rows))
     want = brute_qudit_distance(modulus, num_qudits, np.array(rows).reshape(len(rows), -1))
-    assert q.distance() == want
-    if want is not None and want > 1:
-        assert q.distance(max_weight=want - 1) is None
+    with patch.object(pfstab.code, "_TABLE_BYTES", table_bytes), patch.object(pfstab.code, "_BLOCK_ROWS", block_rows):
+        assert q.distance() == want
+        if want is not None and want > 1:
+            assert q.distance(max_weight=want - 1) is None
 
 
 def test_qudit_distance_bounds_its_letter_table():

@@ -203,6 +203,22 @@ def test_search_budget_certificate_is_independent_of_threads(capsys, tmp_path):
     assert certs[0]["tuples_examined"] == 101 and certs[0]["budget_exceeded"]
 
 
+def test_threads_default_reads_the_environment_on_each_call(capsys, tmp_path, monkeypatch):
+    # The parser is built once per process; PFSTAB_THREADS is still read per call.
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({
+        "D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "max_hits": 0, "max_tuples": 100,
+    }))
+    out_file = tmp_path / "cert.json"
+    for value, threads in (("2", 2), (None, 1), ("3", 3)):
+        if value is None:
+            monkeypatch.delenv("PFSTAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PFSTAB_THREADS", value)
+        assert run(capsys, "search", spec_file, "--canonical", "--out", out_file)[0] == 3
+        assert json.loads(out_file.read_text())["threads"] == threads
+
+
 def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(canonical_json({"D": 3, "num_modes": 16, "target_k": 1, "target_d": 3}))

@@ -227,6 +227,28 @@ def test_distance_matches_per_support_reference(modulus, modes, spare, dense, se
             assert got == reference_distance(code, cap), cap
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4, 5, 6]),
+    modes=st.sampled_from([4, 6, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+)
+def test_distance_certificates_survive_one_hash_bucket(modulus, modes, seed, table_bytes):
+    # Every syndrome hashes alike, so only the whole-row comparison tells matches apart.
+    try:
+        code = _random_code(modulus, modes, max(1, modes // 2 - 1), True, seed)
+    except PhaseAssignmentError:
+        assume(False)
+    assume(span_order(centralizer_basis(code)) != group_order(code))  # k > 0
+    def one_bucket(rows):
+        return np.zeros(len(rows), dtype=np.uint64)
+
+    with patch.object(pfstab.code, "_row_hashes", one_bucket), patch.object(pfstab.code, "_TABLE_BYTES", table_bytes):
+        res = distance(code)
+    assert (res.value, str(res.certificate)) == reference_distance(code)
+
+
 def test_distance_requires_logicals():
     # A 2-mode code whose stabilizer exhausts the parity-zero centralizer.
     code = canonical_phases(PfCode(2, 2, (op(2, (1, 1)),)))
@@ -485,6 +507,20 @@ def test_building_a_corpus_code_forms_s_and_i_once_per_row_set(monkeypatch, name
     code = build()
     assert validate(code).all_ok
     assert sorted(f for f in formed if f in row_sets) == sorted(row_sets)
+
+
+def test_toric_distance_exceeds_four_at_cap_four():
+    res = distance(build_toric(ToricSpec(2, 1, 3, 3)).code, max_weight=4)
+    assert (res.value, res.cap, res.certificate) == (None, 4, None)
+
+
+@pytest.mark.slow
+def test_toric_distance_is_six_at_cap_six():
+    # The non-contractible loops weigh 6, so d <= 6; the scan rules out 1 .. 5.
+    code = build_toric(ToricSpec(2, 1, 3, 3)).code
+    res = distance(code, max_weight=6)
+    assert (res.value, str(res.certificate)) == (6, "g1 g2 g5 g6 g9 g10")
+    assert res.certificate.weight() == 6 and is_logical(code, res.certificate)
 
 
 def test_analyze_invalid_code_reports_flags_only():
