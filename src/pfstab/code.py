@@ -30,11 +30,13 @@ A code is immutable, so its validity and the Howell basis of S are computed
 once per code object, on first use, from one Howell form of [S | I]: the
 rows with a pivot among S's columns, cut to those columns, are the Howell
 basis of S, and the other rows give the kernel relations of the phase
-check.  These forms do not depend on mu, so the code that
+check.  The Howell basis of the centralizer, the kernel of x -> S L x, is
+kept too, once computed; ``centralizer_basis``, ``logical_basis`` and
+``l_con`` share it.  None of these forms depends on mu, so the code that
 :func:`canonical_phases` returns keeps its input's.  Every parameter (|S|,
 k, d, l_con, the logicals) is defined only for a valid code, so each public
 function raises :class:`InvalidCodeError` on an invalid one and otherwise
-reads the kept basis.
+reads the kept bases.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .zmod import (
     _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
     _reduce_against,
     _solve_front,
+    _xgcd,
     kernel_basis,
 )
 
@@ -98,8 +101,8 @@ class PhaseAssignmentError(ValueError):
 class PfCode:
     """A stabilizer group in PF(D, 2n), given by its generating set.
 
-    Immutable: its validity and stabilizer basis are computed on first use
-    and kept.
+    Immutable: its validity, stabilizer basis and centralizer basis are
+    computed on first use and kept.
 
     ``mode_layout`` optionally maps 1-indexed modes to integer lattice
     coordinates; when absent, modes sit on the 1-D chain i -> (i,).
@@ -139,14 +142,16 @@ class PfCode:
 
     def _with_phases(self, mu) -> "PfCode":
         """This code with phases ``mu``, keeping the rows S, the Howell forms of
-        [S | I] and, once computed, S L mod D (none of them depends on mu)."""
+        [S | I] and, once computed, S L mod D and the centralizer basis (none
+        of them depends on mu)."""
         code = self.with_generators(
             PfOperator(self.modulus, self.num_modes, int(m), g.alpha) for m, g in zip(mu, self.generators)
         )
         code.__dict__["_rows"] = self._rows
         code.__dict__["_row_forms"] = self._row_forms
-        if "_comm_rows" in self.__dict__:
-            code.__dict__["_comm_rows"] = self._comm_rows
+        for kept in ("_comm_rows", "_centralizer"):
+            if kept in self.__dict__:
+                code.__dict__[kept] = self.__dict__[kept]
         return code
 
     @cached_property
@@ -160,6 +165,13 @@ class PfCode:
     def _comm_rows(self) -> np.ndarray:
         """S L mod D, read-only: the syndrome of x is (S L) x."""
         rows = (self._rows @ lambda_matrix(self.modulus, self.num_modes).array) % self.modulus
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _centralizer(self) -> np.ndarray:
+        """Howell basis of the centralizer {x : (S L) x == 0 (mod D)}, read-only rows."""
+        rows = kernel_basis(ZModMatrix(self.modulus, self._comm_rows.T)).array
         rows.flags.writeable = False
         return rows
 
@@ -307,9 +319,12 @@ def codespace_dim(code: PfCode) -> int:
 
 
 def centralizer_basis(code: PfCode) -> ZModMatrix:
-    """Howell basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer."""
+    """Howell basis of {x : S L x^T == 0 (mod D)}, the exponent space of the centralizer.
+
+    The code keeps this basis, so its array is read-only.
+    """
     _require_valid(code)
-    return kernel_basis(ZModMatrix(code.modulus, code._comm_rows.T))
+    return ZModMatrix(code.modulus, code._centralizer)
 
 
 def syndrome(code: PfCode, error: PfOperator) -> tuple[int, ...]:
@@ -337,15 +352,14 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
     lexicographically smallest element of its stabilizer coset; zero cosets
     drop out.  The images generate the quotient.
     """
-    basis = _require_valid(code)
-    seen = set()
-    out = []
-    for rep in _coset_minima(basis, centralizer_basis(code).array, code.modulus):
-        key = tuple(rep.tolist())
-        if any(key) and key not in seen:
-            seen.add(key)
-            out.append(PfOperator(code.modulus, code.num_modes, 0, key))
-    return out
+    return [PfOperator(code.modulus, code.num_modes, 0, tuple(row.tolist())) for row in _logical_rows(code)]
+
+
+def _logical_rows(code: PfCode) -> np.ndarray:
+    """The exponent rows of :func:`logical_basis`, in its order."""
+    reps = _coset_minima(_require_valid(code), code._centralizer, code.modulus)
+    distinct = dict.fromkeys(tuple(rep) for rep in reps.tolist() if any(rep))
+    return np.array(list(distinct), dtype=np.int64).reshape(len(distinct), code.num_modes)
 
 
 # -- minimum-weight enumeration ------------------------------------------------
@@ -563,46 +577,155 @@ def _layout_coords(code: PfCode) -> np.ndarray:
     return np.array([code.mode_layout[m] for m in range(1, code.num_modes + 1)], dtype=np.int64)
 
 
+# Bytes of window rows one batched elimination takes: the windows are
+# decided in chunks of corners of this size, one corner at least.
+_WINDOW_BYTES = 1 << 22
+
+
+@lru_cache(maxsize=4096)
+def _pivot_scale(value: int, n: int) -> int:
+    """Some s with s * value == gcd(value, n) (mod n)."""
+    return _xgcd(value, n)[1] % n
+
+
+def _first_window(block: np.ndarray, spanned: int, sides: np.ndarray, n: int, best: tuple[int, int], offset: int):
+    """The least (side, corner) that ``best`` or a corner of ``block`` reaches.
+
+    ``block[:, b]`` holds the rows of corner ``offset + b``, entries in
+    [0, n), on the modes of its largest window in the order in which they
+    join the window as the side grows (column j joins at side
+    ``sides[b, j]``).  The window of side s is cut from the first columns,
+    and it holds a logical iff some carried row ``block[spanned:, b]`` cut
+    there lies outside the span of the spanning rows ``block[:spanned, b]``
+    cut alike.  The block is overwritten.
+
+    One elimination over Z_n runs over all corners at once, a column at a
+    time.  The pivot is the spanning row whose entry has the smallest gcd g
+    with n.  Where g does not divide every spanning entry of the column (as
+    2 and 3 do not mod 6), the pivot is combined with each such row by the
+    extended gcd, as ``_echelon_insert`` does, which keeps the span and
+    lowers g until it does.  A carried entry that g does not divide marks
+    the corner's window at that column's side.  Every other nonzero entry is
+    then reduced to zero with a multiple of the pivot, and the pivot row is
+    replaced by (n / g) * pivot, the multiples of it that are zero there.
+    So the spanning rows always span the part of the original span that is
+    zero on the columns done, and a carried row, reduced alike, lies in the
+    span of a window's columns iff it meets no such entry there.  A corner
+    is dropped once it cannot beat the best (side, corner) found.
+
+    Entries are reduced mod n only where they are read: a column when it is
+    reached, the pivot row before it is used.  An update changes an entry by
+    less than n^2, so the block's dtype must hold (w + 1) n^2 for w columns.
+    """
+    live = np.arange(block.shape[1])
+    for j in range(block.shape[2]):
+        side = sides[live, j]
+        keep = (side < best[0]) | ((side == best[0]) & (live + offset < best[1]))
+        if not keep.all():
+            block, live = block[:, keep], live[keep]
+            if not live.size:
+                break
+        at = np.arange(len(live))
+        block[:, :, j] %= n
+        col = block[:, :, j]  # a view: it follows the row updates below
+        gcds = np.gcd(col[:spanned], n)
+        piv = gcds.argmin(axis=0)
+        g = gcds[piv, at]
+        if (np.gcd.reduce(gcds, axis=0) != g).any():
+            for b in np.flatnonzero((gcds % g).any(axis=0)):
+                p = piv[b]
+                for i in np.flatnonzero(col[:spanned, b]):
+                    a, c = int(col[p, b]), int(col[i, b])
+                    if c % gcd(a, n):
+                        h, s, t = _xgcd(a, c)
+                        one, other = block[p, b] % n, block[i, b] % n
+                        block[p, b], block[i, b] = (s * one + t * other) % n, ((a // h) * other - (c // h) * one) % n
+                g[b] = gcd(int(col[p, b]), n)
+        marked = np.flatnonzero((col[spanned:] % g).any(axis=0))
+        if marked.size:
+            best = min(best, *zip(sides[live[marked], j].tolist(), (live[marked] + offset).tolist()))
+        scale = np.array([_pivot_scale(v, n) for v in col[piv, at].tolist()], dtype=block.dtype)
+        i, b = np.nonzero(col)
+        times = scale[b] * (col[i, b] // g[b]) % n
+        pivot = block[piv, at, j:] % n
+        block[i, b, j:] -= times[:, None] * pivot[b]
+        block[piv, at, j:] = (n // g)[:, None] * pivot % n
+    return best
+
+
+def _window_logical(code: PfCode, basis: dict[int, np.ndarray], modes: np.ndarray) -> PfOperator | None:
+    """First Howell kernel row of window ``modes``'s parity-zero centralizer
+    outside the stabilizer span, or None."""
+    d, m = code.modulus, code.num_modes
+    constraint = np.vstack([code._comm_rows[:, modes], np.ones((1, modes.size), dtype=np.int64)])
+    for row in kernel_basis(ZModMatrix(d, constraint.T % d)).array:
+        vec = np.zeros(m, dtype=np.int64)
+        vec[modes] = row
+        reduced = _reduce_against(basis, vec, d)
+        if reduced is None or reduced.any():
+            return PfOperator(d, m, 0, tuple(int(x) for x in vec))
+    return None
+
+
 def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     """Minimum layout diameter of a parity-preserving logical operator.
 
-    Scans axis-aligned windows of growing side length; within each window
-    the parity-zero centralizer elements supported there form a kernel over
-    Z_D, and the window admits a logical iff some kernel basis row falls
-    outside the stabilizer span.  A ``max_diameter`` below the layout's
-    full diameter makes the result a bound (see :class:`LconResult`); a cap
+    Scans axis-aligned windows by side length, then corner in lexicographic
+    order, for the first that holds a parity-preserving logical.  A window W
+    holds one iff its kernel K_W = {x on W : (S L) x = 0, 1 . x = 0} leaves
+    the stabilizer span.  The stabilizer span is the set of x with
+    l L x = 0 for every logical row l (it is the centralizer's annihilator
+    under L), and over Z_D the vectors on W that annihilate K_W are exactly
+    the row span of [S L; 1] cut to W (a double annihilator).  So W holds
+    one iff some (l L)|_W lies outside that span: a yes-or-no that needs no
+    kernel.  The windows of one corner grow with the side, so one batched
+    elimination over all corners, with each corner's modes in the order
+    they join its window, decides every side at once (see
+    :func:`_first_window`).  Only the first window that holds a logical
+    gets a Howell kernel: its first kernel row outside the stabilizer span
+    is the certificate.  A ``max_diameter`` below the layout's full
+    diameter makes the result a bound (see :class:`LconResult`); a cap
     below 1 raises ValueError.
     """
     _check_cap("max_diameter", max_diameter)
     basis = _require_valid(code)
     d, m = code.modulus, code.num_modes
     coords = _layout_coords(code)
-    anchors = [np.unique(column) for column in coords.T]
     diameter_bound = int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
     cap = None
     if max_diameter is not None and max_diameter < diameter_bound:
         diameter_bound = cap = max_diameter
-    rows = code._comm_rows
-    seen_windows: set[frozenset] = set()  # a window met at a smaller side held no logical
-    for side in range(1, diameter_bound + 1):
-        for corner in itertools.product(*anchors):
-            modes = np.flatnonzero(((coords >= corner) & (coords < np.add(corner, side))).all(axis=1))
-            if modes.size == 0:
-                continue
-            key = frozenset(int(x) for x in modes)
-            if key in seen_windows:
-                continue
-            seen_windows.add(key)
-            constraint = np.vstack([rows[:, modes], np.ones((1, modes.size), dtype=np.int64)])
-            kern = kernel_basis(ZModMatrix(d, constraint.T % d))
-            for row in kern.array:
-                vec = np.zeros(m, dtype=np.int64)
-                vec[modes] = row
-                reduced = _reduce_against(basis, vec, d)
-                if reduced is None or reduced.any():
-                    op = PfOperator(d, m, 0, tuple(int(x) for x in vec))
-                    return LconResult(support_diameter(op, code.mode_layout), op, cap)
-    return LconResult(None, None, cap)
+    logicals = (_logical_rows(code) @ lambda_matrix(d, m).array) % d
+    if not len(logicals):
+        return LconResult(None, None, cap)
+    corners = np.array(list(itertools.product(*(np.unique(column) for column in coords.T))), dtype=np.int64)
+    # joins[c, mode]: the least side whose window at corner c holds the mode
+    # (diameter_bound + 1 when none up to the bound does).
+    offsets = coords - corners[:, None]
+    joins = np.where((offsets >= 0).all(axis=2), np.minimum(offsets.max(axis=2) + 1, diameter_bound + 1),
+                     diameter_bound + 1)
+    order = np.argsort(joins, axis=1, kind="stable")
+    width = int((joins <= diameter_bound).sum(axis=1).max())
+    sides = np.take_along_axis(joins, order, axis=1)[:, :width]
+    columns = np.where(sides <= diameter_bound, order[:, :width], m)
+    # Rows [S L; 1; l L] over the modes, and a zero column m for padding, in
+    # the smallest integer type that holds the elimination's entries, whose
+    # size stays below (width + 1) D^2.
+    spanned = len(code.generators) + 1
+    dtype = np.min_scalar_type(-(width + 1) * d * d)
+    table = np.zeros((spanned + len(logicals), m + 1), dtype=dtype)
+    table[: spanned - 1, :m], table[spanned - 1, :m], table[spanned:, :m] = code._comm_rows, 1, logicals
+    best = (diameter_bound + 1, len(corners))
+    step = max(1, _WINDOW_BYTES // (dtype.itemsize * len(table) * width))
+    for start in range(0, len(corners), step):
+        best = _first_window(table[:, columns[start : start + step]], spanned, sides[start : start + step], d, best, start)
+    side, corner = best
+    if side > diameter_bound:
+        return LconResult(None, None, cap)
+    op = _window_logical(code, basis, np.flatnonzero(joins[corner] <= side))
+    if op is None:
+        raise AssertionError("the window test and the window kernel disagree")
+    return LconResult(support_diameter(op, code.mode_layout), op, cap)
 
 
 def canonical_phases(code: PfCode) -> PfCode:

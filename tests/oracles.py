@@ -144,6 +144,51 @@ def reference_distance(code, cap=None) -> tuple[int | None, str | None]:
     return None, None
 
 
+def reference_lcon(code, max_diameter=None) -> tuple[int | None, str | None, int | None]:
+    """(value, certificate string, cap) of ``l_con``, one window kernel at a time.
+
+    Windows are scanned by side length, then corner in lexicographic order;
+    each window's parity-zero centralizer gets a Howell kernel basis, and
+    the first kernel row outside the stabilizer span is the certificate.  A
+    window met before held no logical and is skipped.  (This is the scan
+    ``l_con`` ran before it decided windows by a batched span test.)
+    """
+    from pfstab.algebra import PfOperator
+    from pfstab.code import _check_cap, _layout_coords, _require_valid, support_diameter
+    from pfstab.zmod import _reduce_against, kernel_basis
+
+    _check_cap("max_diameter", max_diameter)
+    basis = _require_valid(code)
+    d, m = code.modulus, code.num_modes
+    coords = _layout_coords(code)
+    anchors = [np.unique(column) for column in coords.T]
+    diameter_bound = int((coords.max(axis=0) - coords.min(axis=0)).max()) + 1
+    cap = None
+    if max_diameter is not None and max_diameter < diameter_bound:
+        diameter_bound = cap = max_diameter
+    rows = code._comm_rows
+    seen_windows: set[frozenset] = set()  # a window met at a smaller side held no logical
+    for side in range(1, diameter_bound + 1):
+        for corner in itertools.product(*anchors):
+            modes = np.flatnonzero(((coords >= corner) & (coords < np.add(corner, side))).all(axis=1))
+            if modes.size == 0:
+                continue
+            key = frozenset(int(x) for x in modes)
+            if key in seen_windows:
+                continue
+            seen_windows.add(key)
+            constraint = np.vstack([rows[:, modes], np.ones((1, modes.size), dtype=np.int64)])
+            kern = kernel_basis(ZModMatrix(d, constraint.T % d))
+            for row in kern.array:
+                vec = np.zeros(m, dtype=np.int64)
+                vec[modes] = row
+                reduced = _reduce_against(basis, vec, d)
+                if reduced is None or reduced.any():
+                    op = PfOperator(d, m, 0, tuple(int(x) for x in vec))
+                    return support_diameter(op, code.mode_layout), str(op), cap
+    return None, None, cap
+
+
 def _repeated_product(op, times: int):
     """op multiplied out ``times`` times, one group product at a time."""
     from pfstab.algebra import PfOperator

@@ -94,6 +94,45 @@ def test_params_capped_lcon_reads_as_bound(capsys):
     assert json.loads(out)["l_con"] == {"value": None, "cap": 2, "certificate": None}
 
 
+# sha256 of ``pfstab params --json`` on every parafermion code file under
+# codes/, uncapped and at --max-weight 4 --max-diameter 8 (the qudit file is
+# no ``params`` input).  The output is canonical: making distance or l_con
+# faster must leave these bytes alone.
+PARAMS_JSON_SHA256 = {
+    ("chain_d2_n2", False): "94e537718e4fc9e779be1b7d99370c0270a1df10bbc5c28324ed6cfad4c1ca05",
+    ("chain_d2_n2", True): "94e537718e4fc9e779be1b7d99370c0270a1df10bbc5c28324ed6cfad4c1ca05",
+    ("chain_d3_n4", False): "a74be7c966a76b56f9dc48185a283880e0ce7af630fab2926693843da1f4c66c",
+    ("chain_d3_n4", True): "424f3f36e02e114be8493c0c306397720ceb99670af31ed6bec17b94bfe2cdef",
+    ("chain_d5_n3", False): "c8e19628b75e1a8c84d3ee169f070e5f18392ec532a3b5c07aa1933ebed87880",
+    ("chain_d5_n3", True): "3be6acf771fd445321a49acd701d7fbb1229634bd8959eb7a331c347babd41db",
+    ("embedded_5_1_3_d3", False): "37df6cbc3f413309d73d4098f2c1f67e853ba638c9f583e86d8aa471ccebb423",
+    ("embedded_5_1_3_d3", True): "4155ae9d7594d2985c26e4e432154644adba4cbb0e1b8ff129d00c358c47c93a",
+    ("pf_6_1_3_d7", False): "84ed91a9a80fa3ec169b1b837dae9bed8cfc3c463589c30d54accb8f0b8da51b",
+    ("pf_6_1_3_d7", True): "4835537e393de90fec9755b657a7046d00377e6c3c7c9e34679294cde0dc87d6",
+    ("pf_8_1_3_d3", False): "0b604b2dc05b114d378aca24e9488f60609af8b71f5aff11deba7e8b6f3285f0",
+    ("pf_8_1_3_d3", True): "e700eeb8359993ebfbfa77b76292219779ab64646156845f397fd5dacb83ce37",
+    ("pf_d6_doubled", False): "aaff770a0da79ca5cf4dfcfef43cfe5023c5fd38339531b081175a5108e20a03",
+    ("pf_d6_doubled", True): "a332f326a043e907b7c3873ae56755e37fd7a9675b70a571ae913768c4186730",
+    ("toric_p2_l1_a2_b2", False): "d423ceb8837d3421d0f3fe9e6645456d1617bb82064754d6b4a4b4e3d8c9855f",
+    ("toric_p2_l1_a2_b2", True): "bfb30724ffc26cdf02057039804bd75189cfa3f0a0903dce588f4c480299d6c9",
+    ("toric_p2_l1_a2_b3", False): "3d8e002fc4a3213301ed0ee85374f9630ec6f63a7fda613f9a956dec439809ee",
+    ("toric_p2_l1_a2_b3", True): "d92ce84a4d957de26ce0a1870d520b2bc515125e777d78ffac82aceb50250df5",
+}
+
+
+@pytest.mark.parametrize("name, capped", sorted(PARAMS_JSON_SHA256))
+def test_params_json_is_pinned(capsys, name, capped):
+    caps = ["--max-weight", "4", "--max-diameter", "8"] if capped else []
+    status, out, _ = run(capsys, "params", "--json", REPO_CODES / f"{name}.json", *caps)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PARAMS_JSON_SHA256[name, capped]
+
+
+def test_pinned_params_cover_every_code_file():
+    files = {p.stem for p in REPO_CODES.glob("*.json") if "generators" in json.loads(p.read_text())}
+    assert {name for name, _ in PARAMS_JSON_SHA256} == files
+
+
 def test_syndrome_command(capsys):
     status, out, _ = run(capsys, "syndrome", REPO_CODES / "pf_8_1_3_d3.json", "--error", "g3")
     assert status == 0

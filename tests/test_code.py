@@ -1,10 +1,11 @@
 import hashlib
 import pickle
+import time
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pfstab.code
@@ -38,14 +39,16 @@ from pfstab.code import (
     validate,
 )
 from pfstab.repro import corpus
-from pfstab.search import canonical_equivalence_key
+from pfstab.search import SearchSpec, canonical_equivalence_key, find_codes
 from pfstab.zmod import ZModMatrix, _howell_basis, howell_form, kernel_basis, span_order
 
 from oracles import (
     brute_distance,
     brute_lcon,
+    enumerate_span,
     reference_canonical_phases,
     reference_distance,
+    reference_lcon,
     reference_validate,
 )
 
@@ -291,6 +294,135 @@ def test_lcon_none_when_no_logical_exists():
     res = l_con(code)
     assert res.value is None and res.certificate is None
     assert res.cap is None
+
+
+def _remix(code: PfCode, seed: int, planar: bool = False) -> PfCode:
+    """The code with its rows replaced by a random unitriangular mix of them
+    (the same span), phases solved again; ``planar`` puts the modes at random
+    points of a 3 x 3 grid, several modes on a point allowed."""
+    rng = np.random.default_rng(seed)
+    d, r = code.modulus, len(code.generators)
+    mix = np.triu(rng.integers(0, d, size=(r, r)), 1) + np.eye(r, dtype=np.int64)
+    rows = (mix @ code._rows) % d
+    layout = code.mode_layout
+    if planar:
+        layout = {mode: tuple(int(x) for x in rng.integers(0, 3, size=2)) for mode in range(1, code.num_modes + 1)}
+    return canonical_phases(PfCode(d, code.num_modes, tuple(op(d, row) for row in rows), layout))
+
+
+_LCON_MODULI = (2, 3, 4, 5, 6, 8, 9, 12)
+
+
+@pytest.fixture(scope="module")
+def search_hits():
+    """A few hits of a k = 1, d = 2 search on 4 and on 6 modes for each modulus."""
+    return {
+        d: [hit for modes, gens in ((4, 1), (6, 2))
+            for hit in find_codes(SearchSpec(d, modes, 1, 2, generator_count=gens, max_hits=3), threads=1)[0]]
+        for d in _LCON_MODULI
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=st.sampled_from(["chain", "hit", "random", "toric"]),
+    modulus=st.sampled_from(_LCON_MODULI),
+    pick=st.integers(0, 5),
+    planar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.sampled_from([None, 1, 2, 3]),
+    window_bytes=st.sampled_from([pfstab.code._WINDOW_BYTES, 0]),  # 0: one corner per batch
+)
+# Found by mutation checks: a column whose entries' gcds with 12 do not nest,
+# so the pivot needs the extended-gcd combination; a zero column, whose pivot
+# row must stay; two corners marked at one column, the later with the smaller
+# side.
+@example(source="random", modulus=12, pick=1, planar=False, seed=0, cap=None, window_bytes=1 << 22)
+@example(source="random", modulus=2, pick=2, planar=True, seed=1618, cap=None, window_bytes=1 << 22)
+@example(source="hit", modulus=2, pick=0, planar=True, seed=1, cap=None, window_bytes=1 << 22)
+def test_lcon_matches_per_window_reference(search_hits, source, modulus, pick, planar, seed, cap, window_bytes):
+    if source == "chain":
+        code = build_clock_chain(modulus, 2 + pick % 3)
+    elif source == "hit":
+        hits = search_hits[modulus]
+        code = hits[pick % len(hits)]
+    elif source == "random":
+        try:
+            code = _random_code(modulus, (4, 6, 8)[pick % 3], 1 + pick % 3, pick % 2 == 0, seed)
+        except PhaseAssignmentError:
+            assume(False)
+    else:
+        code = build_toric(ToricSpec(2, 1, 2, 2)).code
+        planar = False
+    code = _remix(code, seed, planar)
+    with patch.object(pfstab.code, "_WINDOW_BYTES", window_bytes):
+        res = l_con(code, max_diameter=cap)
+    assert (res.value, str(res.certificate) if res.certificate else None, res.cap) == reference_lcon(code, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.sampled_from([4, 6, 8, 9, 10, 12]),
+    corners=st.integers(1, 3),
+    spanning=st.integers(1, 3),
+    carried=st.integers(1, 2),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_elimination_matches_span_enumeration(modulus, corners, spanning, carried, width, seed):
+    # Column j joins at side j + 1; a corner's window of side s is its first s columns.
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, modulus, size=(corners, spanning + carried, width))
+    sides = np.tile(np.arange(1, width + 1), (corners, 1))
+    want = (width + 1, corners)
+    for side in range(1, width + 1):
+        for b in range(corners):
+            span = enumerate_span(ZModMatrix(modulus, block[b, :spanning, :side]))
+            if any(tuple(row.tolist()) not in span for row in block[b, spanning:, :side]):
+                want = min(want, (side, b))
+    got = pfstab.code._first_window(block.transpose(1, 0, 2).copy(), spanning, sides, modulus, (width + 1, corners), 0)
+    assert got == want
+
+
+@pytest.mark.parametrize("modulus", [10**6, 30030])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lcon_matches_reference_at_large_moduli(modulus, seed):
+    # Remixed rows carry residues whose gcds with 30030 = 2*3*5*7*11*13 do not nest.
+    code = _remix(build_clock_chain(modulus, 4), seed, planar=seed == 2)
+    start = time.perf_counter()
+    res = l_con(code)
+    assert time.perf_counter() - start < 1.0
+    assert (res.value, str(res.certificate), res.cap) == reference_lcon(code)
+
+
+def test_kept_centralizer_is_read_only_and_survives_rephasing():
+    code = build_clock_chain(3, 4)
+    cent = centralizer_basis(code).array
+    assert not cent.flags.writeable and centralizer_basis(code).array is cent
+    with pytest.raises(ValueError):
+        cent[0, 0] = 1
+    fixed = canonical_phases(code.with_generators(PfOperator(3, 8, 1, g.alpha) for g in code.generators))
+    # canonical_phases hands the kept forms on when the rows are unchanged.
+    assert canonical_phases(code)._centralizer is cent
+    assert np.array_equal(centralizer_basis(fixed).array, cent)
+
+
+def test_analyze_computes_one_centralizer_kernel(monkeypatch):
+    code = build_toric(ToricSpec(2, 1, 2, 2)).code
+    kernel, shapes = pfstab.code.kernel_basis, []
+
+    def counted(matrix):
+        shapes.append((matrix.num_rows, matrix.num_cols))
+        return kernel(matrix)
+
+    monkeypatch.setattr(pfstab.code, "kernel_basis", counted)
+    report = analyze(code, max_weight=4, max_diameter=8)
+    assert report.lcon.value == 3 and report.logicals
+    assert logical_basis(code) == list(report.logicals) and centralizer_basis(code).num_rows
+    # One kernel of the m x r matrix (S L)^T for the centralizer; the only
+    # other kernel is that of the window l_con certifies.
+    centralizer_kernels = [s for s in shapes if s == (code.num_modes, len(code.generators))]
+    assert len(centralizer_kernels) == 1 and len(shapes) == 2
 
 
 def test_syndrome_of_single_mode_error():

@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pfstab.algebra import PfOperator, lambda_matrix
 from pfstab.builders import ToricSpec, build_clock_chain, build_toric, five_qutrit_code
+from pfstab.code import PfCode, PhaseAssignmentError, canonical_phases
 from pfstab.codefile import (
     CodeFileError,
     canonical_json,
@@ -16,6 +21,7 @@ from pfstab.codefile import (
     save_code,
     save_qudit_code,
 )
+from pfstab.zmod import ZModMatrix, kernel_basis
 
 REPO_CODES = Path(__file__).resolve().parent.parent / "codes"
 
@@ -151,3 +157,48 @@ def test_shipped_corpus_files_parse_and_match_builders():
         loaded, provenance = load_code(path)
         assert loaded == code, f"shipped {path.name} diverges from its builder"
         assert provenance is not None
+
+
+def _random_valid_code(modulus: int, modes: int, gens: int, seed: int):
+    """Commuting parity-zero generators drawn from the centralizer of the ones
+    before them, phases solved; None when the phases cannot be solved."""
+    rng = np.random.default_rng(seed)
+    lam = lambda_matrix(modulus, modes).array
+    rows = []
+    for _ in range(gens):
+        constraints = np.array([np.ones(modes, dtype=np.int64)] + [(row @ lam) % modulus for row in rows])
+        allowed = kernel_basis(ZModMatrix(modulus, constraints.T % modulus)).array
+        row = (rng.integers(0, modulus, size=len(allowed)) @ allowed) % modulus
+        if row.any():
+            rows.append(row)
+    ops = tuple(PfOperator(modulus, modes, 0, tuple(int(x) for x in row)) for row in rows)
+    try:
+        return canonical_phases(PfCode(modulus, modes, ops))
+    except PhaseAssignmentError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    modes=st.sampled_from([2, 4, 6, 8]),
+    gens=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from([None, 1, 2]),
+    provenance=st.sampled_from([None, {"builder": "random", "parameters": {"seed": 7}}]),
+)
+def test_code_files_round_trip(tmp_path_factory, modulus, modes, gens, seed, dims, provenance):
+    code = _random_valid_code(modulus, modes, gens, seed)
+    assume(code is not None)
+    if dims is not None:
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-3, 4, size=(modes, dims))
+        code = PfCode(code.modulus, code.num_modes, code.generators,
+                      {mode: tuple(int(x) for x in points[mode - 1]) for mode in range(1, modes + 1)})
+    path = tmp_path_factory.mktemp("round_trip") / "code.json"
+    save_code(path, code, provenance)
+    loaded, loaded_provenance = load_code(path)
+    assert loaded == code and loaded.mode_layout == code.mode_layout
+    assert loaded_provenance == provenance
+    assert [g.mu for g in loaded.generators] == [g.mu for g in code.generators]
+    assert canonical_json(code_to_payload(loaded, loaded_provenance)) == path.read_text()
