@@ -4,7 +4,8 @@ Output is canonical (sorted keys, no timestamps), so rerunning this script
 on an unchanged library must leave the directory byte-identical.  Each
 shipped search spec ``search_*.json`` comes with ``search_*.cert.json``, the
 certificate ``pfstab --threads 1 search <spec> --canonical`` writes for it,
-so a change to the search's hits or node counts shows up in codes/ too.
+so a change to the search's hits or node counts, or to the randomized
+sampling stream, shows up in codes/ too.
 """
 
 from pathlib import Path
@@ -61,6 +62,7 @@ def main() -> None:
     for name, spec in [
         ("search_d3_8modes", SearchSpec(3, 8, 1, 3, max_hits=1)),
         ("search_d3_6modes", SearchSpec(3, 6, 1, 3, max_hits=0)),
+        ("search_d3_8modes_randomized", SearchSpec(3, 8, 1, 3, mode="randomized", seed=1, samples=2000, max_hits=0)),
     ]:
         (OUT / f"{name}.json").write_text(canonical_json(spec.to_dict()))
         _, cert = find_codes(spec, threads=1)

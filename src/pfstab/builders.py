@@ -136,12 +136,15 @@ def build_clock_chain(modulus: int, n: int) -> PfCode:
 
 
 def embed_qudit_code(q: QuditCheckMatrix) -> PfCode:
-    """Map an [[n,k,d]]_D qudit code to a [[4n,k,2d]]_D parafermion code.
+    """Map an [[n,k,d]]_D qudit code to a parafermion code on 4n modes with the same k.
 
     Each qudit becomes four modes carrying a Weyl pair Z~ = g1^dag g2,
     X~ = g1^dag g3 plus the parity-fixing site stabilizer
     Q~ = g1^dag g2 g3^dag g4; each check row (u|v) maps to the exponent row
-    of X~^u Z~^v across sites, sum_i u_i X~_i + v_i Z~_i.
+    of X~^u Z~^v across sites, sum_i u_i X~_i + v_i Z~_i.  The distance is
+    not 2d in general: the five-qutrit code [[5,1,3]]_3 maps to distance 6,
+    but the D=5 check (4,1|3,2) on two qudits has distance 1 and maps to
+    distance 3.
     """
     if not q.commutes():
         raise InvalidCodeError("qudit check rows do not pairwise commute")

@@ -82,6 +82,8 @@ def code_to_payload(code: PfCode, provenance: dict | None = None) -> dict:
 
 def code_from_payload(payload: dict) -> PfCode:
     _expect(isinstance(payload, dict), "top level must be a JSON object")
+    _expect("num_qudits" not in payload or "num_modes" in payload,
+            "this file holds a qudit code (it has 'num_qudits'); `pfstab embed` turns it into a parafermion code")
     version = _expect_int(payload.get("format_version"), "format_version")
     _expect(version == FORMAT_VERSION, f"unsupported format_version {version}")
     modulus = _expect_int(payload.get("D"), "D")

@@ -31,8 +31,9 @@ failing children in one step, so node indices, the budget stop and the
 ``max_hits`` stop are those of a one-node-at-a-time walk.  A nonzero
 parity-zero vector with code c is candidate ``c // D - 1``, so span
 membership (strict growth, the prefilters) reads arrays indexed by
-candidate position.  Randomized mode draws its samples one at a time, as
-ever, and tests commutation for a chunk of them at once.
+candidate position.  Randomized mode draws a chunk of samples at once
+(``_floyd_draw``, r raw PCG64 words per sample, in order) and tests their
+commutation together.
 
 With ``--threads N`` the first-generator range is cut into blocks run on
 N processes and replayed in serial order as they finish; once the replay
@@ -73,8 +74,10 @@ __all__ = [
 
 MAX_CANDIDATES = 400_000
 DEFAULT_TUPLE_BUDGET = 200_000_000
-# Randomized mode tests commutation for this many samples at once.
+# Randomized mode draws and tests commutation for this many samples at once.
 _SAMPLE_CHUNK = 256
+# Recorded in every randomized certificate: names the sampling stream, which is not a setting.
+SAMPLER = "floyd-pcg64-raw-v1"
 # ``--threads N`` cuts the first-generator range into this many blocks per process.
 _BLOCKS_PER_THREAD = 4
 
@@ -155,6 +158,8 @@ class SearchSpec:
             "target_k": data["target_k"],
             "target_d": data["target_d"],
         }
+        if "sampler" in data:
+            raise ValueError("'sampler' is recorded in randomized certificates; it is not a search setting")
         for key in ("mode", "seed", "samples", "generator_count", "symmetry_reduction", "max_hits", "max_tuples"):
             if key in data:
                 known[key] = data[key]
@@ -188,6 +193,8 @@ class SearchCertificate:
             "budget_exceeded": self.budget_exceeded,
             "threads": self.threads,
         }
+        if self.spec["mode"] == "randomized":
+            payload["sampler"] = SAMPLER
         payload["signature"] = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
@@ -556,10 +563,32 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
     return _finish(cert, found.items(), start_time)
 
 
+def _floyd_draw(bits: np.random.PCG64, count: int, r: int, size: int) -> np.ndarray:
+    """``size`` uniform r-subsets of range(count), one sorted row each, by Floyd's algorithm.
+
+    Each sample takes the next r raw 64-bit words of ``bits``, in order,
+    so drawing a + b samples equals drawing a and then b.  Position t of a
+    row has bound j + 1 with j = count - r + t: it draws x = word mod
+    (j + 1), and takes j instead when x is among the row's first t picks.
+    The modulo makes x uniform up to a bias below (j + 1) / 2^64, under
+    2^-45 for the at most ``MAX_CANDIDATES`` candidates.  The stream
+    depends only on PCG64's raw output, which numpy keeps stable, not on
+    ``Generator`` methods, which it may change between versions.
+    """
+    words = bits.random_raw(size * r).reshape(size, r)
+    picks = np.empty((size, r), dtype=np.int64)
+    for t in range(r):
+        j = count - r + t
+        x = (words[:, t] % np.uint64(j + 1)).astype(np.int64)
+        picks[:, t] = np.where((picks[:, :t] == x[:, None]).any(axis=1), j, x)
+    picks.sort(axis=1)
+    return picks
+
+
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
     start_time = time.monotonic()
     engine = _Engine(spec)
-    rng = np.random.default_rng(spec.seed)
+    bits = np.random.PCG64(spec.seed)
     cert = SearchCertificate(
         spec=spec.to_dict(),
         candidate_count=engine.count,
@@ -567,8 +596,7 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     )
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
-        # One draw per sample, in order, so the chunking leaves the stream unchanged.
-        idx = np.sort([rng.choice(engine.count, spec.generator_count, replace=False) for _ in range(size)], axis=1)
+        idx = _floyd_draw(bits, engine.count, spec.generator_count, size)
         pairs = np.einsum("sim,sjm->sij", engine.pairing[idx], engine.cand[idx]) % spec.modulus
         for s in np.flatnonzero(~pairs.any(axis=(1, 2))).tolist():
             chosen = idx[s].tolist()

@@ -394,12 +394,27 @@ def _reference_engine_class():
     return ReferenceEngine
 
 
+def reference_floyd_sample(bits, count: int, r: int) -> list[int]:
+    """One sorted r-subset of range(count) by Floyd's algorithm, in Python ints.
+
+    Reads the next r raw words of the PCG64 ``bits``; word t picks
+    word mod (j + 1) for j = count - r + t, or j when that pick is taken.
+    """
+    picks: list[int] = []
+    for t, word in enumerate(bits.random_raw(r).tolist()):
+        j = count - r + t
+        x = word % (j + 1)
+        picks.append(j if x in picks else x)
+    return sorted(picks)
+
+
 def reference_search(spec) -> dict:
     """Hits as (node, key), tuples examined and stop flags of a one-node-at-a-time search.
 
     Exhaustive mode runs the per-child recursion serially over every first
     generator (composite D without symmetry reduction, as ``find_codes``
-    does); randomized mode draws and tests one sample at a time.
+    does); randomized mode draws and tests one sample at a time, each by a
+    scalar Floyd draw (``reference_floyd_sample``).
     """
     from pfstab import search
 
@@ -414,11 +429,11 @@ def reference_search(spec) -> dict:
             budget = True
         examined = engine.nodes
     else:
-        rng = np.random.default_rng(spec.seed)
+        bits = np.random.PCG64(spec.seed)
         examined = 0
         for _ in range(spec.samples):
             examined += 1
-            idx = sorted(int(x) for x in rng.choice(engine.count, spec.generator_count, replace=False))
+            idx = reference_floyd_sample(bits, engine.count, spec.generator_count)
             if ((engine.pairing[idx] @ engine.cand[idx].T) % spec.modulus).any():
                 continue
             span, span_codes = engine._zero_span()

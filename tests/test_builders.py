@@ -187,6 +187,14 @@ def test_embed_five_qubit_code_doubles_distance():
     assert distance(code).value == 6
 
 
+def test_embedding_does_not_double_distance_in_general():
+    q = QuditCheckMatrix(5, 2, [[4, 1, 3, 2]])
+    assert q.distance() == 1
+    code = embed_qudit_code(q)
+    assert codespace_dim(code) == q.codespace_dim() == 5  # k is kept
+    assert distance(code).value == 3  # not 2d = 2
+
+
 @pytest.mark.parametrize(
     "remix",
     [

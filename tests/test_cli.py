@@ -179,6 +179,15 @@ def test_embed_command(capsys, tmp_path):
     assert payload["num_modes"] == 20 and len(payload["generators"]) == 9
 
 
+@pytest.mark.parametrize("command", ["params", "validate"])
+def test_qudit_file_given_as_a_code_names_embed(capsys, command):
+    status, out, err = run(capsys, command, REPO_CODES / "qudit_5_1_3_d3.json")
+    assert status == 2 and out == ""
+    assert err.splitlines() == [
+        "error: this file holds a qudit code (it has 'num_qudits'); `pfstab embed` turns it into a parafermion code"
+    ]
+
+
 def test_toric_command_output_round_trips(capsys, tmp_path):
     out_file = tmp_path / "toric.json"
     status, _, _ = run(capsys, "toric", "--p", 2, "--l", 1, "--a", 2, "--b", 2, "--out", out_file)
@@ -382,6 +391,8 @@ def test_search_bad_spec_exits_2(capsys, tmp_path):
         ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": -1}, "max_hits"),
         ({"D": 3, "num_modes": 6, "target_k": -1, "target_d": 3, "generator_count": 2}, "target_k"),
         ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "samples": -1}, "samples"),
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "mode": "randomized", "sampler": "floyd-pcg64-raw-v1"},
+         "not a search setting"),
     ],
 )
 def test_search_rejects_bad_spec_fields_with_one_error_line(capsys, tmp_path, spec, message):

@@ -1,14 +1,18 @@
 import hashlib
+import itertools
+import json
 import re
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager, suppress
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_search
+from oracles import reference_floyd_sample, reference_search
 
 import pfstab.code
 from pfstab import search
@@ -462,8 +466,48 @@ def test_chunked_sampling_matches_one_sample_at_a_time(modulus, modes, gens, tar
 def test_a_stop_inside_a_sample_chunk_counts_the_samples_up_to_it():
     spec = SearchSpec(3, 8, 1, 3, mode="randomized", seed=7, samples=20_000, max_hits=2)
     _, cert = find_codes(spec)
-    assert cert.early_stopped and cert.tuples_examined == 714  # not a multiple of the chunk
+    assert cert.early_stopped and cert.tuples_examined == 335  # not a multiple of the chunk
     assert cert.tuples_examined % search._SAMPLE_CHUNK
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 400),
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    first=st.integers(0, 40),
+    second=st.integers(0, 40),
+)
+def test_floyd_draw_rows_are_sorted_distinct_and_split_freely(count, data, seed, first, second):
+    r = data.draw(st.integers(1, min(count, 12)))
+    whole = search._floyd_draw(np.random.PCG64(seed), count, r, first + second)
+    assert whole.shape == (first + second, r)
+    assert (np.diff(whole, axis=1) > 0).all() and (whole >= 0).all() and (whole < count).all()
+    bits = np.random.PCG64(seed)
+    split = np.vstack([search._floyd_draw(bits, count, r, first), search._floyd_draw(bits, count, r, second)])
+    assert np.array_equal(whole, split)
+    bits = np.random.PCG64(seed)
+    assert whole.tolist() == [reference_floyd_sample(bits, count, r) for _ in range(first + second)]
+
+
+def test_floyd_draw_is_uniform_over_the_35_triples_of_seven():
+    draws = search._floyd_draw(np.random.PCG64(20_240_617), 7, 3, 35 * 400)
+    subsets = sorted(itertools.combinations(range(7), 3))
+    counts = Counter(map(tuple, draws.tolist()))
+    assert sorted(counts) == subsets
+    expected = len(draws) / len(subsets)
+    chi_square = sum((counts[s] - expected) ** 2 / expected for s in subsets)
+    assert chi_square < 65.25  # the 0.999 quantile of chi-square with 34 degrees of freedom
+
+
+def test_randomized_certificate_records_its_sampler_and_exhaustive_ones_do_not():
+    _, cert = find_codes(SearchSpec(2, 4, 1, 2, mode="randomized", seed=5, samples=20, max_hits=0))
+    payload = cert.to_dict(canonical=True)
+    assert payload["sampler"] == search.SAMPLER == "floyd-pcg64-raw-v1"
+    unsigned = {k: v for k, v in payload.items() if k != "signature"}
+    assert payload["signature"] == hashlib.sha256(json.dumps(unsigned, sort_keys=True).encode()).hexdigest()
+    _, cert = find_codes(SearchSpec(2, 4, 1, 2, max_hits=0))
+    assert "sampler" not in cert.to_dict(canonical=True)
 
 
 # -- primality ------------------------------------------------------------------
