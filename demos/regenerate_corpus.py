@@ -63,6 +63,10 @@ def main() -> None:
         ("search_d3_8modes", SearchSpec(3, 8, 1, 3, max_hits=1)),
         ("search_d3_6modes", SearchSpec(3, 6, 1, 3, max_hits=0)),
         ("search_d3_8modes_randomized", SearchSpec(3, 8, 1, 3, mode="randomized", seed=1, samples=2000, max_hits=0)),
+        # Even D: half of these hits need a nonzero phase.
+        ("search_d2_6modes", SearchSpec(2, 6, 1, 2, max_hits=0)),
+        # Composite D, two generators where n - k = 1: dependent tuples, phases by a Z_2D solve.
+        ("search_d4_4modes", SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0)),
     ]:
         (OUT / f"{name}.json").write_text(canonical_json(spec.to_dict()))
         _, cert = find_codes(spec, threads=1)

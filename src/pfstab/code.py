@@ -20,11 +20,13 @@ With S the r x m matrix of rows alpha_i, L the pairing matrix of
   (mod 2D), and the phase check asks it to vanish for k = D e_i and for
   every kernel row k of S.
 
-:func:`validate` evaluates these for all pairs and relations at once, and
-:func:`canonical_phases` solves the same phase equations for mu, the one
-phase assignment every caller (builders, search) uses: in closed form when
-S has a trivial left kernel, so that only the D-th powers constrain mu, and
-by a Howell form over Z_2D otherwise.
+:func:`validate` evaluates these for all pairs and relations at once.  One
+solver, ``_phase_solution``, solves the same phase equations for mu from
+the rows S and their kernel relations alone: in closed form when S has a
+trivial left kernel, so that only the D-th powers constrain mu, and by a
+Howell form over Z_2D otherwise.  It is the one phase assignment every
+caller uses: :func:`canonical_phases` applies it to a code (so builders),
+and the search applies it to a hit's rows before it builds the hit's code.
 
 A code is immutable, so its validity and the Howell basis of S are computed
 once per code object, on first use, from one Howell form of [S | I]: the
@@ -33,7 +35,10 @@ basis of S, and the other rows give the kernel relations of the phase
 check.  The Howell basis of the centralizer, the kernel of x -> S L x, is
 kept too, once computed; ``centralizer_basis``, ``logical_basis`` and
 ``l_con`` share it.  None of these forms depends on mu, so the code that
-:func:`canonical_phases` returns keeps its input's.  Every parameter (|S|,
+:func:`canonical_phases` returns keeps its input's.  A search hit's code
+is built with them: the Howell basis of S read off the sorted integer
+codes of its span (``_span_basis``) and, for dependent rows only, the
+kernel relations.  Every parameter (|S|,
 k, d, l_con, the logicals) is defined only for a valid code, so each public
 function raises :class:`InvalidCodeError` on an invalid one and otherwise
 reads the kept bases.
@@ -154,6 +159,18 @@ class PfCode:
                 code.__dict__[kept] = self.__dict__[kept]
         return code
 
+    @classmethod
+    def _from_forms(cls, modulus: int, num_modes: int, rows: np.ndarray, mu: np.ndarray, forms) -> "PfCode":
+        """The code with generators w^{mu_i} g^{rows_i}, keeping ``rows`` (made
+        read-only) as S and ``forms`` as ``_row_forms``, the Howell bases of
+        S and of its left kernel; the caller vouches that they are."""
+        code = cls(modulus, num_modes,
+                   tuple(PfOperator(modulus, num_modes, x, a) for x, a in zip(mu.tolist(), rows.tolist())))
+        rows.flags.writeable = False
+        code.__dict__["_rows"] = rows
+        code.__dict__["_row_forms"] = forms
+        return code
+
     @cached_property
     def _rows(self) -> np.ndarray:
         """The generators' exponent rows S, one read-only r x m int64 array."""
@@ -195,7 +212,7 @@ class PfCode:
         abelian = not ((self._comm_rows @ rows.T) % d).any()
         parity_ok = not (rows.sum(axis=1) % d).any()
         mu = np.array([g.mu for g in self.generators], dtype=np.int64)
-        phase_ok = not _relation_phases(rows, mu, _phase_relations(self), d).any()
+        phase_ok = not _relation_phases(rows, mu, _phase_relations(self._row_forms[1], d), d).any()
         return ValidationFlags(abelian, parity_ok, phase_ok)
 
 
@@ -281,11 +298,11 @@ def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modul
     return (powers @ mu - own - 2 * cross) % two_d
 
 
-def _phase_relations(code: PfCode) -> np.ndarray:
+def _phase_relations(relations: np.ndarray, modulus: int) -> np.ndarray:
     """Exponent rows k whose products the phase check needs phase-free:
-    D e_i for each generator, then a kernel basis of the rows."""
-    r = len(code.generators)
-    return np.concatenate([code.modulus * np.eye(r, dtype=np.int64), code._row_forms[1]])
+    D e_i for each of the r generators, then ``relations`` (r columns), a
+    kernel basis of the rows."""
+    return np.concatenate([modulus * np.eye(relations.shape[1], dtype=np.int64), relations])
 
 
 def validate(code: PfCode) -> ValidationFlags:
@@ -731,35 +748,65 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
 def canonical_phases(code: PfCode) -> PfCode:
     """Repair the generator phases so the code passes the phase check.
 
-    Solving happens over Z_{2D}: the D-th power of each generator and every
-    lifted kernel relation must come out phase-free, which is linear in mu
-    (see the module docstring).  Among all solutions the lexicographically
-    smallest phase vector is returned; infeasibility raises
-    :class:`PhaseAssignmentError`.  When the rows have a trivial left
-    kernel the only relations are the D-th powers, D mu_i == rhs_i in
-    {0, D} (mod 2D), whose smallest solution is mu = rhs // D.  Otherwise
-    one Howell form of [system | I] gives both a particular solution and
-    the kernel that is the freedom.  The returned code keeps the input's
-    Howell forms of [S | I].
+    The phases are :func:`_phase_solution` of the rows and their kernel
+    relations: the lexicographically smallest phase vector, or
+    :class:`PhaseAssignmentError` when none exists.  The returned code
+    keeps the input's Howell forms of [S | I].
     """
-    d = code.modulus
-    two_d = 2 * d
-    gens = code.generators
-    for g in gens:
+    for g in code.generators:
         if not any(g.alpha) and g.mu:
             raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
-    if not gens:
+    if not code.generators:
         return code
-    powers = _phase_relations(code)
-    rhs = -_relation_phases(code._rows, np.zeros(len(gens), dtype=np.int64), powers, d) % two_d
-    if not len(code._row_forms[1]):
-        return code._with_phases(rhs // d)
+    return code._with_phases(_phase_solution(code._rows, code._row_forms[1], code.modulus))
+
+
+def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np.ndarray:
+    """The lexicographically smallest phases mu that make the generators
+    w^{mu_i} g^{rows_i} pass the phase check, given ``relations``, a basis
+    of the rows' left kernel.
+
+    Solving happens over Z_2D: the D-th power of each generator and every
+    lifted kernel relation must come out phase-free, which is linear in mu
+    (see the module docstring).  With no relations (independent rows) only
+    the D-th powers constrain mu: D mu_i == D (D-1) P_ii (mod 2D), so mu_i
+    is P_ii mod 2 for even D and 0 for odd D.  Otherwise one Howell form of
+    [system | I] gives both a particular solution and the kernel that is
+    the freedom; infeasibility raises :class:`PhaseAssignmentError`.
+    """
+    d = modulus
+    if not len(relations):
+        if d % 2:
+            return np.zeros(len(rows), dtype=np.int64)
+        prefix = np.cumsum(rows, axis=1) - rows
+        return (rows * prefix).sum(axis=1) % 2
+    two_d = 2 * d
+    powers = _phase_relations(relations, d)
+    rhs = -_relation_phases(rows, np.zeros(len(rows), dtype=np.int64), powers, d) % two_d
     system = ZModMatrix(two_d, (powers % two_d).T)
     front, freedom = _augmented_basis(system)
     particular = _solve_front(front, rhs, system.num_rows, two_d)
     if particular is None:
         raise PhaseAssignmentError("no consistent phase assignment exists")
-    return code._with_phases(_coset_minima(freedom, particular[None, :], two_d)[0])
+    return _coset_minima(freedom, particular[None, :], two_d)[0]
+
+
+def _span_basis(codes: np.ndarray, modulus: int, num_modes: int) -> dict[int, np.ndarray]:
+    """Howell basis {pivot: row} of a span over Z_D, read off the sorted
+    integer codes ``x @ (D^(m-1), ..., D, 1)`` of all its elements.
+
+    The Howell row with pivot j is the least span element whose first
+    nonzero entry is at j: its entry there is the pivot, the least nonzero
+    value any such element has at j, and its later entries are reduced as
+    far as the span allows (the Howell property).  Lexicographic order on
+    vectors is integer order on codes, and the elements whose first
+    nonzero entry is at j are those with codes in [D^(m-1-j), D^(m-j)), so
+    the row is the first code of that range, if any.
+    """
+    edges = np.searchsorted(codes, modulus ** np.arange(num_modes, -1, -1, dtype=np.int64))
+    pivots = np.flatnonzero(edges[:-1] > edges[1:])
+    rows = _lex_digits(codes[edges[1:][pivots]], modulus, num_modes)
+    return dict(zip(pivots.tolist(), rows))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,15 @@ generating tuple (no symmetry reduction, or randomized mode) is skipped;
 then two prefilters, each one product at the leaf of the tuple's pairing
 rows with the weight-(< d), then the weight-d, vectors, fix d.  The tuple
 is commuting and parity-zero by construction, so the acceptance test only
-assigns phases with ``canonical_phases`` and reads the span key off the
-Howell form that assignment computed.  For prime D the tuple is
-independent, so the phases come in closed form; for composite D a phase
-solve that has no solution is the only rejection left.
+assigns phases and keys the span, from arrays the engine already holds.
+The key hashes the span's Howell basis, read off its sorted integer codes
+(``code._span_basis``): the row with pivot j is the least span code in
+[D^(m-1-j), D^(m-j)).  A span of D^r elements means independent rows
+(always so for prime D), and their phases come in closed form from the
+rows alone (``code._phase_solution``, which ``canonical_phases`` uses
+too).  A dependent tuple (composite D with r > n - k) takes a Howell form
+of its rows and a phase solve over Z_2D; no solution is the only
+rejection left.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -32,8 +37,9 @@ failing children in one step, so node indices, the budget stop and the
 parity-zero vector with code c is candidate ``c // D - 1``, so span
 membership (strict growth, the prefilters) reads arrays indexed by
 candidate position.  Randomized mode draws a chunk of samples at once
-(``_floyd_draw``, r raw PCG64 words per sample, in order) and tests their
-commutation together.
+(``_floyd_draw``, r raw PCG64 words per sample, in order), tests their
+commutation together and builds every span code of the commuting ones in
+one kernel, a coefficient table times their rows (``_find_randomized``).
 
 With ``--threads N`` the first-generator range is cut into blocks run on
 N processes and replayed in serial order as they finish; once the replay
@@ -50,18 +56,27 @@ import json
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from math import comb
 
 import numpy as np
 
 from .algebra import PfOperator, lambda_matrix
-from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _colex_supports, _lex_digits, _place, canonical_phases
+from .code import (
+    _BLOCK_ROWS,
+    PfCode,
+    PhaseAssignmentError,
+    _colex_supports,
+    _lex_digits,
+    _phase_solution,
+    _place,
+    _span_basis,
+)
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
-from .code import codespace_dim, distance, validate  # noqa: F401
-from .zmod import _is_int, _is_prime
+from .code import canonical_phases, codespace_dim, distance, validate  # noqa: F401
+from .zmod import ZModMatrix, _is_int, _is_prime, kernel_basis
 
 __all__ = [
     "SearchSpec",
@@ -152,14 +167,21 @@ class SearchSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
+        """The spec that ``data`` describes: the keys of :meth:`to_dict`, with
+        ``modulus`` accepted for ``D``.  Any other key raises ValueError, so a
+        misspelled field is not silently left at its default."""
+        if "sampler" in data:
+            raise ValueError("'sampler' is recorded in randomized certificates; it is not a search setting")
+        allowed = {"D", *(f.name for f in fields(cls))}
+        for key in data:
+            if key not in allowed:
+                raise ValueError(f"unknown search spec field {key!r}")
         known = {
             "modulus": data.get("D", data.get("modulus")),
             "num_modes": data["num_modes"],
             "target_k": data["target_k"],
             "target_d": data["target_d"],
         }
-        if "sampler" in data:
-            raise ValueError("'sampler' is recorded in randomized certificates; it is not a search setting")
         for key in ("mode", "seed", "samples", "generator_count", "symmetry_reduction", "max_hits", "max_tuples"):
             if key in data:
                 known[key] = data[key]
@@ -362,26 +384,33 @@ class _Engine:
             self.nodes = self.spec.max_tuples + 1
             raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
 
-    def _accept(self, chosen: list[int]) -> None:
-        """Record a hit for a span that passed ``_leaf``: assign phases and compute the span key.
+    def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
+        """Record a hit for a span that passed ``_leaf``, given its codes: phase the tuple and key the span.
 
         ``_leaf`` has fixed k (span size) and d (the prefilters), and hands
         each span over at most once.  The tuple is commuting (the
         commutation masks) and parity-zero (the candidates), so the phases
-        decide validity, and ``canonical_phases`` assigns them.  For prime D
-        the tuple is linearly independent (the span strictly grew at every
-        step; randomized mode drops dependent tuples), so the phases come
-        in closed form and always exist.  A composite span with no solution
-        raises :class:`PhaseAssignmentError` and is not a code.  The span
-        key reads the Howell form the phase assignment already computed.
+        decide validity.  A span of D^r elements means independent rows
+        (always so for prime D, where the span grew at every step or the
+        sample was dropped as dependent): the rows have no kernel
+        relations, and the phases come in closed form and always exist.
+        Otherwise (composite D, r > n - k) the relations come from a Howell
+        form of the rows, and a span with no phase solution is not a code.
+        The span's Howell basis, and with it the span key, is read off its
+        sorted codes; the hit's code is built once, phased, and keeps it.
         """
         spec = self.spec
         d, m = spec.modulus, spec.num_modes
-        code = PfCode(d, m, tuple(PfOperator(d, m, 0, self.cand[i].tolist()) for i in chosen))
+        rows = self.cand[chosen]
+        if len(codes) == d ** len(chosen):
+            relations = np.zeros((0, len(chosen)), dtype=np.int64)
+        else:
+            relations = kernel_basis(ZModMatrix(d, rows)).array
         try:
-            code = canonical_phases(code)
+            mu = _phase_solution(rows, relations, d)
         except PhaseAssignmentError:
             return
+        code = PfCode._from_forms(d, m, rows, mu, (_span_basis(np.sort(codes), d, m), relations))
         key = canonical_equivalence_key(code)
         self.hit_keys.add(key)
         self.hits.append((self.nodes, key, code))
@@ -411,7 +440,7 @@ class _Engine:
         passed = self._central_in_span(chosen, *self.low).all() and not self._central_in_span(chosen, *self.exact).all()
         self.in_span[members] = False
         if passed:
-            self._accept(chosen)
+            self._accept(chosen, codes)
 
     # -- enumeration --------------------------------------------------------
 
@@ -585,31 +614,71 @@ def _floyd_draw(bits: np.random.PCG64, count: int, r: int, size: int) -> np.ndar
     return picks
 
 
+def _span_table(engine: _Engine) -> np.ndarray | None:
+    """The D^r x r coefficients of every combination of a sample's r generators, or None when no sample can pass ``_leaf``.
+
+    Row c holds the base-D digits of c, generator 1 least significant, so
+    the rows below D^(t-1) combine generators 1 .. t-1 only and row
+    D^(t-1) is generator t itself.  A sample none of whose generators lies
+    in the span of the ones before it has a span of at most D^r and at
+    least p^r elements (each generator enlarges the span by a factor of at
+    least p, with p = D for prime D and p >= 2 otherwise), so when the
+    target span size D^(n-k) lies outside that range no sample reaches the
+    acceptance test.  Raises :class:`BudgetExceededError` when the table
+    would exceed ``MAX_CANDIDATES`` rows, which only a composite D with
+    many generators asks for.
+    """
+    d, r = engine.spec.modulus, engine.spec.generator_count
+    least = d if engine.prime else 2
+    if not (r < engine.span_size.bit_length() and least**r <= engine.span_size <= d**r):
+        return None
+    if d**r > MAX_CANDIDATES:
+        raise BudgetExceededError(f"span table of {d}^{r} combinations exceeds the supported size {MAX_CANDIDATES}")
+    return (np.arange(d**r, dtype=np.int64)[:, None] // d ** np.arange(r, dtype=np.int64)) % d
+
+
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
+    """Draw ``spec.samples`` tuples in chunks and hand each commuting, independent one's span to ``_leaf``.
+
+    One kernel builds every span code of a block of a chunk's commuting
+    samples, at most about ``_BLOCK_ROWS`` rows: the coefficient table of
+    ``_span_table`` times each sample's rows.  A sample is dependent, and
+    dropped, exactly when generator t's code is among the table's first
+    D^(t-1) codes, the span of the generators before it, for some t.  An
+    independent sample's D^r codes are distinct for prime D; for
+    composite D they go through ``np.unique``.  The samples after a stop
+    were drawn but are not counted as examined.
+    """
     start_time = time.monotonic()
     engine = _Engine(spec)
+    table = _span_table(engine)
     bits = np.random.PCG64(spec.seed)
     cert = SearchCertificate(
         spec=spec.to_dict(),
         candidate_count=engine.count,
         estimated_tuples=spec.samples,
     )
+    if table is None:
+        cert.tuples_examined = spec.samples  # every sample fails _leaf's span-size test
+    d, r = spec.modulus, spec.generator_count
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
-        idx = _floyd_draw(bits, engine.count, spec.generator_count, size)
-        pairs = np.einsum("sim,sjm->sij", engine.pairing[idx], engine.cand[idx]) % spec.modulus
-        for s in np.flatnonzero(~pairs.any(axis=(1, 2))).tolist():
-            chosen = idx[s].tolist()
-            span, span_codes = engine._zero_span()
-            for i in chosen:
-                if engine.codes[i] in span_codes:
-                    break  # dependent tuple
-                coset, coset_codes = engine._cosets(span, [i])
-                span, span_codes = engine._grow(span, span_codes, coset[0], coset_codes[0])
-            else:
-                engine._leaf(chosen, span_codes)
+        idx = _floyd_draw(bits, engine.count, r, size)
+        step = max(1, _BLOCK_ROWS // len(table))
+        pairs = np.einsum("sim,sjm->sij", engine.pairing[idx], engine.cand[idx]) % d
+        commuting = np.flatnonzero(~pairs.any(axis=(1, 2)))
+        for lo in range(0, len(commuting), step):
+            block = commuting[lo : lo + step]
+            spans = ((table @ engine.cand[idx[block]]) % d) @ engine.place
+            dependent = np.zeros(len(block), dtype=bool)
+            for t in range(1, r):
+                dependent |= (spans[:, : d**t] == spans[:, d**t, None]).any(axis=1)
+            for s, codes in zip(block[~dependent].tolist(), spans[~dependent]):
+                engine._leaf(idx[s].tolist(), codes if engine.prime else np.unique(codes))
+                if engine.stopped:
+                    size = s + 1  # the samples after the stop were drawn but not examined
+                    break
             if engine.stopped:
-                size = s + 1  # the samples after the stop were drawn but not examined
                 break
         cert.tuples_examined += size
     cert.early_stopped = engine.stopped

@@ -313,14 +313,17 @@ def reference_codewords(rep, code, cap: int = 100_000):
 def _reference_engine_class():
     """``search._Engine`` walking one node at a time: the per-child recursion it replaced.
 
-    Only the candidates, their pairing rows and ``_accept`` are shared with
-    the batched engine; the walk, the coset test, span growth, node
-    counting, the span-size and repeated-span checks and both prefilters
-    (``lambda_matrix`` products with every vector of Z_D^m of the weight,
-    ``np.isin`` over span codes) are the per-node ones.
+    Only the candidates and their pairing rows are shared with the batched
+    engine; the walk, the coset test, span growth, node counting, the
+    span-size and repeated-span checks, both prefilters (``lambda_matrix``
+    products with every vector of Z_D^m of the weight, ``np.isin`` over
+    span codes) and the acceptance test (a fresh code phased by
+    ``canonical_phases`` and keyed by its Howell form of [S | I]) are the
+    per-node ones.
     """
     from pfstab import search
-    from pfstab.algebra import lambda_matrix
+    from pfstab.algebra import PfOperator, lambda_matrix
+    from pfstab.code import PfCode, PhaseAssignmentError, canonical_phases
 
     class ReferenceEngine(search._Engine):
         def __init__(self, spec):
@@ -355,7 +358,20 @@ def _reference_engine_class():
                 self.seen_spans.add(key)
             low_clear = self._central_in_span_codes(chosen, self.low_vectors, codes).all()
             if low_clear and not self._central_in_span_codes(chosen, self.exact_vectors, codes).all():
-                self._accept(chosen)
+                self._accept(chosen, codes)
+
+        def _accept(self, chosen, codes):
+            spec = self.spec
+            d, m = spec.modulus, spec.num_modes
+            code = PfCode(d, m, tuple(PfOperator(d, m, 0, self.cand[i].tolist()) for i in chosen))
+            try:
+                code = canonical_phases(code)
+            except PhaseAssignmentError:
+                return
+            key = search.canonical_equivalence_key(code)
+            self.hits.append((self.nodes, key, code))
+            if spec.max_hits and len(self.hits) >= spec.max_hits:
+                self.stopped = True
 
         def run(self, first_lo=0, first_hi=None):
             first_hi = self.count if first_hi is None else first_hi

@@ -393,6 +393,8 @@ def test_search_bad_spec_exits_2(capsys, tmp_path):
         ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "samples": -1}, "samples"),
         ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "mode": "randomized", "sampler": "floyd-pcg64-raw-v1"},
          "not a search setting"),
+        # A misspelled max_hits used to be dropped: exit 0 with one hit.
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "maxhits": 0}, "unknown search spec field 'maxhits'"),
     ],
 )
 def test_search_rejects_bad_spec_fields_with_one_error_line(capsys, tmp_path, spec, message):

@@ -554,6 +554,52 @@ def test_closed_form_phase_algebra_matches_reference(modulus, modes, gens, parit
     assert canonical_equivalence_key(fixed) == canonical_equivalence_key(code)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    modes=st.sampled_from([2, 4, 6]),
+    gens=st.integers(1, 4),
+    scaled=st.booleans(),
+    dependent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_basis_read_off_sorted_codes_is_the_howell_basis(modulus, modes, gens, scaled, dependent, seed):
+    # Scaling rows by a divisor of D gives pivots other than 1 for composite D;
+    # a dependent last row gives spans smaller than D^r.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, modulus, size=(gens, modes))
+    if scaled:
+        rows *= rng.choice([f for f in range(1, modulus) if modulus % f == 0], size=(gens, 1))
+    if dependent and gens > 1:
+        rows[-1] = rng.integers(0, modulus, size=gens - 1) @ rows[:-1]
+    rows %= modulus
+    place = modulus ** np.arange(modes - 1, -1, -1)
+    codes = np.array(sorted(np.array(v) @ place for v in enumerate_span(ZModMatrix(modulus, rows))), dtype=np.int64)
+    basis, want = pfstab.code._span_basis(codes, modulus, modes), _howell_basis(rows, modulus)
+    assert sorted(basis) == sorted(want)
+    assert all(np.array_equal(basis[j], want[j]) for j in want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    modes=st.sampled_from([4, 6, 8]),
+    gens=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Even D whose reference phases are nonzero, as [1, 1], [1, 1, 0], [1, 0, 0, 1] and [1, 1].
+@example(modulus=2, modes=4, gens=2, seed=1)
+@example(modulus=4, modes=6, gens=3, seed=0)
+@example(modulus=6, modes=8, gens=4, seed=1)
+@example(modulus=10, modes=6, gens=2, seed=0)
+def test_closed_form_phases_match_reference_on_independent_rows(modulus, modes, gens, seed):
+    rows = np.random.default_rng(seed).integers(0, modulus, size=(gens, modes))
+    code = PfCode(modulus, modes, tuple(op(modulus, row) for row in rows))
+    assume(span_order(stabilizer_matrix(code)) == modulus**gens)
+    mu = pfstab.code._phase_solution(rows, np.zeros((0, gens), dtype=np.int64), modulus)
+    assert mu.tolist() == [g.mu for g in reference_canonical_phases(code).generators]
+
+
 def test_unpickled_code_recomputes_its_kept_forms():
     code = code_8_1_3_d3()
     copy = pickle.loads(pickle.dumps(code))

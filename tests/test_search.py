@@ -221,11 +221,11 @@ def _accepted_spans():
     spans: list[str] = []
     original = search._Engine._accept
 
-    def spy(engine, chosen):
+    def spy(engine, chosen, codes):
         d, m = engine.spec.modulus, engine.spec.num_modes
         gens = tuple(PfOperator(d, m, 0, tuple(int(x) for x in engine.cand[i])) for i in chosen)
         spans.append(canonical_equivalence_key(PfCode(d, m, gens)))
-        original(engine, chosen)
+        original(engine, chosen, codes)
 
     search._Engine._accept = spy
     try:
@@ -359,6 +359,18 @@ def test_spec_rejects_bad_fields(fields, message):
         SearchSpec(**{"modulus": 3, "num_modes": 4, "target_k": 1, "target_d": 2, **fields})
 
 
+def test_spec_from_dict_rejects_unknown_fields():
+    base = {"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2}
+    with pytest.raises(ValueError, match="unknown search spec field 'maxhits'"):
+        SearchSpec.from_dict({**base, "maxhits": 0})
+    # Every to_dict key loads, and so does modulus in place of D.
+    spec = SearchSpec(4, 4, 1, 2, mode="randomized", seed=3, samples=9, generator_count=2, max_hits=0)
+    assert SearchSpec.from_dict(spec.to_dict()) == spec
+    payload = spec.to_dict()
+    payload["modulus"] = payload.pop("D")
+    assert SearchSpec.from_dict(payload) == spec
+
+
 def test_spec_allows_randomized_generator_count_up_to_the_candidates():
     assert SearchSpec(3, 4, 1, 2, mode="randomized", generator_count=26).generator_count == 26
     # An oversized candidate space is left to the search, which raises BudgetExceededError.
@@ -461,6 +473,18 @@ def test_chunked_sampling_matches_one_sample_at_a_time(modulus, modes, gens, tar
     assert [h["key"] for h in cert.hits] == [key for _, key in reference["hits"]]
     assert cert.tuples_examined == reference["tuples_examined"]
     assert cert.early_stopped == reference["stopped"]
+
+
+def test_randomized_span_table_is_bounded_and_skipped_when_no_sample_can_pass():
+    # 2^7 <= 8^3 <= 8^7: an independent sample could have the target span
+    # size, but its 8^7-row coefficient table is refused before any draw.
+    with pytest.raises(BudgetExceededError, match="span table"):
+        find_codes(SearchSpec(8, 6, 0, 1, mode="randomized", generator_count=7, samples=1))
+    # 26 independent generators mod 3 would span 3^26 elements, not 3^1: no span is built.
+    spec = SearchSpec(3, 4, 1, 2, mode="randomized", seed=1, samples=50, generator_count=26, max_hits=0)
+    assert search._span_table(search._Engine(spec)) is None
+    _, cert = find_codes(spec)
+    assert cert.tuples_examined == reference_search(spec)["tuples_examined"] == 50 and not cert.hits
 
 
 def test_a_stop_inside_a_sample_chunk_counts_the_samples_up_to_it():
