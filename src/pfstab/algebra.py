@@ -9,6 +9,14 @@ element is stored in normal order as
 with mu in Z_{2D} and alpha in Z_D^{2n}.  Phases live in Z_{2D} rather than
 Z_D because products and D-th powers of normal-ordered words pick up
 half-step phases (e.g. the factor i on Majorana pair terms for D = 2).
+
+The ordering rule is evaluated in one place: ``_exclusive_prefix_sums``
+(sums of the entries before each one, the phase of moving one word past
+another) and ``_pairing`` (rows times L with L_ij = sgn(j - i), the
+commutation pairing).  Every layer (products, commutation, syndromes, the
+centralizer, ``l_con`` and the search's commutation masks) calls these
+two; :func:`lambda_matrix` builds the dense L only for callers that want
+the matrix itself.
 """
 
 from __future__ import annotations
@@ -25,9 +33,20 @@ __all__ = ["PfOperator", "lambda_matrix", "parse_operator"]
 
 
 def _exclusive_prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of the entries before each one, along the last axis."""
     out = np.zeros_like(values)
-    np.cumsum(values[:-1], out=out[1:])
+    np.cumsum(values[..., :-1], axis=-1, out=out[..., 1:])
     return out
+
+
+def _pairing(rows: np.ndarray, modulus: int) -> np.ndarray:
+    """rows @ L mod D along the last axis, without building L (L_ij = sgn(j - i)).
+
+    Entry j is sum_{i<j} x_i - sum_{i>j} x_i = 2 P_j - x_j - P_m, with P the
+    inclusive prefix sum over the m modes.
+    """
+    prefix = np.cumsum(rows, axis=-1)
+    return (2 * prefix - rows - prefix[..., -1:]) % modulus
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,7 @@ class PfOperator:
         """
         self._check_compatible(other)
         a = np.asarray(self.alpha, dtype=np.int64)
-        b = np.asarray(other.alpha, dtype=np.int64)
-        before = int(a @ _exclusive_prefix_sums(b))
-        after = int(a @ (b.sum() - np.cumsum(b)))
-        return (after - before) % self.modulus
+        return int(_pairing(a, self.modulus) @ np.asarray(other.alpha, dtype=np.int64)) % self.modulus
 
     def commutes_with(self, other: "PfOperator") -> bool:
         return self.commutation_exponent(other) == 0

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / valid, 1 invalid code or failed check, 2 usage or
-file-format error, 3 enumeration budget exceeded.
+Exit codes: 0 success / valid, 1 invalid code or failed check, 2 usage,
+file-format or ``--out`` write error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ BUDGET_EXCEEDED = 3
 def _emit(args, payload: dict) -> None:
     text = canonical_json(payload)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CodeFileError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -53,7 +53,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .algebra import PfOperator, lambda_matrix
+from .algebra import PfOperator, _exclusive_prefix_sums, _pairing
 from .zmod import (
     ZModMatrix,
     _augmented_basis,
@@ -181,7 +181,7 @@ class PfCode:
     @cached_property
     def _comm_rows(self) -> np.ndarray:
         """S L mod D, read-only: the syndrome of x is (S L) x."""
-        rows = (self._rows @ lambda_matrix(self.modulus, self.num_modes).array) % self.modulus
+        rows = _pairing(self._rows, self.modulus)
         rows.flags.writeable = False
         return rows
 
@@ -290,7 +290,7 @@ def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modul
     with P_ij = alpha_i . prefix(alpha_j) (see the module docstring).
     """
     two_d = 2 * modulus
-    prefix = np.cumsum(smat, axis=1) - smat
+    prefix = _exclusive_prefix_sums(smat)
     pairs = (smat @ prefix.T) % modulus
     later = (powers @ np.triu(pairs, 1).T) % modulus  # row k, entry i: sum_{j>i} P_ij k_j
     cross = (powers * later).sum(axis=1)
@@ -432,6 +432,21 @@ def _place(positions: np.ndarray, letter_idx: np.ndarray, letters: np.ndarray, u
     for t in range(letters.shape[1]):
         out[rows, t * universe + positions] = letters[letter_idx, t]
     return out
+
+
+def _weight_rows(modulus: int, universe: int, lo: int, hi: int) -> np.ndarray:
+    """Every vector in Z_D^universe of weight lo .. hi (none above ``universe``), one int64 row each.
+
+    Rows run by weight, then support in colex order, then nonzero letters in
+    lexicographic order.
+    """
+    out = [np.zeros((0, universe), dtype=np.int64)]
+    for w in range(lo, min(hi, universe) + 1):
+        supports = _colex_supports(universe, w)
+        letters = _lex_digits(np.arange((modulus - 1) ** w), modulus - 1, w)
+        out.append(_place(np.repeat(supports, len(letters), axis=0), np.tile(letters, (len(supports), 1)),
+                          np.arange(1, modulus)[:, None], universe))
+    return np.vstack(out)
 
 
 def _syndromes(contrib: np.ndarray, supports: np.ndarray, modulus: int) -> np.ndarray:
@@ -712,7 +727,7 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     cap = None
     if max_diameter is not None and max_diameter < diameter_bound:
         diameter_bound = cap = max_diameter
-    logicals = (_logical_rows(code) @ lambda_matrix(d, m).array) % d
+    logicals = _pairing(_logical_rows(code), d)
     if not len(logicals):
         return LconResult(None, None, cap)
     corners = np.array(list(itertools.product(*(np.unique(column) for column in coords.T))), dtype=np.int64)
@@ -778,7 +793,7 @@ def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np
     if not len(relations):
         if d % 2:
             return np.zeros(len(rows), dtype=np.int64)
-        prefix = np.cumsum(rows, axis=1) - rows
+        prefix = _exclusive_prefix_sums(rows)
         return (rows * prefix).sum(axis=1) % 2
     two_d = 2 * d
     powers = _phase_relations(relations, d)

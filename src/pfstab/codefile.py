@@ -43,7 +43,7 @@ FORMAT_VERSION = 1
 
 
 class CodeFileError(ValueError):
-    """Malformed code file: carries a field-level diagnostic."""
+    """A file that cannot be read, parsed or written: carries a one-line diagnostic."""
 
 
 def canonical_json(payload: dict) -> str:
@@ -159,6 +159,8 @@ def qudit_to_payload(q: QuditCheckMatrix, provenance: dict | None = None) -> dic
 
 def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
     _expect(isinstance(payload, dict), "top level must be a JSON object")
+    _expect("num_modes" not in payload or "num_qudits" in payload,
+            "this file holds a parafermion code (it has 'num_modes'); `pfstab embed` reads a qudit code file")
     version = _expect_int(payload.get("format_version"), "format_version")
     _expect(version == FORMAT_VERSION, f"unsupported format_version {version}")
     modulus = _expect_int(payload.get("D"), "D")

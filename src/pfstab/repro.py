@@ -6,7 +6,6 @@ renders them as a table and the acceptance tests assert every row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .builders import (
 )
 from .code import (
     PfCode,
+    _weight_rows,
     analyze,
     codespace_dim,
     distance,
@@ -211,19 +211,9 @@ def check_oracle_suite() -> list[CheckRow]:
             rows.append(_row(f"product homomorphism D={modulus} n={n} (1000 samples)", mismatches, 0))
     code = code_8_1_3_d3()
     rep = jw_modes(3, 4)
-    disagreements = 0
-    checked = 0
-    for weight in (1, 2):
-        for supp in itertools.combinations(range(8), weight):
-            for assign in itertools.product(range(1, 3), repeat=weight):
-                alpha = [0] * 8
-                for i, a in zip(supp, assign):
-                    alpha[i] = a
-                err = PfOperator(3, 8, 0, tuple(alpha))
-                checked += 1
-                if syndrome_sim(rep, code, err) != syndrome(code, err):
-                    disagreements += 1
-    rows.append(_row(f"syndrome agreement on {checked} low-weight errors", disagreements, 0))
+    errors = [PfOperator(3, 8, 0, tuple(alpha)) for alpha in _weight_rows(3, 8, 1, 2).tolist()]
+    disagreements = sum(syndrome_sim(rep, code, err) != syndrome(code, err) for err in errors)
+    rows.append(_row(f"syndrome agreement on {len(errors)} low-weight errors", disagreements, 0))
     return rows
 
 

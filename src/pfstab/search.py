@@ -41,11 +41,13 @@ candidate position.  Randomized mode draws a chunk of samples at once
 commutation together and builds every span code of the commuting ones in
 one kernel, a coefficient table times their rows (``_find_randomized``).
 
-With ``--threads N`` the first-generator range is cut into blocks run on
-N processes and replayed in serial order as they finish; once the replay
-stops, the remaining blocks are cancelled or told to stop.  A finished
-enumeration that found nothing is returned as an explicit nonexistence
-certificate; randomized mode never claims nonexistence.
+With ``--threads N`` the first-generator range is cut into 4N blocks,
+mapped in order over a process pool of at most N workers (no more than
+the blocks or the CPUs).  The pool yields results in block order, and
+each is replayed with the serial stop rule as it arrives; once the replay
+stops, leaving the pool terminates the workers.  A finished enumeration
+that found nothing is returned as an explicit nonexistence certificate;
+randomized mode never claims nonexistence.
 """
 
 from __future__ import annotations
@@ -53,25 +55,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from math import comb
 
 import numpy as np
 
-from .algebra import PfOperator, lambda_matrix
-from .code import (
-    _BLOCK_ROWS,
-    PfCode,
-    PhaseAssignmentError,
-    _colex_supports,
-    _lex_digits,
-    _phase_solution,
-    _place,
-    _span_basis,
-)
+from .algebra import _pairing
+from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _phase_solution, _span_basis, _weight_rows
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
@@ -93,7 +88,7 @@ DEFAULT_TUPLE_BUDGET = 200_000_000
 _SAMPLE_CHUNK = 256
 # Recorded in every randomized certificate: names the sampling stream, which is not a setting.
 SAMPLER = "floyd-pcg64-raw-v1"
-# ``--threads N`` cuts the first-generator range into this many blocks per process.
+# ``--threads N`` cuts the first-generator range into this many blocks per requested thread.
 _BLOCKS_PER_THREAD = 4
 
 
@@ -301,8 +296,7 @@ class _Engine:
         self.span_size = d ** (n - spec.target_k) if spec.target_k <= n else 0
         # Without symmetry reduction, or when sampling, a span can arrive more than once.
         self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
-        lam = lambda_matrix(d, m).array
-        self.pairing = (self.cand @ lam) % d  # row i pairs as pairing[i] @ x
+        self.pairing = _pairing(self.cand, d)  # row i pairs as pairing[i] @ x
         self.low = self._weight_vectors(1, spec.target_d - 1)
         self.exact = self._weight_vectors(spec.target_d, spec.target_d)
         self.in_span = np.zeros(self.count + 1, dtype=bool)
@@ -315,8 +309,6 @@ class _Engine:
         # _leaf, kept only when spans can repeat.
         self.seen_spans: set[bytes] = set()
         self.stopped = False
-        # Set by another process to end a block early (``_run_block``).
-        self.halt = None
 
     # -- helpers -----------------------------------------------------------
 
@@ -325,14 +317,8 @@ class _Engine:
 
         A vector that is not parity-zero gets the sentinel position ``count``, which no span ever sets.
         """
-        d, m = self.spec.modulus, self.spec.num_modes
-        out = [np.zeros((0, m), dtype=np.int64)]
-        for w in range(lo, min(hi, m) + 1):
-            supports = _colex_supports(m, w)
-            assignments = _lex_digits(np.arange((d - 1) ** w), d - 1, w)
-            out.append(_place(np.repeat(supports, len(assignments), axis=0), np.tile(assignments, (len(supports), 1)),
-                              np.arange(1, d)[:, None], m))
-        vectors = np.vstack(out)
+        d = self.spec.modulus
+        vectors = _weight_rows(d, self.spec.num_modes, lo, hi)
         positions = np.where(vectors.sum(axis=1) % d == 0, (vectors @ self.place) // d - 1, self.count)
         return np.ascontiguousarray(vectors.T, dtype=np.float64), positions
 
@@ -485,25 +471,16 @@ class _Engine:
                     mask = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
                     mask[self._members(grown_codes)] = False  # span must strictly grow
                     self._expand(chosen + [j], mask, grown, grown_codes, np.flatnonzero(mask[j + 1 :]) + (j + 1))
-                if self.stopped or (self.halt is not None and not chosen and self.halt.is_set()):
+                if self.stopped:
                     return
             self._advance(len(block) - counted)
 
 
-# The event a worker process's blocks poll to stop early (None when serial).
-_worker_halt = None
-
-
-def _set_worker_halt(event) -> None:
-    global _worker_halt
-    _worker_halt = event
-
-
-def _run_block(spec: SearchSpec, lo: int, hi: int) -> dict:
+def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:
+    """Nodes and hits of the first generators in ``bounds`` = (lo, hi)."""
     engine = _Engine(spec)
-    engine.halt = _worker_halt
     with suppress(BudgetExceededError):  # the replay reads the budget stop off the node count
-        engine.run(lo, hi)
+        engine.run(*bounds)
     return {"nodes": engine.nodes, "hits": engine.hits}
 
 
@@ -537,39 +514,25 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
 
 
 def _run_blocks(spec: SearchSpec, count: int, threads: int) -> list[dict]:
-    """Run the first-generator range as blocks on ``threads`` processes; the in-order prefix the replay needs.
+    """Run the first-generator range as blocks on a process pool; the in-order prefix the replay needs.
 
-    The range is cut into ``_BLOCKS_PER_THREAD`` blocks per process,
-    submitted in order.  As blocks finish, the in-order prefix of finished
-    blocks is replayed; once the replay stops (``max_hits`` or the
-    budget), the blocks not yet started are cancelled and the running
-    ones are told to stop through a shared event, which they poll between
-    first generators.  Blocks after the stop do not change the replay.
+    The range is cut into ``_BLOCKS_PER_THREAD`` blocks per thread, and
+    the pool has min(threads, blocks, CPUs) workers, all of which start at
+    once.  ``imap`` yields the results in block order; each is replayed as
+    it arrives, and once the replay stops (``max_hits`` or the budget),
+    leaving the pool terminates and joins the workers, also when a block
+    failed.  Blocks after the stop do not change the replay.
     """
-    import concurrent.futures as futures
-    import multiprocessing
-
-    halt = multiprocessing.Event()
-    bounds = np.unique(np.linspace(0, count, _BLOCKS_PER_THREAD * threads + 1).astype(int))
-    finished: dict[int, dict] = {}
+    # Past ``count`` cuts every block is one candidate, so the cap keeps the blocks and bounds the array.
+    edges = np.unique(np.linspace(0, count, min(_BLOCKS_PER_THREAD * threads, count) + 1).astype(int)).tolist()
+    blocks = list(zip(edges[:-1], edges[1:]))
     results: list[dict] = []
-    with futures.ProcessPoolExecutor(threads, initializer=_set_worker_halt, initargs=(halt,)) as pool:
-        jobs = {
-            pool.submit(_run_block, spec, int(lo), int(hi)): n
-            for n, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-        }
-        try:
-            for job in futures.as_completed(jobs):
-                finished[jobs[job]] = job.result()
-                while len(results) in finished:
-                    results.append(finished.pop(len(results)))
-                _, _, budget, stopped = _replay_serial(spec, results)
-                if budget or stopped:
-                    break
-        finally:  # also when a block failed: leave no block running
-            halt.set()
-            for job in jobs:
-                job.cancel()
+    with multiprocessing.Pool(min(threads, len(blocks), os.cpu_count() or 1)) as pool:
+        for res in pool.imap(partial(_run_block, spec), blocks):
+            results.append(res)
+            _, _, budget, stopped = _replay_serial(spec, results)
+            if budget or stopped:
+                break
     return results
 
 
@@ -583,7 +546,7 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
         threads=threads,
     )
     if threads <= 1:
-        results = [_run_block(spec, 0, count)]
+        results = [_run_block(spec, (0, count))]
     else:
         results = _run_blocks(spec, count, threads)
     found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)

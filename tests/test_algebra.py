@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfstab.algebra import PfOperator, lambda_matrix, parse_operator
+from pfstab.algebra import PfOperator, _pairing, lambda_matrix, parse_operator
 from pfstab.oracle import jw_modes
 from pfstab.zmod import span_order
 
@@ -241,6 +241,19 @@ def test_commutation_agrees_with_lambda_matrix():
             b = random_op(rng, modulus, 6)
             expected = int(np.asarray(a.alpha) @ lam @ np.asarray(b.alpha)) % modulus
             assert a.commutation_exponent(b) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.integers(2, 12), half=st.integers(1, 6), count=st.integers(0, 6), one_row=st.booleans(),
+       data=st.data())
+def test_pairing_matches_dense_lambda_matrix(modulus, half, count, one_row, data):
+    modes = 2 * half
+    shape = (modes,) if one_row else (count, modes)  # a single 1-D row takes the same path
+    size = modes * (1 if one_row else count)
+    rows = np.array(data.draw(st.lists(st.integers(0, modulus - 1), min_size=size, max_size=size)),
+                    dtype=np.int64).reshape(shape)
+    expected = (rows @ lambda_matrix(modulus, modes).array) % modulus
+    assert np.array_equal(_pairing(rows, modulus), expected)
 
 
 def test_render_and_parse_round_trip():

@@ -188,6 +188,36 @@ def test_qudit_file_given_as_a_code_names_embed(capsys, command):
     ]
 
 
+def test_embed_on_a_parafermion_code_file_says_so(capsys):
+    status, out, err = run(capsys, "embed", REPO_CODES / "pf_8_1_3_d3.json")
+    assert status == 2 and out == ""
+    assert err.splitlines() == [
+        "error: this file holds a parafermion code (it has 'num_modes'); `pfstab embed` reads a qudit code file"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--D", 3, "--n", 2],
+        ["toric", "--p", 2, "--l", 1, "--a", 2, "--b", 2],
+        ["params", REPO_CODES / "pf_8_1_3_d3.json", "--json"],
+        ["search", REPO_CODES / "search_d3_6modes.json"],
+        ["embed", REPO_CODES / "qudit_5_1_3_d3.json"],
+        ["double", REPO_CODES / "pf_8_1_3_d3.json"],
+        ["double-d6", REPO_CODES / "pf_8_1_3_d3.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_path_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    status, out, err = run(capsys, "--threads", 1, *argv, "--out", target)
+    assert status == 2 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("candidate vectors:")]  # search's header
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_toric_command_output_round_trips(capsys, tmp_path):
     out_file = tmp_path / "toric.json"
     status, _, _ = run(capsys, "toric", "--p", 2, "--l", 1, "--a", 2, "--b", 2, "--out", out_file)

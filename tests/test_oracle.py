@@ -108,6 +108,20 @@ def test_op_matrix_homomorphism_dense():
         assert np.abs(op_matrix(rep, a) @ op_matrix(rep, b) - op_matrix(rep, a * b)).max() < 1e-8
 
 
+@settings(max_examples=120, deadline=None)
+@given(shape=st.tuples(st.integers(2, 5), st.integers(1, 3)), data=st.data())
+def test_dense_oracle_matches_products_and_commutation(shape, data):
+    modulus, qudits = shape
+    rep = jw_modes(modulus, qudits)
+    exponents = st.lists(st.integers(0, modulus - 1), min_size=2 * qudits, max_size=2 * qudits)
+    a, b = (PfOperator(modulus, 2 * qudits, data.draw(st.integers(0, 2 * modulus - 1)), tuple(data.draw(exponents)))
+            for _ in range(2))
+    ma, mb = rep.op_monomial(a), rep.op_monomial(b)
+    assert ma @ mb == rep.op_monomial(a * b)
+    # a b = w^{2c} b a with c = a.commutation_exponent(b)
+    assert ma @ mb == (mb @ ma).scale(2 * a.commutation_exponent(b))
+
+
 def test_op_matrix_inverse_is_adjoint():
     rep = jw_modes(4, 2)
     rng = np.random.default_rng(43)

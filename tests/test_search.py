@@ -585,3 +585,50 @@ def test_threaded_first_hit_search_stops_with_the_serial_replay():
     assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
     # Each first-generator block used to run to its own first hit or its end: 3.5 s.
     assert elapsed < 2.0
+
+
+class _InlinePool:
+    """Stands in for ``multiprocessing.Pool``: records its size and runs the jobs in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "modulus, modes, threads, cpus, want",
+    [
+        (3, 6, 5000, 64, 64),  # 242 candidates: 242 blocks, so the CPUs bound the pool
+        (3, 6, 5000, None, 1),  # an unknown CPU count gives one worker
+        (2, 4, 5000, 64, 7),  # 7 candidates: at most one worker per block
+        (3, 6, 10**12, 64, 64),  # the block cut stops at one candidate per block
+    ],
+)
+def test_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch, modulus, modes, threads, cpus, want):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(search.multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+    spec = SearchSpec(modulus, modes, 1, 2, max_hits=0)
+    _, parallel = find_codes(spec, threads=threads)
+    assert _InlinePool.sizes == [want]
+    assert parallel.threads == threads  # the certificate records the request, not the pool
+    _, serial = find_codes(spec, threads=1)
+    assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
+
+
+def test_parallel_search_leaves_no_child_process():
+    import multiprocessing
+
+    _, cert = find_codes(SearchSpec(3, 8, 1, 3, max_hits=1), threads=3)
+    assert cert.early_stopped and cert.threads == 3
+    assert multiprocessing.active_children() == []
