@@ -1,8 +1,10 @@
 """Code constructors and converters between qudit and parafermion codes.
 
 Every construction here is a linear map on exponent rows, so a builder
-computes its generators' rows alpha_i with integer arithmetic mod D and
-then solves the phases once, with :func:`pfstab.code.canonical_phases`.
+computes its generators' rows alpha_i with integer arithmetic mod D, takes
+one Howell form of [rows | I], solves the phases from its kernel relations
+(``code._phase_solution``, as :func:`pfstab.code.canonical_phases` does) and
+builds the code once, with ``PfCode._from_forms``, which keeps that form.
 Builders return codes that already pass full validation; a construction
 that cannot be validated raises instead of returning a broken object.
 """
@@ -19,7 +21,8 @@ from .code import (
     InvalidCodeError,
     PfCode,
     _first_logical,
-    canonical_phases,
+    _phase_solution,
+    _row_forms,
     commutation_rows,
     is_logical,
     stabilizer_matrix,
@@ -103,11 +106,11 @@ class QuditCheckMatrix:
 
 
 def _validated(modulus: int, rows: np.ndarray, what: str, mode_layout=None) -> PfCode:
-    """The code with exponent rows ``rows`` and canonical phases; raises
-    :class:`InvalidCodeError` unless it is then valid."""
-    num_modes = rows.shape[1]
-    gens = tuple(PfOperator(modulus, num_modes, 0, row) for row in rows.tolist())
-    code = canonical_phases(PfCode(modulus, num_modes, gens, mode_layout))
+    """The code with exponent rows ``rows`` (residues mod D) and canonical
+    phases; raises :class:`InvalidCodeError` unless it is then valid."""
+    _check_range(modulus, max(rows.shape), "a code")  # before the phase solve's int64 arithmetic
+    forms = _row_forms(rows, modulus)
+    code = PfCode._from_forms(modulus, rows.shape[1], rows, _phase_solution(rows, forms[1], modulus), forms, mode_layout)
     flags = validate(code)
     if not flags.all_ok:
         raise InvalidCodeError(f"{what} failed validation: {flags.to_dict()}")
@@ -181,7 +184,7 @@ def double_code_d6(code3: PfCode) -> PfCode:
     order 3, so the doubled code keeps a three-dimensional codespace.
     """
     if code3.modulus != 3:
-        raise ValueError("input must be a D=3 code")
+        raise InvalidCodeError("input must be a D=3 code")
     rows = np.vstack([np.kron(np.eye(code3.n, dtype=np.int64), [3, 3]), 2 * stabilizer_matrix(code3).array]) % 6
     return _validated(6, rows, "doubled code")
 

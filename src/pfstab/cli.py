@@ -80,11 +80,7 @@ def _print_problems(code, flags) -> None:
 
 def cmd_params(args) -> int:
     code, _ = load_code(args.file)
-    try:
-        report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
-    except ValueError as exc:  # a cap below 1, or a distance letter table over its bound
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    report = analyze(code, max_weight=args.max_weight, max_diameter=args.max_diameter)
     if args.json:
         _emit(args, report.to_dict())
     else:
@@ -94,11 +90,7 @@ def cmd_params(args) -> int:
 
 def cmd_syndrome(args) -> int:
     code, _ = load_code(args.file)
-    try:
-        err = parse_operator(args.error, code.modulus, code.num_modes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    err = parse_operator(args.error, code.modulus, code.num_modes)
     values = syndrome(code, err)
     print(json.dumps({"error": str(err), "syndrome": list(values)}))
     return 0
@@ -113,16 +105,12 @@ def cmd_search(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad search spec: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        print(
-            f"candidate vectors: {_candidate_count(spec.modulus, spec.num_modes)}; "
-            f"raw tuple bound: C(candidates, {spec.generator_count})",
-            file=sys.stderr,
-        )
-        codes, cert = find_codes(spec, threads=args.threads)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BUDGET_EXCEEDED
+    print(
+        f"candidate vectors: {_candidate_count(spec.modulus, spec.num_modes)}; "
+        f"raw tuple bound: C(candidates, {spec.generator_count})",
+        file=sys.stderr,
+    )
+    _, cert = find_codes(spec, threads=args.threads)
     _emit(args, cert.to_dict(canonical=args.canonical))
     if cert.budget_exceeded:
         return BUDGET_EXCEEDED
@@ -144,22 +132,13 @@ def cmd_double(args) -> int:
 
 def cmd_double_d6(args) -> int:
     code, _ = load_code(args.file)
-    try:
-        doubled = double_code_d6(code)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INVALID_CODE
+    doubled = double_code_d6(code)
     _emit(args, code_to_payload(doubled, {"builder": "double-d6", "parameters": {"source": str(args.file)}}))
     return 0
 
 
 def cmd_toric(args) -> int:
-    try:
-        spec = ToricSpec(args.p, args.l, args.a, args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    toric = build_toric(spec)
+    toric = build_toric(ToricSpec(args.p, args.l, args.a, args.b))
     provenance = {
         "builder": "toric",
         "parameters": {"p": args.p, "l": args.l, "a": args.a, "b": args.b},
@@ -169,22 +148,14 @@ def cmd_toric(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    try:
-        code = build_clock_chain(args.D, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    code = build_clock_chain(args.D, args.n)
     provenance = {"builder": "chain", "parameters": {"D": args.D, "n": args.n}}
     _emit(args, code_to_payload(code, provenance))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    try:
-        rep = jw_modes(args.D, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    rep = jw_modes(args.D, args.n)
     rows = [(name, ok) for name, ok in relation_report(rep).items()]
     if args.file:
         code, _ = load_code(args.file)
@@ -311,12 +282,15 @@ def main(argv: list[str] | None = None) -> int:
         args.threads = default_thread_count()
     try:
         return args.fn(args)
-    except CodeFileError as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return BUDGET_EXCEEDED
     except (InvalidCodeError, PhaseAssignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_CODE
+    except ValueError as exc:  # usage and file-format errors, CodeFileError included
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -25,23 +25,26 @@ solver, ``_phase_solution``, solves the same phase equations for mu from
 the rows S and their kernel relations alone: in closed form when S has a
 trivial left kernel, so that only the D-th powers constrain mu, and by a
 Howell form over Z_2D otherwise.  It is the one phase assignment every
-caller uses: :func:`canonical_phases` applies it to a code (so builders),
-and the search applies it to a hit's rows before it builds the hit's code.
+caller uses: :func:`canonical_phases` applies it to a code, and the
+builders and the search apply it to rows before they build the code.
 
 A code is immutable, so its validity and the Howell basis of S are computed
-once per code object, on first use, from one Howell form of [S | I]: the
-rows with a pivot among S's columns, cut to those columns, are the Howell
-basis of S, and the other rows give the kernel relations of the phase
-check.  The Howell basis of the centralizer, the kernel of x -> S L x, is
-kept too, once computed; ``centralizer_basis``, ``logical_basis`` and
-``l_con`` share it.  None of these forms depends on mu, so the code that
-:func:`canonical_phases` returns keeps its input's.  A search hit's code
-is built with them: the Howell basis of S read off the sorted integer
-codes of its span (``_span_basis``) and, for dependent rows only, the
-kernel relations.  Every parameter (|S|,
-k, d, l_con, the logicals) is defined only for a valid code, so each public
-function raises :class:`InvalidCodeError` on an invalid one and otherwise
-reads the kept bases.
+once per code object, on first use, from one Howell form of [S | I]
+(``_row_forms``): the rows with a pivot among S's columns, cut to those
+columns, are the Howell basis of S, and the other rows give the kernel
+relations of the phase check.  The Howell basis of the centralizer, the
+kernel of x -> S L x, is kept too, once computed; ``centralizer_basis``,
+``logical_basis`` and ``l_con`` share it.  None of these forms depends on
+mu.  One constructor, ``PfCode._from_forms``, builds a code from rows,
+phases and forms already at hand, and keeps them: :func:`canonical_phases`
+passes on its input's, the builders pass the forms they solved the phases
+from, and the search passes a hit's Howell basis read off the sorted
+integer codes of its span (``_span_basis``) and, for dependent rows only,
+the kernel relations.  Every parameter (|S|, k, d, l_con, the logicals) is
+defined only for a valid code, so each public function raises
+:class:`InvalidCodeError` on an invalid one and otherwise reads the kept
+bases, reducing against them with ``zmod._reduce_against``, the one
+coset-minimum reducer.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ from .zmod import (
     _augmented_basis,
     _basis_order,
     _check_range,
-    _coset_minima,
     _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
+    _pivot_scale,
     _reduce_against,
     _solve_front,
     _xgcd,
@@ -145,30 +148,21 @@ class PfCode:
     def with_generators(self, generators) -> "PfCode":
         return PfCode(self.modulus, self.num_modes, tuple(generators), self.mode_layout)
 
-    def _with_phases(self, mu) -> "PfCode":
-        """This code with phases ``mu``, keeping the rows S, the Howell forms of
-        [S | I] and, once computed, S L mod D and the centralizer basis (none
-        of them depends on mu)."""
-        code = self.with_generators(
-            PfOperator(self.modulus, self.num_modes, int(m), g.alpha) for m, g in zip(mu, self.generators)
-        )
-        code.__dict__["_rows"] = self._rows
-        code.__dict__["_row_forms"] = self._row_forms
-        for kept in ("_comm_rows", "_centralizer"):
-            if kept in self.__dict__:
-                code.__dict__[kept] = self.__dict__[kept]
-        return code
-
     @classmethod
-    def _from_forms(cls, modulus: int, num_modes: int, rows: np.ndarray, mu: np.ndarray, forms) -> "PfCode":
-        """The code with generators w^{mu_i} g^{rows_i}, keeping ``rows`` (made
-        read-only) as S and ``forms`` as ``_row_forms``, the Howell bases of
-        S and of its left kernel; the caller vouches that they are."""
+    def _from_forms(cls, modulus: int, num_modes: int, rows: np.ndarray, mu: np.ndarray, forms,
+                    mode_layout=None, **kept) -> "PfCode":
+        """The code with generators w^{mu_i} g^{rows_i} and ``mode_layout``.
+
+        It keeps ``rows`` (made read-only) as S, ``forms`` as ``_row_forms``
+        (the Howell bases of S and of its left kernel) and ``kept``, any of
+        ``_comm_rows`` and ``_centralizer``; none of them depends on mu.  The
+        caller vouches that they are what their names say.
+        """
         code = cls(modulus, num_modes,
-                   tuple(PfOperator(modulus, num_modes, x, a) for x, a in zip(mu.tolist(), rows.tolist())))
+                   tuple(PfOperator(modulus, num_modes, x, a) for x, a in zip(mu.tolist(), rows.tolist())),
+                   mode_layout)
         rows.flags.writeable = False
-        code.__dict__["_rows"] = rows
-        code.__dict__["_row_forms"] = forms
+        code.__dict__.update(_rows=rows, _row_forms=forms, **kept)
         return code
 
     @cached_property
@@ -194,12 +188,8 @@ class PfCode:
 
     @cached_property
     def _row_forms(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
-        """(Howell basis {pivot: row} of the rows S, Howell basis of their left
-        kernel), read off one Howell form of [S | I]."""
-        front, kernel = _augmented_basis(stabilizer_matrix(self))
-        relations = np.array([kernel[j] for j in sorted(kernel)], dtype=np.int64)
-        basis = {j: row[: self.num_modes] for j, row in front.items()}
-        return basis, relations.reshape(len(kernel), len(self.generators))
+        """:func:`_row_forms` of the rows S."""
+        return _row_forms(self._rows, self.modulus)
 
     @cached_property
     def _flags(self) -> ValidationFlags:
@@ -282,6 +272,14 @@ def commutation_rows(code: PfCode) -> np.ndarray:
     return code._comm_rows
 
 
+def _row_forms(rows: np.ndarray, modulus: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """(Howell basis {pivot: row} of ``rows``, Howell basis of their left
+    kernel), read off one Howell form of [rows | I]."""
+    front, kernel = _augmented_basis(ZModMatrix(modulus, rows))
+    relations = np.array([kernel[j] for j in sorted(kernel)], dtype=np.int64).reshape(len(kernel), len(rows))
+    return {j: row[: rows.shape[1]] for j, row in front.items()}, relations
+
+
 def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modulus: int) -> np.ndarray:
     """Phase exponent in Z_2D of g_1^{k_1} ... g_r^{k_r} for each row k of ``powers``.
 
@@ -358,8 +356,7 @@ def is_logical(code: PfCode, op: PfOperator) -> bool:
         raise ValueError("operator does not match the code")
     if any(syndrome(code, op)):
         return False
-    reduced = _reduce_against(basis, np.asarray(op.alpha, dtype=np.int64), code.modulus)
-    return reduced is None or bool(reduced.any())
+    return bool(_reduce_against(basis, np.asarray(op.alpha, dtype=np.int64), code.modulus).any())
 
 
 def logical_basis(code: PfCode) -> list[PfOperator]:
@@ -374,9 +371,11 @@ def logical_basis(code: PfCode) -> list[PfOperator]:
 
 def _logical_rows(code: PfCode) -> np.ndarray:
     """The exponent rows of :func:`logical_basis`, in its order."""
-    reps = _coset_minima(_require_valid(code), code._centralizer, code.modulus)
-    distinct = dict.fromkeys(tuple(rep) for rep in reps.tolist() if any(rep))
-    return np.array(list(distinct), dtype=np.int64).reshape(len(distinct), code.num_modes)
+    reps = _reduce_against(_require_valid(code), code._centralizer, code.modulus)
+    reps = reps[reps.any(axis=1)]
+    # Each row as one byte string: np.unique(axis=0) takes about ten times as long on a few rows.
+    first = np.unique(reps.view(np.dtype((np.void, reps.itemsize * reps.shape[1]))).ravel(), return_index=True)[1]
+    return reps[np.sort(first)]
 
 
 # -- minimum-weight enumeration ------------------------------------------------
@@ -540,7 +539,7 @@ def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: dict, modulu
             support = np.column_stack([lows[low // ql], high[row // qh]])
             digits = np.column_stack([_lex_digits(low % ql, q, w1), _lex_digits(row % qh, q, w2)])
             vectors = _place(support, digits, letters, positions)
-            outside = _coset_minima(basis, vectors, modulus).any(axis=1)
+            outside = _reduce_against(basis, vectors, modulus).any(axis=1)
             if outside.any():
                 return w, vectors[int(np.argmax(outside))]
     return None
@@ -614,12 +613,6 @@ def _layout_coords(code: PfCode) -> np.ndarray:
 _WINDOW_BYTES = 1 << 22
 
 
-@lru_cache(maxsize=4096)
-def _pivot_scale(value: int, n: int) -> int:
-    """Some s with s * value == gcd(value, n) (mod n)."""
-    return _xgcd(value, n)[1] % n
-
-
 def _first_window(block: np.ndarray, spanned: int, sides: np.ndarray, n: int, best: tuple[int, int], offset: int):
     """The least (side, corner) that ``best`` or a corner of ``block`` reaches.
 
@@ -690,13 +683,13 @@ def _window_logical(code: PfCode, basis: dict[int, np.ndarray], modes: np.ndarra
     outside the stabilizer span, or None."""
     d, m = code.modulus, code.num_modes
     constraint = np.vstack([code._comm_rows[:, modes], np.ones((1, modes.size), dtype=np.int64)])
-    for row in kernel_basis(ZModMatrix(d, constraint.T % d)).array:
-        vec = np.zeros(m, dtype=np.int64)
-        vec[modes] = row
-        reduced = _reduce_against(basis, vec, d)
-        if reduced is None or reduced.any():
-            return PfOperator(d, m, 0, tuple(int(x) for x in vec))
-    return None
+    kernel = kernel_basis(ZModMatrix(d, constraint.T % d)).array
+    vectors = np.zeros((len(kernel), m), dtype=np.int64)
+    vectors[:, modes] = kernel
+    outside = _reduce_against(basis, vectors, d).any(axis=1)
+    if not outside.any():
+        return None
+    return PfOperator(d, m, 0, tuple(int(x) for x in vectors[int(np.argmax(outside))]))
 
 
 def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
@@ -766,14 +759,16 @@ def canonical_phases(code: PfCode) -> PfCode:
     The phases are :func:`_phase_solution` of the rows and their kernel
     relations: the lexicographically smallest phase vector, or
     :class:`PhaseAssignmentError` when none exists.  The returned code
-    keeps the input's Howell forms of [S | I].
+    keeps the input's mu-free forms (see :meth:`PfCode._from_forms`).
     """
     for g in code.generators:
         if not any(g.alpha) and g.mu:
             raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
     if not code.generators:
         return code
-    return code._with_phases(_phase_solution(code._rows, code._row_forms[1], code.modulus))
+    mu = _phase_solution(code._rows, code._row_forms[1], code.modulus)
+    kept = {name: code.__dict__[name] for name in ("_comm_rows", "_centralizer") if name in code.__dict__}
+    return PfCode._from_forms(code.modulus, code.num_modes, code._rows, mu, code._row_forms, code.mode_layout, **kept)
 
 
 def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np.ndarray:
@@ -803,7 +798,7 @@ def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np
     particular = _solve_front(front, rhs, system.num_rows, two_d)
     if particular is None:
         raise PhaseAssignmentError("no consistent phase assignment exists")
-    return _coset_minima(freedom, particular[None, :], two_d)[0]
+    return _reduce_against(freedom, particular, two_d)
 
 
 def _span_basis(codes: np.ndarray, modulus: int, num_modes: int) -> dict[int, np.ndarray]:

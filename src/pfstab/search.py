@@ -53,7 +53,6 @@ randomized mode never claims nonexistence.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -66,7 +65,7 @@ from math import comb
 import numpy as np
 
 from .algebra import _pairing
-from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _phase_solution, _span_basis, _weight_rows
+from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _lex_digits, _phase_solution, _span_basis, _weight_rows
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
@@ -255,7 +254,7 @@ def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
     """All nonzero alpha with sum(alpha) == 0 (mod D), in lexicographic order."""
     _candidate_count(modulus, num_modes)  # raises on an oversized space
     free = num_modes - 1
-    prefix = np.array(list(itertools.product(range(modulus), repeat=free)), dtype=np.int64)
+    prefix = _lex_digits(np.arange(modulus**free, dtype=np.int64), modulus, free)
     last = (-prefix.sum(axis=1)) % modulus
     cand = np.hstack([prefix, last[:, None]])
     return cand[1:]  # drop the all-zero row
@@ -597,7 +596,7 @@ def _span_table(engine: _Engine) -> np.ndarray | None:
         return None
     if d**r > MAX_CANDIDATES:
         raise BudgetExceededError(f"span table of {d}^{r} combinations exceeds the supported size {MAX_CANDIDATES}")
-    return (np.arange(d**r, dtype=np.int64)[:, None] // d ** np.arange(r, dtype=np.int64)) % d
+    return _lex_digits(np.arange(d**r, dtype=np.int64), d, r)[:, ::-1]
 
 
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:

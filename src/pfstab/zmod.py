@@ -7,10 +7,19 @@ span order and kernel computations exact.  Conventions:
 
 * entries are stored as least nonnegative residues and reduced eagerly;
 * all spans are *row* spans; a kernel means ``{x : x @ M == 0 (mod D)}``.
+
+Two primitives serve every caller.  ``_pivot_scale(a, n)`` is a cached
+extended-gcd coefficient s with s * a == gcd(a, n) (mod n): the Howell form
+eliminates with it and scales each pivot row by it (s need not be a unit;
+see ``_howell_basis``).  ``_reduce_against`` is the one reducer against a
+Howell basis: it takes one vector or a batch and returns coset minima, so
+span membership, solving and the coset minimum are all a zero test or a
+read of its result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -121,33 +130,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _div_mod(b: int, a: int, n: int) -> int:
-    """Return some t with t*a == b (mod n); requires gcd(a, n) | b."""
-    g, s, _ = _xgcd(a, n)
-    if b % g:
-        raise ValueError(f"{a} does not divide {b} modulo {n}")
-    return (s * (b // g)) % (n // g)
-
-def _coprime_part(n: int, m: int) -> int:
-    """Largest divisor of n coprime to m."""
-    while (g := gcd(n, m)) > 1:
-        n //= g
-    return n
-
-
-def _unit_for_pivot(a: int, n: int) -> int:
-    """A unit u mod n with (u * a) % n == gcd(a, n)."""
-    d = gcd(a, n)
-    a1, n1 = a // d, n // d
-    if n1 == 1:
-        return 1
-    s0 = pow(a1, -1, n1)
-    m2 = _coprime_part(n, n1)
-    # CRT: u == s0 (mod n1), u == 1 (mod m2); every prime of n divides n1 or m2.
-    g, p, q = _xgcd(n1, m2)
-    assert g == 1
-    u = (s0 * q * m2 + 1 * p * n1) % (n1 * m2)
-    return u % n
+@lru_cache(maxsize=4096)
+def _pivot_scale(value: int, n: int) -> int:
+    """Some s with s * value == gcd(value, n) (mod n); s need not be a unit."""
+    return _xgcd(value, n)[1] % n
 
 
 def _echelon_insert(basis: dict[int, np.ndarray], v: np.ndarray, n: int) -> None:
@@ -163,9 +149,9 @@ def _echelon_insert(basis: dict[int, np.ndarray], v: np.ndarray, n: int) -> None
         row = basis[j]
         a = int(row[j])
         b = int(v[j])
-        if b % gcd(a, n) == 0:
-            t = _div_mod(b, a, n)
-            v = (v - t * row) % n
+        g = gcd(a, n)
+        if b % g == 0:
+            v = (v - (_pivot_scale(a, n) * (b // g) % n) * row) % n
         else:
             g, s, t = _xgcd(a, b)
             combined = (s * row + t * v) % n
@@ -191,12 +177,13 @@ def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:
             w = (u * basis[j]) % n
             if w.any():
                 _echelon_insert(basis, w, n)
-    # Canonical pivots: unit-scale so each pivot equals gcd(pivot, n).
+    # Canonical pivots: scale so each pivot equals g = gcd(pivot, n).  The
+    # scale s need not be a unit: row - (a / g) s row is a multiple of
+    # (n / g) row, which the sweep above put in the span of the later rows.
     for j in basis:
         a = int(basis[j][j])
-        d = gcd(a, n)
-        if a != d:
-            basis[j] = (basis[j] * _unit_for_pivot(a, n)) % n
+        if a != gcd(a, n):
+            basis[j] = (basis[j] * _pivot_scale(a, n)) % n
     # Reduce entries above each pivot into [0, pivot).
     cols = sorted(basis)
     for idx, j in enumerate(cols):
@@ -223,25 +210,22 @@ def howell_form(m: ZModMatrix) -> ZModMatrix:
     return ZModMatrix(m.modulus, rows)
 
 
-def _reduce_against(basis: dict[int, np.ndarray], v: np.ndarray, n: int, limit: int | None = None) -> np.ndarray | None:
-    """Reduce v against a Howell basis; None if some leading entry is stuck.
+def _reduce_against(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -> np.ndarray:
+    """:func:`coset_minimum` of one vector, or of each row of ``vectors``, against a Howell basis.
 
-    Only pivot columns < ``limit`` are used (all columns when None).
+    Each pivot in turn reduces its column into [0, pivot), skipped where
+    every entry already lies there.  This is the only reducer: a vector
+    lies in the span exactly when its result is zero.
     """
-    v = v % n
-    while True:
-        nz = np.nonzero(v if limit is None else v[:limit])[0]
-        if nz.size == 0:
-            return v
-        j = int(nz[0])
-        row = basis.get(j)
-        if row is None:
-            return None
-        a = int(row[j])
-        if int(v[j]) % gcd(a, n):
-            return None
-        t = _div_mod(int(v[j]), a, n)
-        v = (v - t * row) % n
+    w = np.asarray(vectors, dtype=np.int64) % n
+    rows = w.reshape(-1, w.shape[-1])
+    for j in sorted(basis):
+        row = basis[j]
+        times = rows[:, j] // int(row[j])
+        if np.count_nonzero(times):
+            rows -= times[:, None] * row
+            rows %= n
+    return w
 
 
 def span_membership(m: ZModMatrix, v: Sequence[int]) -> bool:
@@ -249,9 +233,7 @@ def span_membership(m: ZModMatrix, v: Sequence[int]) -> bool:
     vec = np.asarray(v, dtype=np.int64)
     if vec.ndim != 1 or vec.shape[0] != m.num_cols:
         raise ValueError(f"vector length {vec.shape} does not match {m.num_cols} columns")
-    basis = _howell_basis(m.array, m.modulus)
-    reduced = _reduce_against(basis, vec, m.modulus)
-    return reduced is not None and not reduced.any()
+    return not _reduce_against(_howell_basis(m.array, m.modulus), vec, m.modulus).any()
 
 
 def span_order(m: ZModMatrix) -> int:
@@ -285,8 +267,8 @@ def _augmented_basis(m: ZModMatrix) -> tuple[dict[int, np.ndarray], dict[int, np
 def _solve_front(front: dict[int, np.ndarray], vec: np.ndarray, r: int, n: int) -> np.ndarray | None:
     """:func:`solve_left` for an r-row M, from the M-pivot rows of ``_augmented_basis``."""
     c = vec.shape[0]
-    w = _reduce_against(front, np.concatenate([vec, np.zeros(r, dtype=np.int64)]), n, limit=c)
-    if w is None or w[:c].any():
+    w = _reduce_against(front, np.concatenate([vec, np.zeros(r, dtype=np.int64)]), n)
+    if w[:c].any():
         return None
     return (-w[c:]) % n
 
@@ -319,19 +301,7 @@ def coset_minimum(m: ZModMatrix, v: Sequence[int]) -> np.ndarray:
     vec = np.asarray(v, dtype=np.int64) % n
     if vec.shape != (m.num_cols,):
         raise ValueError(f"vector length {vec.shape} does not match {m.num_cols} columns")
-    return _coset_minima(_howell_basis(m.array, n), vec[None, :], n)[0]
-
-
-def _coset_minima(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -> np.ndarray:
-    """:func:`coset_minimum` of every row of ``vectors`` against a Howell basis.
-
-    A row lies in the span exactly when its coset minimum is zero.
-    """
-    w = np.array(vectors, dtype=np.int64) % n
-    for j in sorted(basis):
-        row = basis[j]
-        w = (w - (w[:, j] // int(row[j]))[:, None] * row) % n
-    return w
+    return _reduce_against(_howell_basis(m.array, n), vec, n)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -182,8 +182,7 @@ def reference_lcon(code, max_diameter=None) -> tuple[int | None, str | None, int
             for row in kern.array:
                 vec = np.zeros(m, dtype=np.int64)
                 vec[modes] = row
-                reduced = _reduce_against(basis, vec, d)
-                if reduced is None or reduced.any():
+                if _reduce_against(basis, vec, d).any():
                     op = PfOperator(d, m, 0, tuple(int(x) for x in vec))
                     return support_diameter(op, code.mode_layout), str(op), cap
     return None, None, cap

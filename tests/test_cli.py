@@ -652,10 +652,18 @@ def test_modulus_beyond_exact_int64_arithmetic_exits_2(capsys, argv):
     assert err.startswith("error: modulus") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["validate", "params", "embed"])
-def test_file_with_modulus_beyond_exact_int64_arithmetic_exits_2(capsys, tmp_path, command):
+@pytest.mark.parametrize(
+    "command, big",
+    [
+        pytest.param("validate", 4294967311, id="validate"),
+        pytest.param("params", 4294967311, id="params"),
+        pytest.param("embed", 4294967311, id="embed"),
+        # One qudit passes the qudit-level range check; its four embedded modes do not.
+        pytest.param("embed", 10**9, id="embed-modes-only"),
+    ],
+)
+def test_file_with_modulus_beyond_exact_int64_arithmetic_exits_2(capsys, tmp_path, command, big):
     path = tmp_path / "input.json"
-    big = 4294967311
     if command == "embed":
         path.write_text(json.dumps({"format_version": 1, "D": big, "num_qudits": 1, "rows": [{"x": [1], "z": [0]}]}))
     else:

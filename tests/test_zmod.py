@@ -1,12 +1,15 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pfstab.zmod import (
     ZModMatrix,
+    _howell_basis,
+    _reduce_against,
     coset_minimum,
     howell_form,
     kernel_basis,
@@ -268,3 +271,94 @@ def test_kernel_and_solve_left_match_enumeration(modulus, rows, cols, seed):
         assert (x is not None) == (v in span)
         if x is not None:
             assert tuple((x @ m.array) % modulus) == v
+
+
+def _least_coset_codes(matrix: np.ndarray, vectors: np.ndarray, modulus: int) -> np.ndarray:
+    """Brute force: the base-D code of the least element of v + rowspan(matrix), for each row v,
+    over every coefficient vector in blocks."""
+    rows, cols = matrix.shape
+    place = modulus ** np.arange(cols - 1, -1, -1, dtype=np.int64)
+    best = np.full(len(vectors), modulus**cols, dtype=np.int64)
+    for start in range(0, modulus**rows, 1 << 15):
+        index = np.arange(start, min(start + (1 << 15), modulus**rows), dtype=np.int64)
+        coeffs = (index[:, None] // modulus ** np.arange(rows, dtype=np.int64)) % modulus
+        span = (coeffs @ matrix) % modulus
+        best = np.minimum(best, (((span[None] + vectors[:, None]) % modulus) @ place).min(axis=1))
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    modulus=st.one_of(st.sampled_from([12, 30, 36]), st.integers(2, 36)),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 5),
+    one_vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reduce_against_gives_least_coset_elements(modulus, rows, cols, one_vector, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, modulus, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
+    members = (rng.integers(0, modulus, size=(2, rows)) @ matrix) % modulus
+    vectors = np.vstack([members, rng.integers(0, modulus, size=(2, cols))])
+    reduced = _reduce_against(_howell_basis(matrix, modulus), vectors[0] if one_vector else vectors, modulus)
+    assert reduced.shape == ((cols,) if one_vector else vectors.shape)
+    reduced = reduced.reshape(-1, cols)
+    least = _least_coset_codes(matrix, vectors[: len(reduced)], modulus)
+    assert (reduced @ modulus ** np.arange(cols - 1, -1, -1, dtype=np.int64)).tolist() == least.tolist()
+    assert (~reduced.any(axis=1)).tolist() == (least == 0).tolist()
+    assert not reduced[: min(2, len(reduced))].any()
+
+
+# The largest prime, and a product of the first nine primes times 6, that
+# ``_check_range`` admits for a matrix: Howell-form arithmetic there runs
+# near the int64 limit, so a multiplier left unreduced mod n overflows.
+_EDGE_PRIME = 1518500213
+_EDGE_COMPOSITE = 6 * 223092870
+
+
+def _rref_mod_prime(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced row echelon form over Z_p in Python integers, zero rows dropped."""
+    rows = [[x % p for x in row] for row in rows]
+    out: list[list[int]] = []
+    for col in range(len(rows[0])):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inverse = pow(pivot[col], -1, p)
+        pivot = [x * inverse % p for x in pivot]
+        out = [[(x - row[col] * y) % p for x, y in zip(row, pivot)] for row in out]
+        rows = [[(x - row[col] * y) % p for x, y in zip(row, pivot)] for row in rows]
+        out.append(pivot)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, _EDGE_PRIME - 1), min_size=3, max_size=3), min_size=2, max_size=2))
+@example([[5, 7, 11], [1234567891, 987654321, 555555555]])
+def test_howell_form_at_the_largest_admitted_prime(rows):
+    minors = [rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    assume(any(x % _EDGE_PRIME for x in minors))  # full rank
+    got = howell_form(ZModMatrix(_EDGE_PRIME, rows)).to_lists()
+    assert got == _rref_mod_prime(rows, _EDGE_PRIME)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([1, 2, 3, 5, 6, 30, 223092870, 669278610]), min_size=3, max_size=3),
+)
+def test_howell_form_and_kernel_at_a_composite_int64_edge(seed, scales):
+    n = _EDGE_COMPOSITE
+    rng = np.random.default_rng(seed)
+    matrix = (rng.integers(0, n, size=(3, 4)) * np.array(scales)[:, None]) % n
+    mix = np.eye(3, dtype=object)
+    for _ in range(8):
+        i, j = rng.choice(3, size=2, replace=False)
+        unit = next(u for u in map(int, rng.integers(1, n, size=64)) if gcd(u, n) == 1)
+        mix[i] = (unit * mix[i] + int(rng.integers(1, n)) * mix[j]) % n
+        mix[[i, j]] = mix[[j, i]]
+    mixed = ((mix @ matrix.astype(object)) % n).astype(np.int64)
+    assert howell_form(ZModMatrix(n, mixed)) == howell_form(ZModMatrix(n, matrix))
+    kernel = kernel_basis(ZModMatrix(n, matrix)).array
+    assert not ((kernel.astype(object) @ matrix.astype(object)) % n).any()
