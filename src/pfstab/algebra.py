@@ -73,6 +73,15 @@ class PfOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _reduced(cls, modulus: int, num_modes: int, mu: int, alpha: tuple[int, ...]) -> "PfOperator":
+        """w^mu g^alpha from Python ints already normalised: mu in [0, 2D) and
+        alpha a tuple of num_modes residues mod D.  Nothing is checked; the
+        caller vouches for both and for the modulus and mode count."""
+        op = object.__new__(cls)
+        op.__dict__.update(modulus=modulus, num_modes=num_modes, mu=mu, alpha=alpha)
+        return op
+
+    @classmethod
     def identity(cls, modulus: int, num_modes: int) -> "PfOperator":
         return cls(modulus, num_modes, 0, (0,) * num_modes)
 

@@ -156,10 +156,12 @@ class PfCode:
         It keeps ``rows`` (made read-only) as S, ``forms`` as ``_row_forms``
         (the Howell bases of S and of its left kernel) and ``kept``, any of
         ``_comm_rows`` and ``_centralizer``; none of them depends on mu.  The
-        caller vouches that they are what their names say.
+        caller vouches that they are what their names say, that ``rows``
+        holds residues mod D and that ``mu`` lies in [0, 2D), so the
+        generators are built without normalising them again.
         """
         code = cls(modulus, num_modes,
-                   tuple(PfOperator(modulus, num_modes, x, a) for x, a in zip(mu.tolist(), rows.tolist())),
+                   tuple(PfOperator._reduced(modulus, num_modes, x, tuple(a)) for x, a in zip(mu.tolist(), rows.tolist())),
                    mode_layout)
         rows.flags.writeable = False
         code.__dict__.update(_rows=rows, _row_forms=forms, **kept)

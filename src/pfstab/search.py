@@ -8,38 +8,47 @@ by lexicographic minimality, so each candidate code is visited once.  The
 canonical test is incremental (McKay's canonical augmentation): a parent
 tuple has already passed it and candidate indices only grow, so a child
 adding generator g to span S is canonical exactly when g is the minimum of
-the new cosets S + c*g, c = 1 .. D-1.
+the new cosets S + c*g, c = 1 .. D-1.  For prime D that minimum is g
+exactly when g is zero on every pivot column of S and its leading digit is
+1, and the pivot columns of S are the leading columns of the tuple's
+generators, so the test reads two per-candidate arrays (a support bitmask
+and whether the leading digit is 1) against one bitmask per node.
 
 A full tuple meets one acceptance rule for every modulus.  Its span must
 have D^(n-k) elements, which fixes k; a span met again under another
 generating tuple (no symmetry reduction, or randomized mode) is skipped;
-then two prefilters, each one product at the leaf of the tuple's pairing
-rows with the weight-(< d), then the weight-d, vectors, fix d.  The tuple
-is commuting and parity-zero by construction, so the acceptance test only
-assigns phases and keys the span, from arrays the engine already holds.
-The key hashes the span's Howell basis, read off its sorted integer codes
-(``code._span_basis``): the row with pivot j is the least span code in
-[D^(m-1-j), D^(m-j)).  A span of D^r elements means independent rows
-(always so for prime D), and their phases come in closed form from the
-rows alone (``code._phase_solution``, which ``canonical_phases`` uses
-too).  A dependent tuple (composite D with r > n - k) takes a Howell form
-of its rows and a phase solve over Z_2D; no solution is the only
-rejection left.
+then two prefilters fix d: every weight-(< d) vector that commutes with
+the tuple lies in the span, and some weight-d one does not.  One kernel,
+``_Engine._leaves``, decides all of this for a block of full tuples: the
+passing children of a leaf-parent, or a chunk's independent samples.  The
+tuple is commuting and parity-zero by construction, so the acceptance test
+only assigns phases and keys the span, from arrays the engine already
+holds.  The key hashes the span's Howell basis, read off its sorted
+integer codes (``code._span_basis``): the row with pivot j is the least
+span code in [D^(m-1-j), D^(m-j)).  A span of D^r elements means
+independent rows (always so for prime D), and their phases come in closed
+form from the rows alone (``code._phase_solution``, which
+``canonical_phases`` uses too).  A dependent tuple (composite D with
+r > n - k) takes a Howell form of its rows and a phase solve over Z_2D; no
+solution is the only rejection left.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
-order on codes, so the canonical test is one ``min`` over coset codes.  The
-engine tests all children of a node together: one numpy kernel builds the
-coset rows of a block of children, and only the children that pass are
-explored, in index order.  The node counter advances over each run of
-failing children in one step, so node indices, the budget stop and the
-``max_hits`` stop are those of a one-node-at-a-time walk.  A nonzero
-parity-zero vector with code c is candidate ``c // D - 1``, so span
-membership (strict growth, the prefilters) reads arrays indexed by
-candidate position.  Randomized mode draws a chunk of samples at once
-(``_floyd_draw``, r raw PCG64 words per sample, in order), tests their
-commutation together and builds every span code of the commuting ones in
-one kernel, a coefficient table times their rows (``_find_randomized``).
+order on codes.  A nonzero parity-zero vector with code c is candidate
+``c // D - 1``, so the span members to clear from a commutation mask are
+read off the span's codes, and span membership in the prefilters is one
+``searchsorted`` over sorted codes.  The engine tests all children of a
+node together and builds span rows only for the children that pass, a
+bounded block at a time; the block's commutation masks, or its full
+tuples' prefilters, come from one float64 product read through a
+divisibility lookup table.  Passing children are explored in index order,
+and the node counter advances over each run of failing children in one
+step, so node indices, the budget stop and the ``max_hits`` stop are
+those of a one-node-at-a-time walk.  Randomized mode draws a chunk of
+samples at once (``_floyd_draw``, r raw PCG64 words per sample, in order),
+tests their commutation together and builds every span code of the
+commuting ones in one kernel, a coefficient table times their rows
+(``_find_randomized``).
 
 With ``--threads N`` the first-generator range is cut into 4N blocks,
 mapped in order over a process pool of at most N workers (no more than
@@ -89,6 +98,9 @@ _SAMPLE_CHUNK = 256
 SAMPLER = "floyd-pcg64-raw-v1"
 # ``--threads N`` cuts the first-generator range into this many blocks per requested thread.
 _BLOCKS_PER_THREAD = 4
+# Entries of the largest divisibility lookup table the engine builds (one byte each);
+# past it, products are reduced by ``np.fmod``.
+_DIVISIBLE_TABLE = 1 << 22
 
 
 class BudgetExceededError(RuntimeError):
@@ -273,12 +285,20 @@ def _bound_prefilters(spec: SearchSpec) -> None:
 class _Engine:
     """Shared state for one exhaustive enumeration over a first-generator range.
 
-    A span is carried as its rows (row 0 is the zero vector) and their
-    integer codes ``row @ place``.  A nonzero parity-zero vector with code c
+    A span is carried as its rows, row 0 the zero vector; a block of
+    children gets its grown spans' rows and integer codes ``row @ place``
+    in one kernel (``_grown``).  A nonzero parity-zero vector with code c
     is candidate ``c // D - 1`` (the candidates run through the first m - 1
-    digits in order), so span membership reads a boolean array indexed by
-    candidate position.  The coset-minimum test assumes prime D:
-    ``find_codes`` turns symmetry reduction off for composite moduli.
+    digits in order), so the span members to clear from a commutation mask
+    are read off the codes.  For the canonical test each candidate keeps its
+    support as a bitmask over the columns and whether its leading digit is
+    1; the test assumes prime D (``find_codes`` turns symmetry reduction off
+    for composite moduli).
+
+    Commutation is read off float64 products of pairing rows with exponent
+    vectors (candidates, or the prefilters' weight vectors), exact because
+    every entry is an integer below m (D-1)^2 < 2^53, through the lookup
+    table ``divisible[x] = (x % D == 0)`` (``_divisible``).
     """
 
     def __init__(self, spec: SearchSpec):
@@ -287,80 +307,61 @@ class _Engine:
         self.cand = _parity_zero_candidates(d, m)
         self.count = self.cand.shape[0]
         self.place = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.codes = self.cand @ self.place  # ascending, as the candidates are sorted
-        self.multiples = np.arange(1, d, dtype=np.int64)[:, None, None]
+        self.multiples = np.arange(d, dtype=np.int64)[:, None, None]
         self.prime = _is_prime(d)
+        nonzero = self.cand != 0
+        self.support = nonzero @ (1 << np.arange(m, dtype=np.int64))
+        lead = np.argmax(nonzero, axis=1)
+        self.lead_bit = 1 << lead
+        self.lead_one = self.cand[np.arange(self.count), lead] == 1
         # |S| = D^(n-k) for a valid code, so a span of any other size has the wrong k.
         n = m // 2
         self.span_size = d ** (n - spec.target_k) if spec.target_k <= n else 0
         # Without symmetry reduction, or when sampling, a span can arrive more than once.
         self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
-        self.pairing = _pairing(self.cand, d)  # row i pairs as pairing[i] @ x
-        self.low = self._weight_vectors(1, spec.target_d - 1)
-        self.exact = self._weight_vectors(spec.target_d, spec.target_d)
-        self.in_span = np.zeros(self.count + 1, dtype=bool)
+        self.pairing = _pairing(self.cand, d).astype(np.float64)  # row i pairs as pairing[i] @ x
+        self.cand_t = np.ascontiguousarray(self.cand.T, dtype=np.float64)
+        bound = m * (d - 1) ** 2 + 1
+        self.divisible = None
+        if bound <= _DIVISIBLE_TABLE:
+            self.divisible = np.zeros(bound, dtype=bool)
+            self.divisible[::d] = True
+        # The prefilters' weight vectors, weight below d first, as float64 columns, and their codes.
+        vectors = _weight_rows(d, m, 1, spec.target_d)
+        self.low_count = int(np.count_nonzero((vectors != 0).sum(axis=1) < spec.target_d))
+        self.weights = np.ascontiguousarray(vectors.T, dtype=np.float64)
+        self.weight_codes = vectors @ self.place
         self.nodes = 0
         # (node index, span key, phased code) of each hit, in the order found.
         self.hits: list[tuple[int, str, PfCode]] = []
         # Filled once per hit and read only by the benchmark's span tracer (perfbench/spans.py).
         self.hit_keys: set[str] = set()
         # Sorted codes (as bytes) of every span of the right size that reached
-        # _leaf, kept only when spans can repeat.
+        # the repeat test, kept only when spans can repeat.
         self.seen_spans: set[bytes] = set()
         self.stopped = False
 
     # -- helpers -----------------------------------------------------------
 
-    def _weight_vectors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The exponent vectors of weight lo .. hi (none above m), as columns, and their candidate positions.
+    def _divisible(self, products: np.ndarray) -> np.ndarray:
+        """``products % D == 0`` for float64 products of pairing rows with exponent vectors."""
+        if self.divisible is None:
+            return np.fmod(products, self.spec.modulus) == 0
+        return self.divisible[products.astype(np.intp)]
 
-        A vector that is not parity-zero gets the sentinel position ``count``, which no span ever sets.
-        """
-        d = self.spec.modulus
-        vectors = _weight_rows(d, self.spec.num_modes, lo, hi)
-        positions = np.where(vectors.sum(axis=1) % d == 0, (vectors @ self.place) // d - 1, self.count)
-        return np.ascontiguousarray(vectors.T, dtype=np.float64), positions
+    def _grown(self, span: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of span + c * cand[j], c = 0 .. D-1, for each j in ``block``, and their codes.
 
-    def _central_in_span(self, chosen: list[int], columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Span membership of each vector (a column of ``columns``) that commutes with every chosen generator.
-
-        Each pairing is an integer below m (D-1)^2 < 2^53, so the BLAS product and ``fmod`` are exact.
-        """
-        pairs = self.pairing[chosen].astype(np.float64) @ columns
-        np.fmod(pairs, self.spec.modulus, out=pairs)
-        return self.in_span[positions[~pairs.any(axis=0)]]
-
-    def _members(self, codes: np.ndarray) -> np.ndarray:
-        """Candidate positions of a span's nonzero elements (``codes[0]`` is the zero vector)."""
-        return codes[1:] // self.spec.modulus - 1
-
-    def _comm_mask(self, i: int) -> np.ndarray:
-        return ((self.pairing[i] @ self.cand.T) % self.spec.modulus) == 0
-
-    def _zero_span(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros((1, self.spec.num_modes), dtype=np.int64), np.zeros(1, dtype=np.int64)
-
-    def _cosets(self, span: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of span + c * cand[j] for each j in ``block`` and c = 1 .. D-1, and their codes.
-
-        Shapes (K, D-1, |span|, m) and (K, D-1, |span|) for K = len(block).
+        Shapes (K, D |span|, m) and (K, D |span|) for K = len(block); each
+        starts with ``span`` itself.  Every element of the grown span appears
+        equally often: once for prime D, where the cosets are disjoint, and
+        more often for composite D when a multiple c*g falls back into the
+        span.
         """
         rows = span + self.multiples * self.cand[block][:, None, None, :]
         rows %= self.spec.modulus
+        rows = rows.reshape(len(block), -1, span.shape[1])
         return rows, rows @ self.place
-
-    def _grow(self, span, codes, coset, coset_codes) -> tuple[np.ndarray, np.ndarray]:
-        """The span generated by ``span`` and a generator outside it, given its coset rows.
-
-        For prime D the cosets span + c*g are disjoint and already distinct;
-        for composite D a multiple c*g can fall back into the span.
-        """
-        rows = np.vstack((span, coset.reshape(-1, span.shape[1])))
-        all_codes = np.concatenate((codes, coset_codes.ravel()))
-        if self.prime:
-            return rows, all_codes
-        all_codes, first = np.unique(all_codes, return_index=True)
-        return rows[first], all_codes
 
     def _advance(self, count: int) -> None:
         """Count ``count`` more nodes; the budget stops at node ``max_tuples + 1``."""
@@ -369,11 +370,65 @@ class _Engine:
             self.nodes = self.spec.max_tuples + 1
             raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
 
-    def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Record a hit for a span that passed ``_leaf``, given its codes: phase the tuple and key the span.
+    def _central_columns(self, rows: list[int]) -> np.ndarray:
+        """Positions of the weight vectors that commute with every candidate in ``rows``."""
+        return np.flatnonzero(self._divisible(self.pairing[rows] @ self.weights).all(axis=0))
 
-        ``_leaf`` has fixed k (span size) and d (the prefilters), and hands
-        each span over at most once.  The tuple is commuting (the
+    def _leaves(self, generators: np.ndarray, span_codes: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of a block of full tuples go on to ``_accept``, and their spans' sorted codes.
+
+        Row t of ``span_codes`` lists the codes of tuple t's span, each the
+        same number of times (more than once only for composite D, see
+        ``_grown``).  A tuple passes when its span has D^(n-k) elements, is
+        not a span met before (when spans can repeat, every span of the
+        right size counts as met, in row order), and passes both
+        prefilters: every weight-(< d) vector that commutes with the tuple
+        lies in the span, and some weight-d one does not.  The weight
+        vectors at ``columns`` (``_central_columns``) commute with every
+        generator of tuple t except perhaps those in row t of
+        ``generators``; the others do not commute with the tuple.  The
+        products of those generators with those vectors go through
+        ``_divisible`` at once, and span membership is one ``searchsorted``
+        over the sorted codes of all spans, each offset by its row number
+        times D^m.  Returns a boolean per tuple and an array whose row t
+        holds span t's distinct codes in order wherever the tuple passed.
+        """
+        count, length = span_codes.shape
+        size = self.span_size
+        if not size or length % size:
+            return np.zeros(count, dtype=bool), span_codes
+        spans = np.sort(span_codes, axis=1)
+        if self.prime:
+            passed = np.full(count, length == size)
+        else:
+            passed = np.count_nonzero(np.diff(spans, axis=1), axis=1) + 1 == size
+            spans = spans[:, :: length // size]
+        if self.repeats:
+            for t in np.flatnonzero(passed).tolist():
+                key = spans[t].tobytes()
+                passed[t] = key not in self.seen_spans
+                self.seen_spans.add(key)
+        live = np.flatnonzero(passed)
+        if not live.size:
+            return passed, spans
+        products = self.pairing[generators[live].ravel()] @ self.weights[:, columns]
+        central = self._divisible(products).reshape(len(live), generators.shape[1], -1).all(axis=1)
+        t, w = np.nonzero(central)
+        offset = self.spec.modulus ** self.spec.num_modes
+        members = (spans[live] + offset * np.arange(len(live))[:, None]).ravel()
+        wanted = self.weight_codes[columns[w]] + offset * t
+        found = members[np.minimum(np.searchsorted(members, wanted), len(members) - 1)] == wanted
+        outside = np.zeros(central.shape, dtype=bool)
+        outside[t[~found], w[~found]] = True
+        low = columns < self.low_count
+        passed[live] = ~outside[:, low].any(axis=1) & outside[:, ~low].any(axis=1)
+        return passed, spans
+
+    def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
+        """Record a hit for a span that passed ``_leaves``, given its sorted codes: phase the tuple and key the span.
+
+        ``_leaves`` has fixed k (span size) and d (the prefilters), and
+        hands each span over at most once.  The tuple is commuting (the
         commutation masks) and parity-zero (the candidates), so the phases
         decide validity.  A span of D^r elements means independent rows
         (always so for prime D, where the span grew at every step or the
@@ -395,84 +450,89 @@ class _Engine:
             mu = _phase_solution(rows, relations, d)
         except PhaseAssignmentError:
             return
-        code = PfCode._from_forms(d, m, rows, mu, (_span_basis(np.sort(codes), d, m), relations))
+        code = PfCode._from_forms(d, m, rows, mu, (_span_basis(codes, d, m), relations))
         key = canonical_equivalence_key(code)
         self.hit_keys.add(key)
         self.hits.append((self.nodes, key, code))
         if spec.max_hits and len(self.hits) >= spec.max_hits:
             self.stopped = True
 
-    def _leaf(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Hand a full tuple to ``_accept`` if its span has D^(n-k) elements and passes both prefilters.
-
-        Everything from here on is a property of the span (size, the
-        prefilters, phase solvability), so when spans can repeat (no
-        symmetry reduction, or randomized mode) a span already seen,
-        accepted or not, is skipped before the prefilters; it is keyed by
-        its sorted codes.  The span's candidate positions are set in
-        ``in_span`` for the prefilters (every centralizing vector of weight
-        below d is in the span, some weight-d one is not) and cleared again.
-        """
-        if len(codes) != self.span_size:
-            return
-        if self.repeats:
-            key = np.sort(codes).tobytes()
-            if key in self.seen_spans:
-                return
-            self.seen_spans.add(key)
-        members = self._members(codes)
-        self.in_span[members] = True
-        passed = self._central_in_span(chosen, *self.low).all() and not self._central_in_span(chosen, *self.exact).all()
-        self.in_span[members] = False
-        if passed:
-            self._accept(chosen, codes)
-
     # -- enumeration --------------------------------------------------------
 
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
         first_hi = self.count if first_hi is None else first_hi
-        self._expand([], None, *self._zero_span(), np.arange(first_lo, first_hi))
+        zero = np.zeros((1, self.spec.num_modes), dtype=np.int64)
+        self._expand([], 0, np.ones(self.count, dtype=bool), zero, np.arange(first_lo, first_hi))
 
-    def _expand(self, chosen: list[int], comm_ok: np.ndarray | None, span: np.ndarray,
-                codes: np.ndarray, children: np.ndarray) -> None:
+    def _expand(self, chosen: list[int], pivots: int, comm_ok: np.ndarray, span: np.ndarray,
+                children: np.ndarray) -> None:
         """Count the children that add each candidate in ``children`` to ``chosen``, and explore them.
 
-        ``chosen`` has passed the canonical test itself and every child
-        index exceeds its indices, so the child adding j is the greedy
-        lexicographically minimal generating tuple of its span exactly when
-        cand[j] is the minimum of the new coset rows span + c*cand[j]
-        (McKay's canonical augmentation).  One kernel tests a block of
-        children at once, at most about ``_BLOCK_ROWS`` coset rows; without
-        symmetry reduction every child passes.  The node counter advances
-        over each run of failing children in one step, so node indices,
-        the budget stop and the ``max_hits`` stop are those of a walk that
-        counts one child at a time.  The children that pass grow the span
-        and recurse (or reach ``_leaf``) in index order.
+        ``comm_ok`` marks the candidates that commute with every chosen
+        generator and lie outside their span.  ``chosen`` has passed the
+        canonical test itself and every child index exceeds its indices, so
+        the child adding j is the greedy lexicographically minimal
+        generating tuple of its span exactly when cand[j] is the minimum of
+        the new cosets span + c*cand[j], c = 1 .. D-1 (McKay's canonical
+        augmentation).  For prime D that holds
+        exactly when cand[j] is zero on every pivot column of the span and
+        its leading digit is 1: the least element of span + g is g reduced
+        against the span's echelon form with the pivot entries zeroed, and
+        some c makes c*g lead with 1.  The pivot columns are the leading
+        columns of ``chosen``, the bitmask ``pivots``, so the test reads two
+        per-candidate arrays; without symmetry reduction every child
+        passes.  Only the children that pass get coset rows, a block of
+        them at a time: at an inner node one float64 product gives the
+        block's commutation masks, and at a leaf-parent ``_leaves`` decides
+        the block's full tuples.  The node counter advances over each run
+        of children that fail, or whose full tuple fails, in one step, so
+        node indices, the budget stop and the ``max_hits`` stop are those
+        of a walk that counts one child at a time.  Passing children are
+        explored, or accepted, in index order.
         """
         spec = self.spec
+        at = np.arange(len(children))
+        if spec.symmetry_reduction:
+            at = np.flatnonzero(self.lead_one[children] & (self.support[children] & pivots == 0))
+        if not len(at):
+            self._advance(len(children))
+            return
         leaf = len(chosen) + 1 == spec.generator_count
-        step = max(1, _BLOCK_ROWS // (len(codes) * (spec.modulus - 1)))
-        for lo in range(0, len(children), step):
-            block = children[lo : lo + step]
-            rows, coset_codes = self._cosets(span, block)
-            passed = np.arange(len(block))
-            if spec.symmetry_reduction:
-                passed = np.flatnonzero(coset_codes.reshape(len(block), -1).min(axis=1) == self.codes[block])
-            counted = 0
-            for p in passed.tolist():
+        if leaf:
+            columns = self._central_columns(chosen)
+            width = spec.modulus * len(span) + len(columns)
+        else:
+            width = self.count
+        step = max(1, _BLOCK_ROWS // width)
+        counted = 0
+        for lo in range(0, len(at), step):
+            block = at[lo : lo + step]
+            js = children[block]
+            rows, spans = self._grown(span, js)
+            if leaf:
+                passed, spans = self._leaves(js[:, None], spans, columns)
+                for t in np.flatnonzero(passed).tolist():
+                    self._advance(int(block[t]) + 1 - counted)
+                    counted = int(block[t]) + 1
+                    self._accept(chosen + [int(js[t])], spans[t])
+                    if self.stopped:
+                        return
+                continue
+            masks = self._divisible(self.pairing[js] @ self.cand_t)
+            masks &= comm_ok
+            for t, (p, j) in enumerate(zip(block.tolist(), js.tolist())):
                 self._advance(p + 1 - counted)
                 counted = p + 1
-                j = int(block[p])
-                grown, grown_codes = self._grow(span, codes, rows[p], coset_codes[p])
-                if leaf:
-                    self._leaf(chosen + [j], grown_codes)
-                else:
-                    mask = self._comm_mask(j) if comm_ok is None else comm_ok & self._comm_mask(j)
-                    mask[self._members(grown_codes)] = False  # span must strictly grow
-                    self._expand(chosen + [j], mask, grown, grown_codes, np.flatnonzero(mask[j + 1 :]) + (j + 1))
+                grown, codes = rows[t], spans[t]
+                if not self.prime:
+                    codes, first = np.unique(codes, return_index=True)
+                    grown = grown[first]
+                mask = masks[t]
+                mask[codes[1:] // spec.modulus - 1] = False  # span must strictly grow
+                self._expand(chosen + [j], pivots | int(self.lead_bit[j]), mask, grown, np.flatnonzero(mask[j + 1 :]) + (j + 1))
                 if self.stopped:
                     return
-            self._advance(len(block) - counted)
+        self._advance(len(children) - counted)
 
 
 def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:
@@ -577,7 +637,7 @@ def _floyd_draw(bits: np.random.PCG64, count: int, r: int, size: int) -> np.ndar
 
 
 def _span_table(engine: _Engine) -> np.ndarray | None:
-    """The D^r x r coefficients of every combination of a sample's r generators, or None when no sample can pass ``_leaf``.
+    """The D^r x r coefficients of every combination of a sample's r generators, or None when no sample can pass ``_leaves``.
 
     Row c holds the base-D digits of c, generator 1 least significant, so
     the rows below D^(t-1) combine generators 1 .. t-1 only and row
@@ -600,16 +660,18 @@ def _span_table(engine: _Engine) -> np.ndarray | None:
 
 
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
-    """Draw ``spec.samples`` tuples in chunks and hand each commuting, independent one's span to ``_leaf``.
+    """Draw ``spec.samples`` tuples in chunks and hand the spans of the commuting, independent ones to ``_leaves``.
 
     One kernel builds every span code of a block of a chunk's commuting
-    samples, at most about ``_BLOCK_ROWS`` rows: the coefficient table of
-    ``_span_table`` times each sample's rows.  A sample is dependent, and
-    dropped, exactly when generator t's code is among the table's first
-    D^(t-1) codes, the span of the generators before it, for some t.  An
-    independent sample's D^r codes are distinct for prime D; for
-    composite D they go through ``np.unique``.  The samples after a stop
-    were drawn but are not counted as examined.
+    samples, at most about ``_BLOCK_ROWS`` rows and prefilter products: the
+    coefficient table of ``_span_table`` times each sample's rows.  A
+    sample is dependent, and dropped, exactly when generator t's code is
+    among the table's first D^(t-1) codes, the span of the generators
+    before it, for some t.  An independent sample's D^r codes are distinct
+    for prime D; for composite D each span element appears equally often
+    (the table is a group homomorphism onto the span), which ``_leaves``
+    expects.  The block's independent samples go to ``_leaves`` together.
+    The samples after a stop were drawn but are not counted as examined.
     """
     start_time = time.monotonic()
     engine = _Engine(spec)
@@ -621,24 +683,27 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
         estimated_tuples=spec.samples,
     )
     if table is None:
-        cert.tuples_examined = spec.samples  # every sample fails _leaf's span-size test
+        cert.tuples_examined = spec.samples  # every sample fails the span-size test of _leaves
     d, r = spec.modulus, spec.generator_count
+    columns = engine._central_columns([])  # every weight vector; _leaves tests every generator
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
         idx = _floyd_draw(bits, engine.count, r, size)
-        step = max(1, _BLOCK_ROWS // len(table))
-        pairs = np.einsum("sim,sjm->sij", engine.pairing[idx], engine.cand[idx]) % d
-        commuting = np.flatnonzero(~pairs.any(axis=(1, 2)))
+        step = max(1, _BLOCK_ROWS // (len(table) + r * engine.weights.shape[1]))
+        pairs = engine._divisible(engine.pairing[idx] @ engine.cand_t[:, idx].transpose(1, 0, 2))
+        commuting = np.flatnonzero(pairs.all(axis=(1, 2)))
         for lo in range(0, len(commuting), step):
             block = commuting[lo : lo + step]
             spans = ((table @ engine.cand[idx[block]]) % d) @ engine.place
             dependent = np.zeros(len(block), dtype=bool)
             for t in range(1, r):
                 dependent |= (spans[:, : d**t] == spans[:, d**t, None]).any(axis=1)
-            for s, codes in zip(block[~dependent].tolist(), spans[~dependent]):
-                engine._leaf(idx[s].tolist(), codes if engine.prime else np.unique(codes))
+            block = block[~dependent]
+            passed, spans = engine._leaves(idx[block], spans[~dependent], columns)
+            for t in np.flatnonzero(passed).tolist():
+                engine._accept(idx[block[t]].tolist(), spans[t])
                 if engine.stopped:
-                    size = s + 1  # the samples after the stop were drawn but not examined
+                    size = int(block[t]) + 1  # the samples after the stop were drawn but not examined
                     break
             if engine.stopped:
                 break

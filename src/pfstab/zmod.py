@@ -137,7 +137,12 @@ def _pivot_scale(value: int, n: int) -> int:
 
 
 def _echelon_insert(basis: dict[int, np.ndarray], v: np.ndarray, n: int) -> None:
-    """Fold v into an echelon basis keyed by pivot column (destructive)."""
+    """Fold v into an echelon basis keyed by pivot column (destructive).
+
+    Every step zeroes v at the pivot it meets, so v's first nonzero column
+    only moves right.  A step that leaves it nonzero (an int64 product that
+    wrapped) raises OverflowError rather than meet the same pivot forever.
+    """
     while True:
         nz = np.nonzero(v)[0]
         if nz.size == 0:
@@ -157,6 +162,8 @@ def _echelon_insert(basis: dict[int, np.ndarray], v: np.ndarray, n: int) -> None
             combined = (s * row + t * v) % n
             v = ((a // g) * v - (b // g) * row) % n
             basis[j] = combined
+        if v[j]:
+            raise OverflowError(f"elimination mod {n} left {int(v[j])} at pivot column {j}; an int64 product wrapped")
 
 
 def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:

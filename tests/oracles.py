@@ -312,13 +312,15 @@ def reference_codewords(rep, code, cap: int = 100_000):
 def _reference_engine_class():
     """``search._Engine`` walking one node at a time: the per-child recursion it replaced.
 
-    Only the candidates and their pairing rows are shared with the batched
-    engine; the walk, the coset test, span growth, node counting, the
-    span-size and repeated-span checks, both prefilters (``lambda_matrix``
-    products with every vector of Z_D^m of the weight, ``np.isin`` over
-    span codes) and the acceptance test (a fresh code phased by
-    ``canonical_phases`` and keyed by its Howell form of [S | I]) are the
-    per-node ones.
+    Only the candidates are shared with the batched engine; the walk, the
+    commutation masks (``lambda_matrix`` products reduced by ``%``), the
+    canonical test (the minimum over the coset rows span + c*g,
+    c = 1 .. D-1, not the engine's pivot-column test), span growth, node
+    counting, the span-size and repeated-span checks, both prefilters
+    (``lambda_matrix`` products with every vector of Z_D^m of the weight,
+    ``np.isin`` over span codes) and the acceptance test (a fresh code
+    phased by ``canonical_phases`` and keyed by its Howell form of [S | I])
+    are the per-node ones.
     """
     from pfstab import search
     from pfstab.algebra import PfOperator, lambda_matrix
@@ -333,9 +335,18 @@ def _reference_engine_class():
             self.low_vectors = vectors[(weight > 0) & (weight < spec.target_d)]
             self.exact_vectors = vectors[weight == spec.target_d]
             self.lam = lambda_matrix(d, m).array
+            self.pair_rows = (self.cand @ self.lam) % d
+            self.codes = self.cand @ self.place  # ascending, as the candidates are sorted
+            self.coset_multiples = np.arange(1, d, dtype=np.int64)[:, None, None]
+
+        def _zero_span(self):
+            return np.zeros((1, self.spec.num_modes), dtype=np.int64), np.zeros(1, dtype=np.int64)
+
+        def _comm_mask(self, i):
+            return ((self.pair_rows[i] @ self.cand.T) % self.spec.modulus) == 0
 
         def _coset(self, span, i):
-            rows = ((span[None, :, :] + self.multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
+            rows = ((span[None, :, :] + self.coset_multiples * self.cand[i]) % self.spec.modulus).reshape(-1, span.shape[1])
             return rows, rows @ self.place
 
         def _grow(self, span, codes, coset, coset_codes):
@@ -449,7 +460,7 @@ def reference_search(spec) -> dict:
         for _ in range(spec.samples):
             examined += 1
             idx = reference_floyd_sample(bits, engine.count, spec.generator_count)
-            if ((engine.pairing[idx] @ engine.cand[idx].T) % spec.modulus).any():
+            if ((engine.pair_rows[idx] @ engine.cand[idx].T) % spec.modulus).any():
                 continue
             span, span_codes = engine._zero_span()
             for i in idx:

@@ -719,3 +719,37 @@ def test_lcon_at_least_distance_when_defined():
 def test_lcon_regression_values():
     assert l_con(code_8_1_3_d3()).value == 4
     assert l_con(code_6_1_3_d7()).value == 4
+
+
+# -- the trusted constructor ------------------------------------------------------
+
+
+def _assert_normalised(generators, expected) -> None:
+    """Equal to the validating constructor's operators, field types included."""
+    assert generators == expected
+    for got in generators:
+        assert type(got.mu) is int and type(got.alpha) is tuple and all(type(a) is int for a in got.alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=st.integers(2, 12), modes=st.sampled_from([2, 4, 6]), count=st.integers(1, 4), data=st.data())
+def test_from_forms_builds_the_operators_the_validating_constructor_does(modulus, modes, count, data):
+    residues = st.lists(st.integers(0, modulus - 1), min_size=modes, max_size=modes)
+    rows = np.array(data.draw(st.lists(residues, min_size=count, max_size=count)), dtype=np.int64)
+    mu = np.array(data.draw(st.lists(st.integers(0, 2 * modulus - 1), min_size=count, max_size=count)), dtype=np.int64)
+    code = PfCode._from_forms(modulus, modes, rows, mu, pfstab.code._row_forms(rows, modulus))
+    expected = tuple(PfOperator(modulus, modes, int(x), tuple(row)) for x, row in zip(mu.tolist(), rows.tolist()))
+    _assert_normalised(code.generators, expected)
+    try:
+        phased = canonical_phases(PfCode(modulus, modes, expected))
+    except PhaseAssignmentError:
+        return
+    _assert_normalised(phased.generators, tuple(PfOperator(modulus, modes, g.mu, g.alpha) for g in phased.generators))
+
+
+def test_builders_and_search_hand_the_trusted_constructor_normalised_operators():
+    codes = list(corpus().values())
+    codes += find_codes(SearchSpec(2, 6, 1, 2, max_hits=0))[0] + find_codes(SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0))[0]
+    for code in codes:
+        d, m = code.modulus, code.num_modes
+        _assert_normalised(code.generators, tuple(PfOperator(d, m, g.mu, g.alpha) for g in code.generators))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import reference_floyd_sample, reference_search
 
 import pfstab.code
+import pfstab.zmod
 from pfstab import search
 from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
@@ -182,6 +183,9 @@ def _sha_lines(lines) -> str:
 # canonical-prefix test; the incremental one must walk the same tree.
 EIGHT_MODE_KEY = "788b2bf19d54117e41b4174303ecd12a666621fe59a498b86caaaeb0b87b8ba9"
 D2_ALL_HITS_SHA = "ad76f851cf33c265f9adc909f87eacee444e6ca593fc219cf68e49bce97089a1"
+# Recorded with the coset-minimum canonical test; the pivot-column test must walk the same trees.
+D5_ALL_HITS_SHA = "f0dc0efe5c2b8489f03fa0a62b6343153367cdad92bc920294eed478eb4b8891"
+TEN_MODE_KEY = "c8a0c414cac7b6275d5c4e7b176694c6e9dec5b4690da6b71d7493265a330dd0"
 D4_KEYS = [
     "154c8691810b5b8aa02eda0611bc5608f1b9b5d981ffc2c2b16538e53446f39a",
     "94fdd097127f88f737733a6f2c21b85eee3c158d4acaf33b9b22539b571075c2",
@@ -205,6 +209,18 @@ def test_search_tree_pinned_eight_modes_d2_all_hits():
 def test_search_tree_pinned_eight_modes_d3_first_hit():
     _, cert = find_codes(SearchSpec(3, 8, 1, 3, max_hits=1))
     assert cert.tuples_examined == 22229 and _keys(cert) == [EIGHT_MODE_KEY]
+
+
+def test_search_tree_pinned_six_modes_d5_all_hits():
+    _, cert = find_codes(SearchSpec(5, 6, 1, 3, max_hits=0))
+    assert cert.tuples_examined == 368164 and cert.exhausted
+    keys = _keys(cert)
+    assert len(keys) == 50 and _sha_lines(keys) == D5_ALL_HITS_SHA
+
+
+def test_search_tree_pinned_ten_modes_d3_first_hit():
+    _, cert = find_codes(SearchSpec(3, 10, 1, 3, max_hits=1))
+    assert cert.tuples_examined == 66682 and _keys(cert) == [TEN_MODE_KEY]
 
 
 def test_search_tree_pinned_composite_modulus():
@@ -251,6 +267,64 @@ def test_canonical_augmentation_visits_each_span_once(shape, gens, target_d):
     assert len(set(keys)) == len(keys)
     assert set(keys) == set(_keys(plain))
     assert reduced.tuples_examined <= plain.tuples_examined
+
+
+def _coset_minimum_test(engine, span: np.ndarray, j: int) -> bool:
+    """Brute force: cand[j] is the least element of span + c*cand[j] over c = 1 .. D-1."""
+    d = engine.spec.modulus
+    cosets = (span[None] + np.arange(1, d)[:, None, None] * engine.cand[j]) % d
+    return int((cosets @ engine.place).min()) == int(engine.cand[j] @ engine.place)
+
+
+def _span_elements(rows: np.ndarray, modulus: int) -> np.ndarray:
+    coefficients = pfstab.code._lex_digits(np.arange(modulus ** len(rows)), modulus, len(rows))
+    return (coefficients @ rows) % modulus
+
+
+@settings(max_examples=80, deadline=None)
+@given(modulus=st.sampled_from([2, 3, 5, 7]), modes=st.sampled_from([2, 4, 6]), data=st.data())
+def test_pivot_column_test_matches_the_coset_minimum(modulus, modes, data):
+    engine = search._Engine(SearchSpec(modulus, modes, 0, 1, generator_count=1))
+    index = st.integers(0, engine.count - 1)
+    rows = engine.cand[data.draw(st.lists(index, max_size=3))].reshape(-1, modes)
+    span = _span_elements(rows, modulus)
+    pivots = sum(1 << j for j in pfstab.zmod._howell_basis(rows, modulus))
+    probes = range(engine.count) if engine.count <= 300 else data.draw(st.lists(index, min_size=1, max_size=40))
+    for j in probes:
+        fresh = bool(engine.lead_one[j]) and not int(engine.support[j]) & pivots
+        assert fresh == _coset_minimum_test(engine, span, j), (rows.tolist(), j)
+    # Along a canonical tuple the leading columns are the span's pivot columns.
+    chosen, span = [], _span_elements(rows[:0], modulus)
+    for j in sorted(set(data.draw(st.lists(index, max_size=6)))):
+        if _coset_minimum_test(engine, span, j):
+            chosen.append(j)
+            span = _span_elements(engine.cand[chosen], modulus)
+    leads = sum(int(engine.lead_bit[j]) for j in chosen)
+    assert leads == sum(1 << j for j in pfstab.zmod._howell_basis(engine.cand[chosen].reshape(-1, modes), modulus))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(3, 6, 1, 2, max_hits=0),
+        SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0),
+        SearchSpec(3, 8, 1, 3, mode="randomized", seed=3, samples=2000, max_hits=0),
+    ],
+    ids=["prime", "composite", "randomized"],
+)
+def test_fmod_fallback_decides_as_the_divisibility_table(spec):
+    _, table = find_codes(spec, threads=1)
+    with mock.patch.object(search, "_DIVISIBLE_TABLE", 0):
+        assert search._Engine(spec).divisible is None
+        _, fallback = find_codes(spec, threads=1)
+    assert fallback.to_dict(canonical=True) == table.to_dict(canonical=True) and table.hits
+
+
+def test_a_modulus_too_large_for_the_divisibility_table_still_searches():
+    spec = SearchSpec(1451, 2, 0, 1, max_hits=0)  # products reach 2 * 1450^2 > _DIVISIBLE_TABLE
+    assert search._Engine(spec).divisible is None
+    _, cert = find_codes(spec, threads=1)
+    assert cert.exhausted and cert.tuples_examined == 1450 and not cert.hits
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pfstab import zmod
 from pfstab.zmod import (
     ZModMatrix,
     _howell_basis,
@@ -362,3 +363,13 @@ def test_howell_form_and_kernel_at_a_composite_int64_edge(seed, scales):
     assert howell_form(ZModMatrix(n, mixed)) == howell_form(ZModMatrix(n, matrix))
     kernel = kernel_basis(ZModMatrix(n, matrix)).array
     assert not ((kernel.astype(object) @ matrix.astype(object)) % n).any()
+
+
+@pytest.mark.parametrize("modulus, rows", [(5, [[1, 2], [3, 4]]), (_EDGE_COMPOSITE, [[2, 1, 7], [6, 5, 9]])])
+def test_echelon_insert_raises_when_a_step_leaves_its_pivot_entry(monkeypatch, modulus, rows):
+    # A multiplier off by one leaves the pivot entry nonzero, as a wrapped
+    # int64 product does; the elimination then met the same pivot forever.
+    pivot_scale = zmod._pivot_scale
+    monkeypatch.setattr(zmod, "_pivot_scale", lambda a, n: (pivot_scale(a, n) + 1) % n)
+    with pytest.raises(OverflowError, match="pivot column 0"):
+        howell_form(ZModMatrix(modulus, rows))
