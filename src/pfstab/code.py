@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
@@ -62,11 +62,11 @@ from .zmod import (
     _augmented_basis,
     _basis_order,
     _check_range,
+    _column_step,
     _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
-    _pivot_scale,
     _reduce_against,
     _solve_front,
-    _xgcd,
+    _step_dtype,
     kernel_basis,
 )
 
@@ -626,23 +626,14 @@ def _first_window(block: np.ndarray, spanned: int, sides: np.ndarray, n: int, be
     there lies outside the span of the spanning rows ``block[:spanned, b]``
     cut alike.  The block is overwritten.
 
-    One elimination over Z_n runs over all corners at once, a column at a
-    time.  The pivot is the spanning row whose entry has the smallest gcd g
-    with n.  Where g does not divide every spanning entry of the column (as
-    2 and 3 do not mod 6), the pivot is combined with each such row by the
-    extended gcd, as ``_echelon_insert`` does, which keeps the span and
-    lowers g until it does.  A carried entry that g does not divide marks
-    the corner's window at that column's side.  Every other nonzero entry is
-    then reduced to zero with a multiple of the pivot, and the pivot row is
-    replaced by (n / g) * pivot, the multiples of it that are zero there.
-    So the spanning rows always span the part of the original span that is
-    zero on the columns done, and a carried row, reduced alike, lies in the
-    span of a window's columns iff it meets no such entry there.  A corner
-    is dropped once it cannot beat the best (side, corner) found.
-
-    Entries are reduced mod n only where they are read: a column when it is
-    reached, the pivot row before it is used.  An update changes an entry by
-    less than n^2, so the block's dtype must hold (w + 1) n^2 for w columns.
+    One elimination over Z_n runs over all corners at once, a
+    :func:`zmod._column_step` per column.  After the step at column j the
+    spanning rows span the part of the original span that is zero on the
+    columns done, and a carried row is left with its entry mod the pivot's
+    gcd g.  So a carried row lies in the span of a window's columns iff it
+    keeps no nonzero entry there, and one that does marks the corner's
+    window at that column's side.  A corner is dropped once it cannot beat
+    the best (side, corner) found.
     """
     live = np.arange(block.shape[1])
     for j in range(block.shape[2]):
@@ -652,31 +643,10 @@ def _first_window(block: np.ndarray, spanned: int, sides: np.ndarray, n: int, be
             block, live = block[:, keep], live[keep]
             if not live.size:
                 break
-        at = np.arange(len(live))
-        block[:, :, j] %= n
-        col = block[:, :, j]  # a view: it follows the row updates below
-        gcds = np.gcd(col[:spanned], n)
-        piv = gcds.argmin(axis=0)
-        g = gcds[piv, at]
-        if (np.gcd.reduce(gcds, axis=0) != g).any():
-            for b in np.flatnonzero((gcds % g).any(axis=0)):
-                p = piv[b]
-                for i in np.flatnonzero(col[:spanned, b]):
-                    a, c = int(col[p, b]), int(col[i, b])
-                    if c % gcd(a, n):
-                        h, s, t = _xgcd(a, c)
-                        one, other = block[p, b] % n, block[i, b] % n
-                        block[p, b], block[i, b] = (s * one + t * other) % n, ((a // h) * other - (c // h) * one) % n
-                g[b] = gcd(int(col[p, b]), n)
-        marked = np.flatnonzero((col[spanned:] % g).any(axis=0))
+        _column_step(block, spanned, j, n)
+        marked = np.flatnonzero(block[spanned:, :, j].any(axis=0))
         if marked.size:
             best = min(best, *zip(sides[live[marked], j].tolist(), (live[marked] + offset).tolist()))
-        scale = np.array([_pivot_scale(v, n) for v in col[piv, at].tolist()], dtype=block.dtype)
-        i, b = np.nonzero(col)
-        times = scale[b] * (col[i, b] // g[b]) % n
-        pivot = block[piv, at, j:] % n
-        block[i, b, j:] -= times[:, None] * pivot[b]
-        block[piv, at, j:] = (n // g)[:, None] * pivot % n
     return best
 
 
@@ -736,10 +706,10 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     sides = np.take_along_axis(joins, order, axis=1)[:, :width]
     columns = np.where(sides <= diameter_bound, order[:, :width], m)
     # Rows [S L; 1; l L] over the modes, and a zero column m for padding, in
-    # the smallest integer type that holds the elimination's entries, whose
-    # size stays below (width + 1) D^2.
+    # the smallest integer type that holds the elimination step's
+    # intermediates, which stay below 2 D^2.
     spanned = len(code.generators) + 1
-    dtype = np.min_scalar_type(-(width + 1) * d * d)
+    dtype = _step_dtype(d)
     table = np.zeros((spanned + len(logicals), m + 1), dtype=dtype)
     table[: spanned - 1, :m], table[spanned - 1, :m], table[spanned:, :m] = code._comm_rows, 1, logicals
     best = (diameter_bound + 1, len(corners))

@@ -8,13 +8,16 @@ span order and kernel computations exact.  Conventions:
 * entries are stored as least nonnegative residues and reduced eagerly;
 * all spans are *row* spans; a kernel means ``{x : x @ M == 0 (mod D)}``.
 
-Two primitives serve every caller.  ``_pivot_scale(a, n)`` is a cached
-extended-gcd coefficient s with s * a == gcd(a, n) (mod n): the Howell form
-eliminates with it and scales each pivot row by it (s need not be a unit;
-see ``_howell_basis``).  ``_reduce_against`` is the one reducer against a
-Howell basis: it takes one vector or a batch and returns coset minima, so
-span membership, solving and the coset minimum are all a zero test or a
-read of its result.
+Two primitives serve every caller.  ``_column_step`` is the one
+elimination: it clears one column of a batch of row blocks with the pivot
+of least gcd with n, scaled by the cached extended-gcd coefficient
+``_pivot_scale`` (s * a == gcd(a, n) mod n; s need not be a unit), and
+keeps the pivot row's annihilator multiple.  The Howell form is a loop of
+it over the columns, and so is the ``l_con`` window scan
+(``code._first_window``).  ``_reduce_against`` is the one reducer against
+a Howell basis: it takes one vector or a batch and returns coset minima,
+so span membership, solving and the coset minimum are all a zero test or
+a read of its result.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _check_range(modulus: int, width: int, what: str) -> None:
     The largest int64 intermediates are the prefix-sum pairings of two rows
     over m modes, below (m D)^2 / 2 (``PfOperator.__mul__``,
     ``code._relation_phases``), the phase sums of r generators, below
-    6 r D^2, and Howell-form combinations mod n, below 2 n^2.  So operators
+    6 r D^2, and those of ``_column_step`` mod n, below 2 n^2.  So operators
     (width m), codes (width max(m, r)) and matrices (width 1) within the
     bound compute exactly, and such a code does also modulo 2D.
     """
@@ -136,70 +139,84 @@ def _pivot_scale(value: int, n: int) -> int:
     return _xgcd(value, n)[1] % n
 
 
-def _echelon_insert(basis: dict[int, np.ndarray], v: np.ndarray, n: int) -> None:
-    """Fold v into an echelon basis keyed by pivot column (destructive).
+def _step_dtype(n: int) -> np.dtype:
+    """The smallest integer type that holds :func:`_column_step`'s intermediates,
+    whose size stays below 2 n^2 (the extended-gcd combination)."""
+    return np.min_scalar_type(-2 * n * n)
 
-    Every step zeroes v at the pivot it meets, so v's first nonzero column
-    only moves right.  A step that leaves it nonzero (an int64 product that
-    wrapped) raises OverflowError rather than meet the same pivot forever.
+
+def _column_step(block: np.ndarray, spanned: int, j: int, n: int) -> np.ndarray:
+    """One Howell elimination step at column j, for a batch of row blocks at once.
+
+    ``block[:, b]`` holds the rows of batch entry b, entries in [0, n), zero
+    before column j on its first ``spanned`` (spanning) rows; the rest are
+    carried rows.  Per entry, the pivot is the spanning row whose entry has
+    the least gcd g with n.  Where g does not divide some spanning entry (as
+    2 and 3 do not mod 6), the pivot is combined with that row by the
+    extended gcd, which keeps the span and lowers g until it does.  Every
+    row then loses the multiple of s * pivot, where s * pivot[j] == g
+    (``_pivot_scale``), that leaves its entry's residue mod g (zero on a
+    spanning row), and the pivot row becomes (n / g) * pivot, the multiples
+    of it that vanish at column j.  So the spanning rows span the part of
+    their old span that is zero through column j.  Updated entries are
+    reduced mod n at once, so every intermediate stays below 2 n^2 (see
+    :func:`_step_dtype`).
+
+    Returns the scaled pivot rows s * pivot from column j on, whose first
+    entry is g (0 where the spanning entries are all zero).  A spanning
+    entry left nonzero at column j (an integer product that wrapped) raises
+    OverflowError.
     """
-    while True:
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return
-        j = int(nz[0])
-        if j not in basis:
-            basis[j] = v
-            return
-        row = basis[j]
-        a = int(row[j])
-        b = int(v[j])
-        g = gcd(a, n)
-        if b % g == 0:
-            v = (v - (_pivot_scale(a, n) * (b // g) % n) * row) % n
-        else:
-            g, s, t = _xgcd(a, b)
-            combined = (s * row + t * v) % n
-            v = ((a // g) * v - (b // g) * row) % n
-            basis[j] = combined
-        if v[j]:
-            raise OverflowError(f"elimination mod {n} left {int(v[j])} at pivot column {j}; an int64 product wrapped")
+    at = np.arange(block.shape[1])
+    col = block[:, :, j]  # a view: it follows the row updates below
+    gcds = np.gcd(col[:spanned], n)
+    piv = gcds.argmin(axis=0)
+    g = gcds[piv, at]
+    off = gcds % g
+    if np.count_nonzero(off):
+        for b in np.flatnonzero(off.any(axis=0)):
+            p = piv[b]
+            for i in np.flatnonzero(off[:, b]):
+                a, c = int(col[p, b]), int(col[i, b])
+                if c % gcd(a, n):
+                    h, s, t = _xgcd(a, c)
+                    one, other = block[p, b, j:], block[i, b, j:]
+                    block[p, b, j:], block[i, b, j:] = (s * one + t * other) % n, ((a // h) * other - (c // h) * one) % n
+            g[b] = gcd(int(col[p, b]), n)
+    pivot = block[piv, at, j:]
+    scaled = pivot * np.array([_pivot_scale(v, n) for v in pivot[:, 0].tolist()], dtype=block.dtype)[:, None] % n
+    times = col // g
+    i, b = times.nonzero()
+    block[i, b, j:] = (block[i, b, j:] - times[i, b, None] * scaled[b]) % n
+    block[piv, at, j:] = (n // g)[:, None] * pivot % n
+    if np.count_nonzero(col[:spanned]):
+        raise OverflowError(f"elimination mod {n} left a nonzero entry at pivot column {j}; an integer product wrapped")
+    return scaled
 
 
 def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Howell basis {pivot column: row} of the row span of ``array`` mod n."""
-    ncols = array.shape[1]
-    basis: dict[int, np.ndarray] = {}
-    for r in array:
-        _echelon_insert(basis, r % n, n)
-    # Howell property: fold in the annihilator multiple of every pivot row;
-    # a unit pivot (u = n) has none.  Inserted rows only touch columns to
-    # the right, so one sweep suffices.
+    """Howell basis {pivot column: row} of the row span of ``array`` mod n.
+
+    A :func:`_column_step` per column (a batch of one), with the rows of
+    ``array`` spanning and the basis rows found so far carried.  At
+    each pivot the scaled pivot row, whose pivot is g = gcd(pivot, n),
+    joins the carried rows, and every later step reduces the carried rows'
+    entries at its column into [0, g) on the way.  The scale s need not be a
+    unit: pivot - (a / g) s pivot is a multiple of (n / g) pivot, which the
+    step leaves among the spanning rows.  A span of r rows has order at most
+    n^r, and each basis row contributes a factor n / g >= 2 to it, so there
+    are at most r log2(n) basis rows.
+    """
+    rows = np.asarray(array, dtype=np.int64) % n
+    r, ncols = rows.shape
+    block = np.zeros((r + min(ncols, r * int(n).bit_length()), 1, ncols), dtype=np.int64)
+    block[:r, 0] = rows
+    pivots: list[int] = []
     for j in range(ncols):
-        if j not in basis:
-            continue
-        a = int(basis[j][j])
-        u = n // gcd(a, n)
-        if u != n:
-            w = (u * basis[j]) % n
-            if w.any():
-                _echelon_insert(basis, w, n)
-    # Canonical pivots: scale so each pivot equals g = gcd(pivot, n).  The
-    # scale s need not be a unit: row - (a / g) s row is a multiple of
-    # (n / g) row, which the sweep above put in the span of the later rows.
-    for j in basis:
-        a = int(basis[j][j])
-        if a != gcd(a, n):
-            basis[j] = (basis[j] * _pivot_scale(a, n)) % n
-    # Reduce entries above each pivot into [0, pivot).
-    cols = sorted(basis)
-    for idx, j in enumerate(cols):
-        piv = int(basis[j][j])
-        for j2 in cols[:idx]:
-            q = int(basis[j2][j]) // piv
-            if q:
-                basis[j2] = (basis[j2] - q * basis[j]) % n
-    return basis
+        if np.count_nonzero(block[:r, 0, j]):
+            block[r + len(pivots), 0, j:] = _column_step(block[: r + len(pivots)], r, j, n)[0]
+            pivots.append(j)
+    return dict(zip(pivots, block[r : r + len(pivots), 0].copy()))
 
 
 def howell_form(m: ZModMatrix) -> ZModMatrix:

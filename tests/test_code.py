@@ -35,12 +35,13 @@ from pfstab.code import (
     l_con,
     logical_basis,
     stabilizer_matrix,
+    support_diameter,
     syndrome,
     validate,
 )
 from pfstab.repro import corpus
 from pfstab.search import SearchSpec, canonical_equivalence_key, find_codes
-from pfstab.zmod import ZModMatrix, _howell_basis, howell_form, kernel_basis, span_order
+from pfstab.zmod import ZModMatrix, _howell_basis, _step_dtype, howell_form, kernel_basis, span_order
 
 from oracles import (
     brute_distance,
@@ -362,7 +363,7 @@ def test_lcon_matches_per_window_reference(search_hits, source, modulus, pick, p
 
 @settings(max_examples=300, deadline=None)
 @given(
-    modulus=st.sampled_from([4, 6, 8, 9, 10, 12]),
+    modulus=st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]),
     corners=st.integers(1, 3),
     spanning=st.integers(1, 3),
     carried=st.integers(1, 2),
@@ -380,8 +381,20 @@ def test_window_elimination_matches_span_enumeration(modulus, corners, spanning,
             span = enumerate_span(ZModMatrix(modulus, block[b, :spanning, :side]))
             if any(tuple(row.tolist()) not in span for row in block[b, spanning:, :side]):
                 want = min(want, (side, b))
-    got = pfstab.code._first_window(block.transpose(1, 0, 2).copy(), spanning, sides, modulus, (width + 1, corners), 0)
-    assert got == want
+    # l_con runs the elimination in the narrow dtype _step_dtype picks (int8 up to D = 8).
+    for dtype in (np.int64, _step_dtype(modulus)):
+        table = block.transpose(1, 0, 2).astype(dtype, order="C")
+        assert pfstab.code._first_window(table, spanning, sides, modulus, (width + 1, corners), 0) == want
+
+
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 6])
+def test_toric_lcon_is_two_a_minus_one(a):
+    # The parity-protected toric code on an a x a lattice (D = 4, 8 a^2 modes).
+    code = build_toric(ToricSpec(2, 1, a, a)).code
+    res = l_con(code)
+    assert res.value == 2 * a - 1 and res.cap is None
+    assert is_logical(code, res.certificate)
+    assert support_diameter(res.certificate, code.mode_layout) == res.value
 
 
 @pytest.mark.parametrize("modulus", [10**6, 30030])

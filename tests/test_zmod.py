@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pfstab import zmod
+from pfstab.code import _first_window
 from pfstab.zmod import (
     ZModMatrix,
     _howell_basis,
@@ -366,10 +367,16 @@ def test_howell_form_and_kernel_at_a_composite_int64_edge(seed, scales):
 
 
 @pytest.mark.parametrize("modulus, rows", [(5, [[1, 2], [3, 4]]), (_EDGE_COMPOSITE, [[2, 1, 7], [6, 5, 9]])])
-def test_echelon_insert_raises_when_a_step_leaves_its_pivot_entry(monkeypatch, modulus, rows):
-    # A multiplier off by one leaves the pivot entry nonzero, as a wrapped
-    # int64 product does; the elimination then met the same pivot forever.
+def test_column_step_raises_when_it_leaves_a_pivot_entry(monkeypatch, modulus, rows):
+    # A multiplier off by one leaves a spanning entry nonzero at the pivot
+    # column, as a wrapped int64 product does; the step raises in both of
+    # its callers rather than hand on a wrong span.
     pivot_scale = zmod._pivot_scale
     monkeypatch.setattr(zmod, "_pivot_scale", lambda a, n: (pivot_scale(a, n) + 1) % n)
     with pytest.raises(OverflowError, match="pivot column 0"):
         howell_form(ZModMatrix(modulus, rows))
+    # One corner: the rows span, a row of ones is carried, column j joins at side j + 1.
+    block = np.array([*rows, [1] * len(rows[0])], dtype=np.int64)[:, None, :]
+    sides = np.arange(1, block.shape[2] + 1)[None, :]
+    with pytest.raises(OverflowError, match="pivot column 0"):
+        _first_window(block, len(rows), sides, modulus, (block.shape[2] + 1, 1), 0)
