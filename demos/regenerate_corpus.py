@@ -67,6 +67,9 @@ def main() -> None:
         ("search_d2_6modes", SearchSpec(2, 6, 1, 2, max_hits=0)),
         # Composite D, two generators where n - k = 1: dependent tuples, phases by a Z_2D solve.
         ("search_d4_4modes", SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0)),
+        # Two stops inside one leaf block: the hits at nodes 177, 179, 181 and 183 share it.
+        ("search_d2_8modes_hits8", SearchSpec(2, 8, 1, 2, max_hits=8)),
+        ("search_d2_8modes_budget180", SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180)),
     ]:
         (OUT / f"{name}.json").write_text(canonical_json(spec.to_dict()))
         _, cert = find_codes(spec, threads=1)

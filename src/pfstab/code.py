@@ -39,7 +39,7 @@ mu.  One constructor, ``PfCode._from_forms``, builds a code from rows,
 phases and forms already at hand, and keeps them: :func:`canonical_phases`
 passes on its input's, the builders pass the forms they solved the phases
 from, and the search passes a hit's Howell basis read off the sorted
-integer codes of its span (``_span_basis``) and, for dependent rows only,
+integer codes of its span (``_span_bases``) and, for dependent rows only,
 the kernel relations.  Every parameter (|S|, k, d, l_con, the logicals) is
 defined only for a valid code, so each public function raises
 :class:`InvalidCodeError` on an invalid one and otherwise reads the kept
@@ -157,14 +157,16 @@ class PfCode:
         (the Howell bases of S and of its left kernel) and ``kept``, any of
         ``_comm_rows`` and ``_centralizer``; none of them depends on mu.  The
         caller vouches that they are what their names say, that ``rows``
-        holds residues mod D and that ``mu`` lies in [0, 2D), so the
-        generators are built without normalising them again.
+        holds residues mod D, that ``mu`` lies in [0, 2D) and that the
+        fields pass ``__post_init__``'s checks, so the fields are set
+        directly and the generators are built without normalising them
+        again.
         """
-        code = cls(modulus, num_modes,
-                   tuple(PfOperator._reduced(modulus, num_modes, x, tuple(a)) for x, a in zip(mu.tolist(), rows.tolist())),
-                   mode_layout)
+        generators = tuple(PfOperator._reduced(modulus, num_modes, x, tuple(a)) for x, a in zip(mu.tolist(), rows.tolist()))
         rows.flags.writeable = False
-        code.__dict__.update(_rows=rows, _row_forms=forms, **kept)
+        code = object.__new__(cls)
+        code.__dict__.update(modulus=modulus, num_modes=num_modes, generators=generators, mode_layout=mode_layout,
+                             _rows=rows, _row_forms=forms, **kept)
         return code
 
     @cached_property
@@ -752,16 +754,17 @@ def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np
     lifted kernel relation must come out phase-free, which is linear in mu
     (see the module docstring).  With no relations (independent rows) only
     the D-th powers constrain mu: D mu_i == D (D-1) P_ii (mod 2D), so mu_i
-    is P_ii mod 2 for even D and 0 for odd D.  Otherwise one Howell form of
-    [system | I] gives both a particular solution and the kernel that is
-    the freedom; infeasibility raises :class:`PhaseAssignmentError`.
+    is P_ii mod 2 for even D and 0 for odd D; ``rows`` may then also be a
+    stack (..., r, m) of independent row sets, phased at once.  Otherwise
+    one Howell form of [system | I] gives both a particular solution and
+    the kernel that is the freedom; infeasibility raises
+    :class:`PhaseAssignmentError`.
     """
     d = modulus
     if not len(relations):
         if d % 2:
-            return np.zeros(len(rows), dtype=np.int64)
-        prefix = _exclusive_prefix_sums(rows)
-        return (rows * prefix).sum(axis=1) % 2
+            return np.zeros(rows.shape[:-1], dtype=np.int64)
+        return (rows * _exclusive_prefix_sums(rows)).sum(axis=-1) % 2
     two_d = 2 * d
     powers = _phase_relations(relations, d)
     rhs = -_relation_phases(rows, np.zeros(len(rows), dtype=np.int64), powers, d) % two_d
@@ -773,9 +776,10 @@ def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np
     return _reduce_against(freedom, particular, two_d)
 
 
-def _span_basis(codes: np.ndarray, modulus: int, num_modes: int) -> dict[int, np.ndarray]:
-    """Howell basis {pivot: row} of a span over Z_D, read off the sorted
-    integer codes ``x @ (D^(m-1), ..., D, 1)`` of all its elements.
+def _span_bases(codes: np.ndarray, modulus: int, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Howell bases over Z_D of a batch of spans, read off the sorted
+    integer codes ``x @ (D^(m-1), ..., D, 1)`` of their elements, one span
+    per row of ``codes``.
 
     The Howell row with pivot j is the least span element whose first
     nonzero entry is at j: its entry there is the pivot, the least nonzero
@@ -783,12 +787,17 @@ def _span_basis(codes: np.ndarray, modulus: int, num_modes: int) -> dict[int, np
     far as the span allows (the Howell property).  Lexicographic order on
     vectors is integer order on codes, and the elements whose first
     nonzero entry is at j are those with codes in [D^(m-1-j), D^(m-j)), so
-    the row is the first code of that range, if any.
+    the row is the first code of that range, if any.  One ``searchsorted``
+    finds the ranges of every span, its codes offset by its row number
+    times D^m.  Returns a boolean (spans, m) array marking each span's
+    pivot columns, and the basis rows of span 0, then span 1, and so on,
+    each span's in pivot order, as one contiguous int64 array.
     """
-    edges = np.searchsorted(codes, modulus ** np.arange(num_modes, -1, -1, dtype=np.int64))
-    pivots = np.flatnonzero(edges[:-1] > edges[1:])
-    rows = _lex_digits(codes[edges[1:][pivots]], modulus, num_modes)
-    return dict(zip(pivots.tolist(), rows))
+    shift = modulus**num_modes * np.arange(len(codes), dtype=np.int64)[:, None]
+    bounds = shift + modulus ** np.arange(num_modes, -1, -1, dtype=np.int64)
+    edges = np.searchsorted((codes + shift).ravel(), bounds.ravel()).reshape(bounds.shape)
+    pivots = edges[:, :-1] > edges[:, 1:]
+    return pivots, _lex_digits(codes.ravel()[edges[:, 1:][pivots]], modulus, num_modes)
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,23 @@ then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
 passing children of a leaf-parent, or a chunk's independent samples.  The
-tuple is commuting and parity-zero by construction, so the acceptance test
-only assigns phases and keys the span, from arrays the engine already
-holds.  The key hashes the span's Howell basis, read off its sorted
-integer codes (``code._span_basis``): the row with pivot j is the least
-span code in [D^(m-1-j), D^(m-j)).  A span of D^r elements means
-independent rows (always so for prime D), and their phases come in closed
-form from the rows alone (``code._phase_solution``, which
-``canonical_phases`` uses too).  A dependent tuple (composite D with
-r > n - k) takes a Howell form of its rows and a phase solve over Z_2D; no
-solution is the only rejection left.
+tuple is commuting and parity-zero by construction, so acceptance only
+assigns phases and keys the span, in two steps.  ``_Engine._accept``
+records a passing tuple: its node, its generator indices and a copy of
+its sorted span codes.  A span of D^r elements means independent rows
+(always so for prime D), whose phases come in closed form and always
+exist.  A dependent tuple (composite D with r > n - k) takes a Howell
+form of its rows and a phase solve over Z_2D when it is recorded, since
+no solution is the only rejection left and the ``max_hits`` stop counts
+only hits.  ``_Engine._settle`` then builds the recorded hits together,
+when a run returns or stops and whenever their codes pass
+``_BLOCK_ROWS``.  The key hashes the span's Howell basis, read off its
+sorted integer codes (``code._span_bases``): the row with pivot j is the
+least span code in [D^(m-1-j), D^(m-j)), found for every span by one
+``searchsorted``.  The closed-form phases of all independent tuples come
+from one product (``code._phase_solution``, which ``canonical_phases``
+uses too), and each hit's code is built once and keeps the basis it was
+keyed by.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -51,12 +58,12 @@ commuting ones in one kernel, a coefficient table times their rows
 (``_find_randomized``).
 
 With ``--threads N`` the first-generator range is cut into 4N blocks,
-mapped in order over a process pool of at most N workers (no more than
-the blocks or the CPUs).  The pool yields results in block order, and
-each is replayed with the serial stop rule as it arrives; once the replay
-stops, leaving the pool terminates the workers.  A finished enumeration
-that found nothing is returned as an explicit nonexistence certificate;
-randomized mode never claims nonexistence.
+run by at most N worker processes (no more than the blocks or the CPUs),
+each over a pipe of its own; a block starts as another finishes.
+Results are replayed in block order with the serial stop rule as they
+arrive; once the replay stops, the workers are terminated.  A finished
+enumeration that found nothing is returned as an explicit nonexistence
+certificate; randomized mode never claims nonexistence.
 """
 
 from __future__ import annotations
@@ -64,17 +71,17 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from math import comb
 
 import numpy as np
 
 from .algebra import _pairing
-from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _lex_digits, _phase_solution, _span_basis, _weight_rows
+from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _lex_digits, _phase_solution, _span_bases, _weight_rows
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
@@ -236,8 +243,12 @@ def canonical_equivalence_key(code: PfCode) -> str:
     as the code keeps it, rows stacked in pivot order."""
     basis = code._row_forms[0]
     rows = np.array([basis[j] for j in sorted(basis)], dtype=np.int64).reshape(-1, code.num_modes)
-    raw = f"{code.modulus}:{code.num_modes}:".encode() + rows.tobytes()
-    return hashlib.sha256(raw).hexdigest()
+    return _span_key(code.modulus, code.num_modes, rows)
+
+
+def _span_key(modulus: int, num_modes: int, rows: np.ndarray) -> str:
+    """The key of the span over Z_D whose Howell basis is ``rows``, int64 rows in pivot order."""
+    return hashlib.sha256(f"{modulus}:{num_modes}:".encode() + rows.tobytes()).hexdigest()
 
 
 def default_thread_count() -> int:
@@ -331,11 +342,19 @@ class _Engine:
         self.low_count = int(np.count_nonzero((vectors != 0).sum(axis=1) < spec.target_d))
         self.weights = np.ascontiguousarray(vectors.T, dtype=np.float64)
         self.weight_codes = vectors @ self.place
+        # A span of D^(n-k) elements from r generators: every tuple of a spec is independent
+        # (D^r elements) when r = n - k, and every one dependent otherwise.
+        self.independent = spec.generator_count == n - spec.target_k
         self.nodes = 0
-        # (node index, span key, phased code) of each hit, in the order found.
+        # (node index, span key, phased code) of each settled hit, in the order found.
         self.hits: list[tuple[int, str, PfCode]] = []
-        # Filled once per hit and read only by the benchmark's span tracer (perfbench/spans.py).
-        self.hit_keys: set[str] = set()
+        # The node index of every recorded hit, settled or not, in order: its length counts the
+        # hits for the max_hits stop and for the benchmark's span tracer (perfbench/spans.py).
+        self.hit_keys: list[int] = []
+        # The recorded hits that ``_settle`` has not yet built: the generator indices and a copy
+        # of the sorted span codes of each and, for dependent tuples only, their kernel relations
+        # and phases (None for independent ones).
+        self.pending: list[tuple[list[int], np.ndarray, tuple[np.ndarray, np.ndarray] | None]] = []
         # Sorted codes (as bytes) of every span of the right size that reached
         # the repeat test, kept only when spans can repeat.
         self.seen_spans: set[bytes] = set()
@@ -425,44 +444,76 @@ class _Engine:
         return passed, spans
 
     def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Record a hit for a span that passed ``_leaves``, given its sorted codes: phase the tuple and key the span.
+        """Record a hit for a span that passed ``_leaves``, given its sorted codes; ``_settle`` keys, phases and builds it.
 
         ``_leaves`` has fixed k (span size) and d (the prefilters), and
         hands each span over at most once.  The tuple is commuting (the
         commutation masks) and parity-zero (the candidates), so the phases
-        decide validity.  A span of D^r elements means independent rows
-        (always so for prime D, where the span grew at every step or the
-        sample was dropped as dependent): the rows have no kernel
-        relations, and the phases come in closed form and always exist.
-        Otherwise (composite D, r > n - k) the relations come from a Howell
-        form of the rows, and a span with no phase solution is not a code.
-        The span's Howell basis, and with it the span key, is read off its
-        sorted codes; the hit's code is built once, phased, and keeps it.
+        decide validity.  Independent rows (a span of D^r elements, always
+        so for prime D) have no kernel relations, and their phases come in
+        closed form and always exist, so the tuple is a hit.  Otherwise
+        (composite D, r > n - k) the relations come from a Howell form of
+        the rows and the phases from a solve, at once, because a span with
+        no phase solution is not a code and must not count towards
+        ``max_hits``.  The codes are copied, so no block array of
+        ``_leaves`` outlives its block, and once the recorded codes pass
+        ``_BLOCK_ROWS`` the hits are settled.
         """
-        spec = self.spec
-        d, m = spec.modulus, spec.num_modes
-        rows = self.cand[chosen]
-        if len(codes) == d ** len(chosen):
-            relations = np.zeros((0, len(chosen)), dtype=np.int64)
-        else:
-            relations = kernel_basis(ZModMatrix(d, rows)).array
-        try:
-            mu = _phase_solution(rows, relations, d)
-        except PhaseAssignmentError:
-            return
-        code = PfCode._from_forms(d, m, rows, mu, (_span_basis(codes, d, m), relations))
-        key = canonical_equivalence_key(code)
-        self.hit_keys.add(key)
-        self.hits.append((self.nodes, key, code))
-        if spec.max_hits and len(self.hits) >= spec.max_hits:
+        solved = None
+        if not self.independent:
+            rows = self.cand[chosen]
+            relations = kernel_basis(ZModMatrix(self.spec.modulus, rows)).array
+            try:
+                solved = relations, _phase_solution(rows, relations, self.spec.modulus)
+            except PhaseAssignmentError:
+                return
+        self.pending.append((chosen, codes.copy(), solved))
+        self.hit_keys.append(self.nodes)
+        if self.spec.max_hits and len(self.hit_keys) >= self.spec.max_hits:
             self.stopped = True
+        if len(self.pending) * len(codes) > _BLOCK_ROWS:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Build the recorded hits: append (node index, span key, phased code) to ``hits`` for each, in order.
+
+        Every span's Howell basis is read off its sorted codes, for all
+        spans by one ``searchsorted`` (``code._span_bases``), into one
+        contiguous array; a span's key hashes its slice of it
+        (``_span_key``, as ``canonical_equivalence_key`` does), and its
+        code keeps the slice as its basis.  Independent tuples get their
+        closed-form phases from one ``_phase_solution`` over the stack of
+        their rows; dependent ones were solved when recorded.
+        """
+        if not self.pending:
+            return
+        d, m = self.spec.modulus, self.spec.num_modes
+        chosen, codes, solved = zip(*self.pending)
+        rows = self.cand[np.array(chosen)]
+        pivots, basis = _span_bases(np.stack(codes), d, m)
+        columns = np.nonzero(pivots)[1].tolist()
+        ends = np.cumsum(pivots.sum(axis=1)).tolist()
+        if self.independent:
+            none = np.zeros((0, rows.shape[1]), dtype=np.int64)
+            solved = zip([none] * len(rows), _phase_solution(rows, none, d))
+        start = 0
+        for node, t_rows, end, (relations, mu) in zip(self.hit_keys[len(self.hits):], rows, ends, solved):
+            span = basis[start:end]
+            code = PfCode._from_forms(d, m, t_rows, mu, (dict(zip(columns[start:end], span)), relations))
+            self.hits.append((node, _span_key(d, m, span), code))
+            start = end
+        self.pending = []
 
     # -- enumeration --------------------------------------------------------
 
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
+        """Walk the first generators in [first_lo, first_hi); ``hits`` is complete on return and on a budget stop."""
         first_hi = self.count if first_hi is None else first_hi
         zero = np.zeros((1, self.spec.num_modes), dtype=np.int64)
-        self._expand([], 0, np.ones(self.count, dtype=bool), zero, np.arange(first_lo, first_hi))
+        try:
+            self._expand([], 0, np.ones(self.count, dtype=bool), zero, np.arange(first_lo, first_hi))
+        finally:
+            self._settle()
 
     def _expand(self, chosen: list[int], pivots: int, comm_ok: np.ndarray, span: np.ndarray,
                 children: np.ndarray) -> None:
@@ -572,23 +623,97 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     return found, offset, False, False
 
 
-def _run_blocks(spec: SearchSpec, count: int, threads: int) -> list[dict]:
-    """Run the first-generator range as blocks on a process pool; the in-order prefix the replay needs.
+def _block_worker(spec: SearchSpec, conn) -> None:
+    """Run each block (lo, hi) received on ``conn`` and send back (True, result) or (False, the error), until terminated."""
+    while True:
+        bounds = conn.recv()
+        try:
+            outcome = (True, _run_block(spec, bounds))
+        except Exception as exc:  # raised again in the parent
+            outcome = (False, exc)
+        conn.send(outcome)
 
-    The range is cut into ``_BLOCKS_PER_THREAD`` blocks per thread, and
-    the pool has min(threads, blocks, CPUs) workers, all of which start at
-    once.  ``imap`` yields the results in block order; each is replayed as
-    it arrives, and once the replay stops (``max_hits`` or the budget),
-    leaving the pool terminates and joins the workers, also when a block
-    failed.  Blocks after the stop do not change the replay.
+
+class _BlockWorkers:
+    """Worker processes that run the blocks of one search, each over a pipe of its own.
+
+    A worker shares no lock with the parent or the other workers, so
+    leaving the context may terminate a worker at any point, even while
+    it sends a result; ``multiprocessing.Pool`` can hang there, when a
+    worker dies holding its result queue's lock.
+    """
+
+    def __init__(self, spec: SearchSpec, size: int):
+        self.idle: list = []
+        self.busy: dict = {}  # connection -> index of the block it runs
+        self.processes: list = []
+        try:
+            for _ in range(size):
+                ours, theirs = multiprocessing.Pipe()
+                self.idle.append(ours)
+                self.processes.append(multiprocessing.Process(target=_block_worker, args=(spec, theirs), daemon=True))
+                self.processes[-1].start()
+                theirs.close()
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __enter__(self) -> "_BlockWorkers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        started = [process for process in self.processes if process.pid is not None]
+        for process in started:
+            process.terminate()
+        for process in started:
+            process.join()
+        for conn in self.idle + list(self.busy):
+            conn.close()
+
+    def start(self, index: int, bounds: tuple[int, int]) -> None:
+        """Hand block ``index`` to an idle worker."""
+        conn = self.idle.pop()
+        conn.send(bounds)
+        self.busy[conn] = index
+
+    def finished(self) -> tuple[int, tuple[bool, object]]:
+        """(index, outcome) of a block that finished; waits for one if none has."""
+        conn = multiprocessing.connection.wait(list(self.busy))[0]
+        outcome = conn.recv()
+        self.idle.append(conn)
+        return self.busy.pop(conn), outcome
+
+
+def _run_blocks(spec: SearchSpec, count: int, threads: int) -> list[dict]:
+    """Run the first-generator range as blocks on worker processes; the in-order prefix the replay needs.
+
+    The range is cut into ``_BLOCKS_PER_THREAD`` blocks per thread, run
+    by min(threads, blocks, CPUs) workers (``_BlockWorkers``).  The first
+    blocks start one per worker, and a block starts whenever one
+    finishes.  Results are replayed in block order, and once the replay
+    stops (``max_hits`` or the budget), or a block failed, the workers are
+    terminated.  Blocks after the stop do not change the replay.
     """
     # Past ``count`` cuts every block is one candidate, so the cap keeps the blocks and bounds the array.
     edges = np.unique(np.linspace(0, count, min(_BLOCKS_PER_THREAD * threads, count) + 1).astype(int)).tolist()
     blocks = list(zip(edges[:-1], edges[1:]))
+    outcomes: dict[int, tuple[bool, object]] = {}
     results: list[dict] = []
-    with multiprocessing.Pool(min(threads, len(blocks), os.cpu_count() or 1)) as pool:
-        for res in pool.imap(partial(_run_block, spec), blocks):
-            results.append(res)
+    with _BlockWorkers(spec, min(threads, len(blocks), os.cpu_count() or 1)) as workers:
+        started = len(workers.idle)
+        for i in range(started):
+            workers.start(i, blocks[i])
+        while len(results) < len(blocks):
+            while len(results) not in outcomes:
+                index, outcome = workers.finished()
+                outcomes[index] = outcome
+                if started < len(blocks):
+                    workers.start(started, blocks[started])
+                    started += 1
+            ok, value = outcomes.pop(len(results))
+            if not ok:
+                raise value
+            results.append(value)
             _, _, budget, stopped = _replay_serial(spec, results)
             if budget or stopped:
                 break
@@ -708,6 +833,7 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
             if engine.stopped:
                 break
         cert.tuples_examined += size
+    engine._settle()
     cert.early_stopped = engine.stopped
     cert.exhausted = False  # sampling can never certify nonexistence
     return _finish(cert, [(key, code) for _, key, code in engine.hits], start_time)

@@ -586,11 +586,19 @@ def test_span_basis_read_off_sorted_codes_is_the_howell_basis(modulus, modes, ge
     if dependent and gens > 1:
         rows[-1] = rng.integers(0, modulus, size=gens - 1) @ rows[:-1]
     rows %= modulus
+    # A batch of two spans of one size: the rows' and that of the rows with their columns reversed.
     place = modulus ** np.arange(modes - 1, -1, -1)
-    codes = np.array(sorted(np.array(v) @ place for v in enumerate_span(ZModMatrix(modulus, rows))), dtype=np.int64)
-    basis, want = pfstab.code._span_basis(codes, modulus, modes), _howell_basis(rows, modulus)
-    assert sorted(basis) == sorted(want)
-    assert all(np.array_equal(basis[j], want[j]) for j in want)
+    batch = [rows, rows[:, ::-1]]
+    codes = np.array([sorted(np.array(v) @ place for v in enumerate_span(ZModMatrix(modulus, r))) for r in batch], dtype=np.int64)
+    pivots, basis = pfstab.code._span_bases(codes, modulus, modes)
+    assert basis.dtype == np.int64 and basis.flags.c_contiguous
+    start = 0
+    for found, r in zip(pivots, batch):
+        want = _howell_basis(r, modulus)
+        assert np.flatnonzero(found).tolist() == sorted(want)
+        assert np.array_equal(basis[start : start + len(want)].reshape(-1, modes), np.array([want[j] for j in sorted(want)]).reshape(-1, modes))
+        start += len(want)
+    assert start == len(basis)
 
 
 @settings(max_examples=200, deadline=None)
@@ -750,9 +758,19 @@ def test_from_forms_builds_the_operators_the_validating_constructor_does(modulus
     residues = st.lists(st.integers(0, modulus - 1), min_size=modes, max_size=modes)
     rows = np.array(data.draw(st.lists(residues, min_size=count, max_size=count)), dtype=np.int64)
     mu = np.array(data.draw(st.lists(st.integers(0, 2 * modulus - 1), min_size=count, max_size=count)), dtype=np.int64)
-    code = PfCode._from_forms(modulus, modes, rows, mu, pfstab.code._row_forms(rows, modulus))
+    layout = data.draw(st.sampled_from([None, {i: (i % 2, i // 2) for i in range(1, modes + 1)}]))
+    code = PfCode._from_forms(modulus, modes, rows, mu, pfstab.code._row_forms(rows, modulus), layout)
     expected = tuple(PfOperator(modulus, modes, int(x), tuple(row)) for x, row in zip(mu.tolist(), rows.tolist()))
     _assert_normalised(code.generators, expected)
+    validated = PfCode(modulus, modes, expected, layout)
+    assert code == validated and hash(code) == hash(validated)
+    assert code.mode_layout == layout and type(code.generators) is tuple
+    copy = pickle.loads(pickle.dumps(code))
+    assert copy == code and hash(copy) == hash(code) and copy.mode_layout == layout
+    assert validate(copy) == validate(validated)
+    for other in (PfOperator(modulus, modes + 2, 0, (0,) * (modes + 2)), PfOperator(modulus + 1, modes, 0, (0,) * modes)):
+        with pytest.raises(ValueError, match="does not match"):
+            code.with_generators(code.generators + (other,))
     try:
         phased = canonical_phases(PfCode(modulus, modes, expected))
     except PhaseAssignmentError:

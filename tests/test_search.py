@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import re
 import time
 import tracemalloc
@@ -150,11 +151,18 @@ def _canonical_without_threads(cert) -> dict:
         SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=0, max_tuples=50),
         SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=3),
         SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=2),
+        # Both stop inside the leaf block that holds the hits at nodes 177, 179, 181 and 183.
+        SearchSpec(2, 8, 1, 2, max_hits=8),
+        SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180),
     ],
     ids=lambda spec: f"D{spec.modulus}_g{spec.generator_count}_hits{spec.max_hits}_budget{spec.max_tuples}",
 )
 def test_budget_and_max_hits_stop_at_the_serial_tuple(spec):
     _, serial = find_codes(spec, threads=1)
+    if spec.modulus == 2:
+        signature, nodes = STOP_SIGNATURES[spec.max_hits, spec.max_tuples]
+        assert serial.to_dict(canonical=True)["signature"] == signature
+        assert serial.tuples_examined == nodes and len(serial.hits) == 8
     _, parallel = find_codes(spec, threads=3)
     assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
     # The serial certificate is the one enumeration that stops itself.
@@ -169,6 +177,13 @@ def test_budget_and_max_hits_stop_at_the_serial_tuple(spec):
 def test_tuple_budget_examines_one_tuple_past_it():
     _, cert = find_codes(SearchSpec(3, 6, 1, 2, max_hits=0, max_tuples=100), threads=3)
     assert cert.tuples_examined == 101 and cert.budget_exceeded and not cert.exhausted
+
+
+# Serial canonical signatures and tuple counts of the two stops inside one leaf block.
+STOP_SIGNATURES = {
+    (8, search.DEFAULT_TUPLE_BUDGET): ("cfc8529f04c78bbe9110644280b446e88526c75072e0be6425893d42ea447704", 179),
+    (0, 180): ("d93afe69dbc52352d32cbf57b6af844e5fea356a879eaeedab3db0822fad1024", 181),
+}
 
 
 def _keys(cert) -> list[str]:
@@ -221,6 +236,13 @@ def test_search_tree_pinned_six_modes_d5_all_hits():
 def test_search_tree_pinned_ten_modes_d3_first_hit():
     _, cert = find_codes(SearchSpec(3, 10, 1, 3, max_hits=1))
     assert cert.tuples_examined == 66682 and _keys(cert) == [TEN_MODE_KEY]
+
+
+def test_search_pinned_eight_modes_d3_k2_all_hits():
+    # 13,244 hits: the accept path's keys, phases and operators, pinned as one signature.
+    _, cert = find_codes(SearchSpec(3, 8, 2, 2, max_hits=0), threads=1)
+    assert cert.tuples_examined == 499046 and len(cert.hits) == 13244 and cert.exhausted
+    assert cert.to_dict(canonical=True)["signature"] == "189e50a15c5ba60b9c33a497f6973574aec28268fa1a3e5c2b1fccc2b6e7a7df"
 
 
 def test_search_tree_pinned_composite_modulus():
@@ -498,7 +520,7 @@ def _chunk_ends(spec: SearchSpec) -> list[int]:
 @settings(max_examples=50, deadline=None)
 @given(
     data=st.data(),
-    modulus=st.sampled_from([2, 3, 4, 5]),
+    modulus=st.sampled_from([2, 3, 4, 5, 6]),
     modes=st.sampled_from([4, 6]),
     gens=st.integers(1, 3),
     target_d=st.integers(1, 3),
@@ -661,13 +683,17 @@ def test_threaded_first_hit_search_stops_with_the_serial_replay():
     assert elapsed < 2.0
 
 
-class _InlinePool:
-    """Stands in for ``multiprocessing.Pool``: records its size and runs the jobs in this process."""
+class _InlineWorkers:
+    """Stands in for ``search._BlockWorkers``: records its size and every block started, and runs each in this process."""
 
     sizes: list[int] = []
+    started: list[int] = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, spec, size):
+        self.spec = spec
+        self.sizes.append(size)
+        self.idle = [None] * size
+        self.done: list = []
 
     def __enter__(self):
         return self
@@ -675,8 +701,15 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, items):
-        return map(fn, items)
+    def start(self, index, bounds):
+        assert self.idle, "no idle worker"
+        self.idle.pop()
+        self.started.append(index)
+        self.done.append((index, (True, search._run_block(self.spec, bounds))))
+
+    def finished(self):
+        self.idle.append(None)
+        return self.done.pop(0)
 
 
 @pytest.mark.parametrize(
@@ -689,20 +722,51 @@ class _InlinePool:
     ],
 )
 def test_pool_size_is_bounded_by_blocks_and_cpus(monkeypatch, modulus, modes, threads, cpus, want):
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(search.multiprocessing, "Pool", _InlinePool)
+    monkeypatch.setattr(_InlineWorkers, "sizes", [])
+    monkeypatch.setattr(_InlineWorkers, "started", [])
+    monkeypatch.setattr(search, "_BlockWorkers", _InlineWorkers)
     monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
     spec = SearchSpec(modulus, modes, 1, 2, max_hits=0)
     _, parallel = find_codes(spec, threads=threads)
-    assert _InlinePool.sizes == [want]
+    assert _InlineWorkers.sizes == [want]
     assert parallel.threads == threads  # the certificate records the request, not the pool
     _, serial = find_codes(spec, threads=1)
     assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
 
 
-def test_parallel_search_leaves_no_child_process():
-    import multiprocessing
+def test_a_stopped_replay_leaves_no_block_queued(monkeypatch):
+    # A block starts only on an idle worker, so when the replay stops every block that
+    # started and was not replayed is one a worker holds: none waits in a queue.
+    monkeypatch.setattr(_InlineWorkers, "sizes", [])
+    monkeypatch.setattr(_InlineWorkers, "started", [])
+    monkeypatch.setattr(search, "_BlockWorkers", _InlineWorkers)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    spec = SearchSpec(2, 8, 1, 2, max_hits=8)
+    results = search._run_blocks(spec, search._candidate_count(2, 8), threads=3)
+    assert _InlineWorkers.sizes == [3]
+    assert len(results) < 12  # the replay stops before the last of the 12 blocks
+    assert _InlineWorkers.started == list(range(len(_InlineWorkers.started)))
+    assert len(_InlineWorkers.started) - len(results) <= 3
+    _, parallel = find_codes(spec, threads=3)
+    assert parallel.to_dict(canonical=True)["hits"] == find_codes(spec, threads=1)[1].to_dict(canonical=True)["hits"]
 
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the workers must inherit the patched engine")
+def test_a_failed_block_raises_in_the_parent_and_leaves_no_child_process(monkeypatch):
+    run = search._Engine.run
+
+    def failing(engine, lo=0, hi=None):
+        if lo > 0:
+            raise ValueError(f"block {lo} failed")
+        run(engine, lo, hi)
+
+    monkeypatch.setattr(search._Engine, "run", failing)
+    with pytest.raises(ValueError, match="block .* failed"):
+        find_codes(SearchSpec(3, 6, 1, 2, max_hits=0), threads=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_search_leaves_no_child_process():
     _, cert = find_codes(SearchSpec(3, 8, 1, 3, max_hits=1), threads=3)
     assert cert.early_stopped and cert.threads == 3
     assert multiprocessing.active_children() == []
