@@ -5,9 +5,15 @@ on an unchanged library must leave the directory byte-identical.  Each
 shipped search spec ``search_*.json`` comes with ``search_*.cert.json``, the
 certificate ``pfstab --threads 1 search <spec> --canonical`` writes for it,
 so a change to the search's hits or node counts, or to the randomized
-sampling stream, shows up in codes/ too.
+sampling stream, shows up in codes/ too.  Each parafermion code file
+``<name>.json`` comes with ``<name>.params.json``, the bytes
+``pfstab params <file> --json`` prints for it (the two toric codes, above
+the 20-mode limit of the uncapped scans, with ``--max-weight 4
+--max-diameter 4``), so d, ``l_con``, their certificates and the logical
+bases are pinned too.
 """
 
+import json
 from pathlib import Path
 
 from pfstab import (
@@ -24,6 +30,7 @@ from pfstab import (
     save_code,
     save_qudit_code,
 )
+from pfstab.cli import main as pfstab_main
 from pfstab.codefile import canonical_json
 
 OUT = Path(__file__).resolve().parent.parent / "codes"
@@ -59,6 +66,11 @@ def main() -> None:
             toric.code,
             {"builder": "toric", "parameters": {"p": 2, "l": 1, "a": a, "b": b}},
         )
+    for path in sorted(OUT.glob("*.json")):
+        if "generators" in json.loads(path.read_text()):
+            caps = ["--max-weight", "4", "--max-diameter", "4"] if path.name.startswith("toric_") else []
+            if pfstab_main(["params", str(path), "--json", "--out", str(OUT / f"{path.stem}.params.json"), *caps]):
+                raise SystemExit(f"pfstab params failed on {path.name}")
     for name, spec in [
         ("search_d3_8modes", SearchSpec(3, 8, 1, 3, max_hits=1)),
         ("search_d3_6modes", SearchSpec(3, 6, 1, 3, max_hits=0)),

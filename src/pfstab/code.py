@@ -32,19 +32,21 @@ A code is immutable, so its validity and the Howell basis of S are computed
 once per code object, on first use, from one Howell form of [S | I]
 (``_row_forms``): the rows with a pivot among S's columns, cut to those
 columns, are the Howell basis of S, and the other rows give the kernel
-relations of the phase check.  The Howell basis of the centralizer, the
-kernel of x -> S L x, is kept too, once computed; ``centralizer_basis``,
+relations of the phase check.  Both are slices of that form's int64 array,
+rows in pivot order, the one format of a Howell basis in every layer (see
+:mod:`pfstab.zmod`).  The Howell basis of the centralizer, the kernel of
+x -> S L x, is kept too, once computed; ``centralizer_basis``,
 ``logical_basis`` and ``l_con`` share it.  None of these forms depends on
 mu.  One constructor, ``PfCode._from_forms``, builds a code from rows,
 phases and forms already at hand, and keeps them: :func:`canonical_phases`
 passes on its input's, the builders pass the forms they solved the phases
-from, and the search passes a hit's Howell basis read off the sorted
-integer codes of its span (``_span_bases``) and, for dependent rows only,
-the kernel relations.  Every parameter (|S|, k, d, l_con, the logicals) is
-defined only for a valid code, so each public function raises
-:class:`InvalidCodeError` on an invalid one and otherwise reads the kept
-bases, reducing against them with ``zmod._reduce_against``, the one
-coset-minimum reducer.
+from, and the search passes a hit's slice of the Howell bases read off
+the sorted integer codes of a batch of spans (``_span_bases``) and, for
+dependent rows only, the kernel relations.  Every parameter (|S|, k, d,
+l_con, the logicals) is defined only for a valid code, so each public
+function raises :class:`InvalidCodeError` on an invalid one and otherwise
+reads the kept bases, reducing against them with ``zmod._reduce_against``,
+the one coset-minimum reducer.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ class PfCode:
         return rows
 
     @cached_property
-    def _row_forms(self) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    def _row_forms(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_row_forms` of the rows S."""
         return _row_forms(self._rows, self.modulus)
 
@@ -276,12 +278,11 @@ def commutation_rows(code: PfCode) -> np.ndarray:
     return code._comm_rows
 
 
-def _row_forms(rows: np.ndarray, modulus: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
-    """(Howell basis {pivot: row} of ``rows``, Howell basis of their left
-    kernel), read off one Howell form of [rows | I]."""
+def _row_forms(rows: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Howell basis of ``rows``, Howell basis of their left kernel), both
+    slices of the one Howell form of [rows | I], int64 rows in pivot order."""
     front, kernel = _augmented_basis(ZModMatrix(modulus, rows))
-    relations = np.array([kernel[j] for j in sorted(kernel)], dtype=np.int64).reshape(len(kernel), len(rows))
-    return {j: row[: rows.shape[1]] for j, row in front.items()}, relations
+    return front[:, : rows.shape[1]], kernel
 
 
 def _relation_phases(smat: np.ndarray, mu: np.ndarray, powers: np.ndarray, modulus: int) -> np.ndarray:
@@ -315,8 +316,8 @@ def validate(code: PfCode) -> ValidationFlags:
     return code._flags
 
 
-def _require_valid(code: PfCode) -> dict[int, np.ndarray]:
-    """The Howell basis of the stabilizer rows of a valid code."""
+def _require_valid(code: PfCode) -> np.ndarray:
+    """The Howell basis of the stabilizer rows of a valid code, rows in pivot order."""
     flags = validate(code)
     if not flags.all_ok:
         raise InvalidCodeError(f"code fails validation: {flags.to_dict()}")
@@ -498,13 +499,13 @@ def _lookup(table, rows: np.ndarray, offset: int) -> tuple[np.ndarray, np.ndarra
     return row[same] + offset, query[same]
 
 
-def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: dict, modulus: int, max_weight: int):
+def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: np.ndarray, modulus: int, max_weight: int):
     """First undetected error outside the stabilizer span, by weight, then colex/lex order.
 
     ``contrib[c, l]`` is the syndrome of letter l at position c and
     ``letters[l]`` its vector components; ``basis`` is the Howell basis of
-    the stabilizer rows.  Returns (weight, vector), or None when every
-    weight up to ``max_weight`` is clear.
+    the stabilizer rows, in pivot order.  Returns (weight, vector), or
+    None when every weight up to ``max_weight`` is clear.
 
     A block's zero-syndrome vectors, the pairs whose syndromes cancel and
     whose low positions come first, are reduced at once, in scan order.
@@ -652,9 +653,9 @@ def _first_window(block: np.ndarray, spanned: int, sides: np.ndarray, n: int, be
     return best
 
 
-def _window_logical(code: PfCode, basis: dict[int, np.ndarray], modes: np.ndarray) -> PfOperator | None:
+def _window_logical(code: PfCode, basis: np.ndarray, modes: np.ndarray) -> PfOperator | None:
     """First Howell kernel row of window ``modes``'s parity-zero centralizer
-    outside the stabilizer span, or None."""
+    outside the span of ``basis``, the stabilizer's Howell basis, or None."""
     d, m = code.modulus, code.num_modes
     constraint = np.vstack([code._comm_rows[:, modes], np.ones((1, modes.size), dtype=np.int64)])
     kernel = kernel_basis(ZModMatrix(d, constraint.T % d)).array

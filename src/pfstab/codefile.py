@@ -111,7 +111,8 @@ def code_from_payload(payload: dict) -> PfCode:
         _expect(isinstance(raw_layout, dict), "mode_layout must be an object")
         layout = {}
         for key, coords in raw_layout.items():
-            _expect(key.isascii() and key.isdigit(), f"mode_layout key {key!r} must be a mode number")
+            _expect(key.isascii() and key.isdigit() and key == str(int(key)),  # "01" beside "1" names mode 1 twice
+                    f"mode_layout key {key!r} must be a mode number without leading zeros")
             _expect(isinstance(coords, list) and all(_is_int(c) for c in coords),
                     f"mode_layout[{key}] must be a list of integers")
             layout[int(key)] = tuple(coords)

@@ -75,7 +75,7 @@ import multiprocessing.connection
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from math import comb
 
 import numpy as np
@@ -181,23 +181,23 @@ class SearchSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
         """The spec that ``data`` describes: the keys of :meth:`to_dict`, with
-        ``modulus`` accepted for ``D``.  Any other key raises ValueError, so a
-        misspelled field is not silently left at its default."""
+        ``modulus`` accepted for ``D``.  Any other key, both ``D`` and
+        ``modulus``, or a missing field without a default raises ValueError,
+        so no field is silently dropped or left at its default."""
         if "sampler" in data:
             raise ValueError("'sampler' is recorded in randomized certificates; it is not a search setting")
         allowed = {"D", *(f.name for f in fields(cls))}
         for key in data:
             if key not in allowed:
                 raise ValueError(f"unknown search spec field {key!r}")
-        known = {
-            "modulus": data.get("D", data.get("modulus")),
-            "num_modes": data["num_modes"],
-            "target_k": data["target_k"],
-            "target_d": data["target_d"],
-        }
-        for key in ("mode", "seed", "samples", "generator_count", "symmetry_reduction", "max_hits", "max_tuples"):
-            if key in data:
-                known[key] = data[key]
+        known = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        if "D" in data:
+            if "modulus" in data:
+                raise ValueError("the spec gives both 'D' and 'modulus'; give one")
+            known["modulus"] = data["D"]
+        for f in fields(cls):
+            if f.name not in known and f.default is MISSING:
+                raise ValueError(f"missing search spec field {'D' if f.name == 'modulus' else f.name!r}")
         return cls(**known)
 
 
@@ -241,9 +241,7 @@ class SearchCertificate:
 def canonical_equivalence_key(code: PfCode) -> str:
     """Equal keys iff equal stabilizer spans: the Howell form of the row matrix,
     as the code keeps it, rows stacked in pivot order."""
-    basis = code._row_forms[0]
-    rows = np.array([basis[j] for j in sorted(basis)], dtype=np.int64).reshape(-1, code.num_modes)
-    return _span_key(code.modulus, code.num_modes, rows)
+    return _span_key(code.modulus, code.num_modes, code._row_forms[0])
 
 
 def _span_key(modulus: int, num_modes: int, rows: np.ndarray) -> str:
@@ -479,9 +477,10 @@ class _Engine:
 
         Every span's Howell basis is read off its sorted codes, for all
         spans by one ``searchsorted`` (``code._span_bases``), into one
-        contiguous array; a span's key hashes its slice of it
-        (``_span_key``, as ``canonical_equivalence_key`` does), and its
-        code keeps the slice as its basis.  Independent tuples get their
+        contiguous array of rows in pivot order, the format of every
+        Howell basis; a span's key hashes its slice of it (``_span_key``,
+        as ``canonical_equivalence_key`` does), and its code keeps the
+        slice, as it is, as its Howell basis.  Independent tuples get their
         closed-form phases from one ``_phase_solution`` over the stack of
         their rows; dependent ones were solved when recorded.
         """
@@ -491,17 +490,14 @@ class _Engine:
         chosen, codes, solved = zip(*self.pending)
         rows = self.cand[np.array(chosen)]
         pivots, basis = _span_bases(np.stack(codes), d, m)
-        columns = np.nonzero(pivots)[1].tolist()
         ends = np.cumsum(pivots.sum(axis=1)).tolist()
+        spans = [basis[start:end] for start, end in zip([0, *ends], ends)]
         if self.independent:
             none = np.zeros((0, rows.shape[1]), dtype=np.int64)
             solved = zip([none] * len(rows), _phase_solution(rows, none, d))
-        start = 0
-        for node, t_rows, end, (relations, mu) in zip(self.hit_keys[len(self.hits):], rows, ends, solved):
-            span = basis[start:end]
-            code = PfCode._from_forms(d, m, t_rows, mu, (dict(zip(columns[start:end], span)), relations))
+        for node, t_rows, span, (relations, mu) in zip(self.hit_keys[len(self.hits):], rows, spans, solved):
+            code = PfCode._from_forms(d, m, t_rows, mu, (span, relations))
             self.hits.append((node, _span_key(d, m, span), code))
-            start = end
         self.pending = []
 
     # -- enumeration --------------------------------------------------------

@@ -18,12 +18,15 @@ it over the columns, and so is the ``l_con`` window scan
 a Howell basis: it takes one vector or a batch and returns coset minima,
 so span membership, solving and the coset minimum are all a zero test or
 a read of its result.
+
+A Howell basis has one format in every layer: a (k, c) int64 array of rows
+in pivot order, a row's pivot its first nonzero entry (``_pivot_columns``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -194,8 +197,10 @@ def _column_step(block: np.ndarray, spanned: int, j: int, n: int) -> np.ndarray:
     return scaled
 
 
-def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Howell basis {pivot column: row} of the row span of ``array`` mod n.
+def _howell_basis(array: np.ndarray, n: int) -> np.ndarray:
+    """Howell basis of the row span of ``array`` mod n: a C-contiguous
+    (k, cols) int64 array of rows in pivot order, each row's pivot its
+    first nonzero entry.
 
     A :func:`_column_step` per column (a batch of one), with the rows of
     ``array`` spanning and the basis rows found so far carried.  At
@@ -211,12 +216,12 @@ def _howell_basis(array: np.ndarray, n: int) -> dict[int, np.ndarray]:
     r, ncols = rows.shape
     block = np.zeros((r + min(ncols, r * int(n).bit_length()), 1, ncols), dtype=np.int64)
     block[:r, 0] = rows
-    pivots: list[int] = []
+    k = 0
     for j in range(ncols):
         if np.count_nonzero(block[:r, 0, j]):
-            block[r + len(pivots), 0, j:] = _column_step(block[: r + len(pivots)], r, j, n)[0]
-            pivots.append(j)
-    return dict(zip(pivots, block[r : r + len(pivots), 0].copy()))
+            block[r + k, 0, j:] = _column_step(block[: r + k], r, j, n)[0]
+            k += 1
+    return block[r : r + k, 0].copy()
 
 
 def howell_form(m: ZModMatrix) -> ZModMatrix:
@@ -227,14 +232,16 @@ def howell_form(m: ZModMatrix) -> ZModMatrix:
     modulo it, and the span of the rows starting at any column equals the
     set of span elements supported from that column on.
     """
-    basis = _howell_basis(m.array, m.modulus)
-    if not basis:
-        return ZModMatrix(m.modulus, np.zeros((0, m.num_cols), dtype=np.int64))
-    rows = np.stack([basis[j] for j in sorted(basis)])
-    return ZModMatrix(m.modulus, rows)
+    return ZModMatrix(m.modulus, _howell_basis(m.array, m.modulus))
 
 
-def _reduce_against(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -> np.ndarray:
+def _pivot_columns(basis: np.ndarray) -> np.ndarray:
+    """The pivot column of each row of a Howell basis: the count of zeros
+    before its first nonzero entry."""
+    return np.logical_and.accumulate(basis == 0, axis=1).sum(axis=1)
+
+
+def _reduce_against(basis: np.ndarray, vectors: np.ndarray, n: int) -> np.ndarray:
     """:func:`coset_minimum` of one vector, or of each row of ``vectors``, against a Howell basis.
 
     Each pivot in turn reduces its column into [0, pivot), skipped where
@@ -243,8 +250,7 @@ def _reduce_against(basis: dict[int, np.ndarray], vectors: np.ndarray, n: int) -
     """
     w = np.asarray(vectors, dtype=np.int64) % n
     rows = w.reshape(-1, w.shape[-1])
-    for j in sorted(basis):
-        row = basis[j]
+    for row, j in zip(basis, _pivot_columns(basis).tolist()):
         times = rows[:, j] // int(row[j])
         if np.count_nonzero(times):
             rows -= times[:, None] * row
@@ -270,25 +276,24 @@ def span_order(m: ZModMatrix) -> int:
     return _basis_order(_howell_basis(m.array, m.modulus), m.modulus)
 
 
-def _basis_order(basis: dict[int, np.ndarray], n: int) -> int:
+def _basis_order(basis: np.ndarray, n: int) -> int:
     """Span order of a Howell basis: the product of n / pivot over its rows."""
-    order = 1
-    for j, row in basis.items():
-        order *= n // int(row[j])
-    return order
+    return prod(n // pivot for pivot in basis[np.arange(len(basis)), _pivot_columns(basis)].tolist())
 
 
-def _augmented_basis(m: ZModMatrix) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """The Howell basis of [M | I], split: the rows with a pivot in M's c columns,
-    and the rows whose M-part vanished as {pivot - c: I-part}.  The I-parts
-    witness x @ M == 0 and already form the Howell basis of the left kernel.
+def _augmented_basis(m: ZModMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The Howell basis of [M | I], split by slicing: its first rows, those
+    with a pivot among M's c columns, and the I-parts of the rest, whose
+    M-part vanished.  Those I-parts witness x @ M == 0 and already form the
+    Howell basis of the left kernel.
     """
     c = m.num_cols
     basis = _howell_basis(np.hstack([m.array, np.eye(m.num_rows, dtype=np.int64)]), m.modulus)
-    return {j: row for j, row in basis.items() if j < c}, {j - c: row[c:] for j, row in basis.items() if j >= c}
+    front = int(np.searchsorted(_pivot_columns(basis), c))
+    return basis[:front], basis[front:, c:]
 
 
-def _solve_front(front: dict[int, np.ndarray], vec: np.ndarray, r: int, n: int) -> np.ndarray | None:
+def _solve_front(front: np.ndarray, vec: np.ndarray, r: int, n: int) -> np.ndarray | None:
     """:func:`solve_left` for an r-row M, from the M-pivot rows of ``_augmented_basis``."""
     c = vec.shape[0]
     w = _reduce_against(front, np.concatenate([vec, np.zeros(r, dtype=np.int64)]), n)
@@ -299,10 +304,7 @@ def _solve_front(front: dict[int, np.ndarray], vec: np.ndarray, r: int, n: int) 
 
 def kernel_basis(m: ZModMatrix) -> ZModMatrix:
     """Howell basis K of the left kernel {x : x @ M == 0 (mod D)}, read off the Howell form of [M | I]."""
-    _, kernel = _augmented_basis(m)
-    if not kernel:
-        return ZModMatrix(m.modulus, np.zeros((0, m.num_rows), dtype=np.int64))
-    return ZModMatrix(m.modulus, np.stack([kernel[j] for j in sorted(kernel)]))
+    return ZModMatrix(m.modulus, _augmented_basis(m)[1])
 
 
 def solve_left(m: ZModMatrix, v: Sequence[int]) -> np.ndarray | None:

@@ -425,6 +425,10 @@ def test_search_bad_spec_exits_2(capsys, tmp_path):
          "not a search setting"),
         # A misspelled max_hits used to be dropped: exit 0 with one hit.
         ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "maxhits": 0}, "unknown search spec field 'maxhits'"),
+        # modulus beside D used to be dropped: a D=3 search, exit 0.
+        ({"D": 3, "modulus": 5, "num_modes": 6, "target_k": 1, "target_d": 2}, "both 'D' and 'modulus'"),
+        # A missing field used to surface as a bare KeyError: "bad search spec: 'num_modes'".
+        ({"D": 3, "target_k": 1, "target_d": 2}, "missing search spec field 'num_modes'"),
     ],
 )
 def test_search_rejects_bad_spec_fields_with_one_error_line(capsys, tmp_path, spec, message):
@@ -626,10 +630,13 @@ def test_layout_coordinates_reject_booleans(capsys, tmp_path):
     assert "mode_layout[3] must be a list of integers" in err
 
 
-@pytest.mark.parametrize("key", ["\u00b2", "\u0661"])  # str.isdigit accepts both; int() rejects the first
+# str.isdigit accepts the first two, int() the last three; code files write str(mode) only.
+@pytest.mark.parametrize("key", ["\u00b2", "\u0661", "04", "01"])
 def test_layout_keys_must_be_ascii_mode_numbers(capsys, tmp_path, key):
     payload = code_to_payload(build_clock_chain(2, 2))
-    payload["mode_layout"] = {"1": [0], "2": [1], "3": [2], key: [3]}
+    # "01" beside "1" names mode 1 twice; the later key used to win silently.
+    layouts = {"01": {"1": [0], "2": [1], "3": [2], "4": [3], "01": [4]}}
+    payload["mode_layout"] = layouts.get(key, {"1": [0], "2": [1], "3": [2], key: [3]})
     path = tmp_path / "code.json"
     path.write_text(json.dumps(payload))
     status, _, err = run(capsys, "validate", path)

@@ -20,13 +20,14 @@ import pfstab.zmod
 from pfstab import search
 from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
-from pfstab.code import PfCode, analyze, codespace_dim, distance, validate
+from pfstab.code import PfCode, analyze, codespace_dim, distance, stabilizer_matrix, validate
 from pfstab.search import (
     BudgetExceededError,
     SearchSpec,
     canonical_equivalence_key,
     find_codes,
 )
+from pfstab.zmod import howell_form
 
 
 def test_spec_defaults_generator_count_for_prime():
@@ -78,6 +79,9 @@ def test_soundness_of_hits():
     assert codes
     for code in codes:
         assert "_row_forms" in code.__dict__  # the code the search phased, not a rebuilt one
+        # The kept basis, a slice of the batch's basis array, is the Howell form of the rows.
+        kept = code._row_forms[0]
+        assert kept.dtype == np.int64 and np.array_equal(kept, howell_form(stabilizer_matrix(code)).array)
         assert validate(code).all_ok
         report = analyze(code)
         assert report.k == 1 and report.distance.value == 2
@@ -310,7 +314,7 @@ def test_pivot_column_test_matches_the_coset_minimum(modulus, modes, data):
     index = st.integers(0, engine.count - 1)
     rows = engine.cand[data.draw(st.lists(index, max_size=3))].reshape(-1, modes)
     span = _span_elements(rows, modulus)
-    pivots = sum(1 << j for j in pfstab.zmod._howell_basis(rows, modulus))
+    pivots = sum(1 << j for j in pfstab.zmod._pivot_columns(pfstab.zmod._howell_basis(rows, modulus)).tolist())
     probes = range(engine.count) if engine.count <= 300 else data.draw(st.lists(index, min_size=1, max_size=40))
     for j in probes:
         fresh = bool(engine.lead_one[j]) and not int(engine.support[j]) & pivots
@@ -322,7 +326,8 @@ def test_pivot_column_test_matches_the_coset_minimum(modulus, modes, data):
             chosen.append(j)
             span = _span_elements(engine.cand[chosen], modulus)
     leads = sum(int(engine.lead_bit[j]) for j in chosen)
-    assert leads == sum(1 << j for j in pfstab.zmod._howell_basis(engine.cand[chosen].reshape(-1, modes), modulus))
+    basis = pfstab.zmod._howell_basis(engine.cand[chosen].reshape(-1, modes), modulus)
+    assert leads == sum(1 << j for j in pfstab.zmod._pivot_columns(basis).tolist())
 
 
 @pytest.mark.parametrize(

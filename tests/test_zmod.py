@@ -11,6 +11,7 @@ from pfstab.code import _first_window
 from pfstab.zmod import (
     ZModMatrix,
     _howell_basis,
+    _pivot_columns,
     _reduce_against,
     coset_minimum,
     howell_form,
@@ -252,6 +253,19 @@ def test_howell_form_is_canonical_under_row_operations(modulus, rows, cols, extr
     dependent = (rng.integers(0, modulus, size=(extra, rows)) @ m.array) % modulus
     stacked = np.vstack([mixed, dependent])[rng.permutation(rows + extra)]
     assert howell_form(ZModMatrix(modulus, stacked)) == howell_form(m)
+    # The one basis format: int64 rows in pivot order, a row's pivot its first nonzero entry.
+    basis = _howell_basis(stacked, modulus)
+    assert basis.dtype == np.int64 and basis.flags.c_contiguous and basis.shape == (len(basis), cols)
+    assert np.array_equal(basis, howell_form(m).array)
+    pivots = _pivot_columns(basis)
+    assert (np.diff(pivots) > 0).all()
+    heads = basis[np.arange(len(basis)), pivots]
+    assert (modulus % heads == 0).all()
+    assert (np.triu(basis[:, pivots], 1) < heads).all()  # entries above a pivot lie in [0, pivot)
+    # The kernel rows of the Howell form of [M | I] are kernel_basis, and annihilate M.
+    kernel = zmod._augmented_basis(ZModMatrix(modulus, stacked))[1]
+    assert np.array_equal(kernel, kernel_basis(ZModMatrix(modulus, stacked)).array)
+    assert not ((kernel @ stacked) % modulus).any()
 
 
 @settings(max_examples=100, deadline=None)
