@@ -79,7 +79,12 @@ def main() -> None:
         ("search_d2_6modes", SearchSpec(2, 6, 1, 2, max_hits=0)),
         # Composite D, two generators where n - k = 1: dependent tuples, phases by a Z_2D solve.
         ("search_d4_4modes", SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0)),
-        # Two stops inside one leaf block: the hits at nodes 177, 179, 181 and 183 share it.
+        # Composite D without symmetry reduction: spans repeat, so the repeat test sees them in walk order.
+        ("search_d8_4modes", SearchSpec(8, 4, 1, 1, generator_count=2, max_hits=0)),
+        # Three generators where n - k = 2: dependent tuples, and a budget stop below the root's children.
+        ("search_d4_6modes_budget20000", SearchSpec(4, 6, 1, 2, generator_count=3, max_hits=0, max_tuples=20_000)),
+        # Two stops between the hits at nodes 177, 179, 181 and 183: they lie below one leaf-parent,
+        # and one _leaves call of the grandparent pass decides them with the block's other full tuples.
         ("search_d2_8modes_hits8", SearchSpec(2, 8, 1, 2, max_hits=8)),
         ("search_d2_8modes_budget180", SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180)),
     ]:

@@ -20,8 +20,8 @@ generating tuple (no symmetry reduction, or randomized mode) is skipped;
 then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
-passing children of a leaf-parent, or a chunk's independent samples.  The
-tuple is commuting and parity-zero by construction, so acceptance only
+canonical grandchildren of a block of a node's children, or a chunk's
+independent samples.  The tuple is commuting and parity-zero by construction, so acceptance only
 assigns phases and keys the span, in two steps.  ``_Engine._accept``
 records a passing tuple: its node, its generator indices and a copy of
 its sorted span codes.  A span of D^r elements means independent rows
@@ -48,10 +48,15 @@ read off the span's codes, and span membership in the prefilters is one
 node together and builds span rows only for the children that pass, a
 bounded block at a time; the block's commutation masks, or its full
 tuples' prefilters, come from one float64 product read through a
-divisibility lookup table.  Passing children are explored in index order,
-and the node counter advances over each run of failing children in one
-step, so node indices, the budget stop and the ``max_hits`` stop are
-those of a one-node-at-a-time walk.  Randomized mode draws a chunk of
+divisibility lookup table.  The engine does not recurse into a
+leaf-parent, a node whose children are full tuples: the node above it
+lists every (child, grandchild) pair of a block of its children, tests
+them all for canonicity at once, and decides the full tuples that remain,
+of several children at a time, in one ``_leaves`` call, so a leaf-parent
+without a canonical child costs only its node.  Passing children are
+explored in index order, and the node counter advances over each run of
+failing children in one step, so node indices, the budget stop and the
+``max_hits`` stop are those of a one-node-at-a-time walk.  Randomized mode draws a chunk of
 samples at once (``_floyd_draw``, r raw PCG64 words per sample, in order),
 tests their commutation together and builds every span code of the
 commuting ones in one kernel, a coefficient table times their rows
@@ -294,15 +299,19 @@ def _bound_prefilters(spec: SearchSpec) -> None:
 class _Engine:
     """Shared state for one exhaustive enumeration over a first-generator range.
 
-    A span is carried as its rows, row 0 the zero vector; a block of
-    children gets its grown spans' rows and integer codes ``row @ place``
-    in one kernel (``_grown``).  A nonzero parity-zero vector with code c
-    is candidate ``c // D - 1`` (the candidates run through the first m - 1
+    A span is carried as its rows, row 0 the zero vector, in the smallest
+    unsigned dtype that holds 2D - 1; a block of children gets its grown
+    spans' rows and integer codes ``row @ place`` in one kernel
+    (``_grown``).  The walk recurses down to the nodes whose children are
+    leaf-parents, and each of those decides its grandchildren, the full
+    tuples, itself (``_expand``, ``_decide``); a root with one generator
+    decides its own children.  A nonzero parity-zero vector with code c is
+    candidate ``c // D - 1`` (the candidates run through the first m - 1
     digits in order), so the span members to clear from a commutation mask
-    are read off the codes.  For the canonical test each candidate keeps its
-    support as a bitmask over the columns and whether its leading digit is
-    1; the test assumes prime D (``find_codes`` turns symmetry reduction off
-    for composite moduli).
+    are read off the codes.  For the canonical test each candidate keeps
+    its support as a bitmask over the columns and whether its leading
+    digit is 1; the test assumes prime D (``find_codes`` turns symmetry
+    reduction off for composite moduli).
 
     Commutation is read off float64 products of pairing rows with exponent
     vectors (candidates, or the prefilters' weight vectors), exact because
@@ -316,7 +325,8 @@ class _Engine:
         self.cand = _parity_zero_candidates(d, m)
         self.count = self.cand.shape[0]
         self.place = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.multiples = np.arange(d, dtype=np.int64)[:, None, None]
+        self.multiples = np.arange(d, dtype=np.int64)[:, None]
+        self.digit_dtype = np.min_scalar_type(2 * d)
         self.prime = _is_prime(d)
         nonzero = self.cand != 0
         self.support = nonzero @ (1 << np.arange(m, dtype=np.int64))
@@ -373,11 +383,16 @@ class _Engine:
         starts with ``span`` itself.  Every element of the grown span appears
         equally often: once for prime D, where the cosets are disjoint, and
         more often for composite D when a multiple c*g falls back into the
-        span.
+        span.  Rows are held in ``digit_dtype``, which holds 2D - 1: each
+        c*g is reduced mod D once per candidate, added to the span rows,
+        and the sum wrapped by one unsigned subtract of D.  The codes are
+        int64, since ``place`` is.
         """
-        rows = span + self.multiples * self.cand[block][:, None, None, :]
-        rows %= self.spec.modulus
-        rows = rows.reshape(len(block), -1, span.shape[1])
+        d = self.spec.modulus
+        steps = ((self.multiples * self.cand[block][:, None, :]) % d).astype(self.digit_dtype)
+        rows = span[..., None, :, :] + steps[:, :, None, :]
+        np.minimum(rows, rows - d, out=rows)  # reduce mod D; unsigned wrap-around
+        rows = rows.reshape(len(block), -1, span.shape[-1])
         return rows, rows @ self.place
 
     def _advance(self, count: int) -> None:
@@ -391,7 +406,8 @@ class _Engine:
         """Positions of the weight vectors that commute with every candidate in ``rows``."""
         return np.flatnonzero(self._divisible(self.pairing[rows] @ self.weights).all(axis=0))
 
-    def _leaves(self, generators: np.ndarray, span_codes: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _leaves(self, generators: np.ndarray, span_codes: np.ndarray, columns: np.ndarray,
+                known: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Which of a block of full tuples go on to ``_accept``, and their spans' sorted codes.
 
         Row t of ``span_codes`` lists the codes of tuple t's span, each the
@@ -403,11 +419,12 @@ class _Engine:
         lies in the span, and some weight-d one does not.  The weight
         vectors at ``columns`` (``_central_columns``) commute with every
         generator of tuple t except perhaps those in row t of
-        ``generators``; the others do not commute with the tuple.  The
-        products of those generators with those vectors go through
-        ``_divisible`` at once, and span membership is one ``searchsorted``
-        over the sorted codes of all spans, each offset by its row number
-        times D^m.  Returns a boolean per tuple and an array whose row t
+        ``generators``; the others do not commute with the tuple.  When
+        ``known`` is given, only the vectors that ``known[t]`` marks commute
+        with tuple t's other generators.  The products of those generators
+        with those vectors go through ``_divisible`` at once, and span
+        membership is one ``searchsorted`` over the sorted codes of all
+        spans, each offset by its row number times D^m.  Returns a boolean per tuple and an array whose row t
         holds span t's distinct codes in order wherever the tuple passed.
         """
         count, length = span_codes.shape
@@ -430,6 +447,8 @@ class _Engine:
             return passed, spans
         products = self.pairing[generators[live].ravel()] @ self.weights[:, columns]
         central = self._divisible(products).reshape(len(live), generators.shape[1], -1).all(axis=1)
+        if known is not None:
+            central &= known[live]
         t, w = np.nonzero(central)
         offset = self.spec.modulus ** self.spec.num_modes
         members = (spans[live] + offset * np.arange(len(live))[:, None]).ravel()
@@ -505,15 +524,19 @@ class _Engine:
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
         """Walk the first generators in [first_lo, first_hi); ``hits`` is complete on return and on a budget stop."""
         first_hi = self.count if first_hi is None else first_hi
-        zero = np.zeros((1, self.spec.num_modes), dtype=np.int64)
+        zero = np.zeros((1, self.spec.num_modes), dtype=self.digit_dtype)
         try:
             self._expand([], 0, np.ones(self.count, dtype=bool), zero, np.arange(first_lo, first_hi))
         finally:
             self._settle()
 
+    def _canonical(self, children: np.ndarray, pivots) -> np.ndarray:
+        """Whether each child adding cand[j], j in ``children``, to a span with pivot columns ``pivots`` is canonical."""
+        return self.lead_one[children] & (self.support[children] & pivots == 0)
+
     def _expand(self, chosen: list[int], pivots: int, comm_ok: np.ndarray, span: np.ndarray,
                 children: np.ndarray) -> None:
-        """Count the children that add each candidate in ``children`` to ``chosen``, and explore them.
+        """Count the nodes below ``chosen`` that add each candidate in ``children``, and explore them.
 
         ``comm_ok`` marks the candidates that commute with every chosen
         generator and lie outside their span.  ``chosen`` has passed the
@@ -527,59 +550,127 @@ class _Engine:
         against the span's echelon form with the pivot entries zeroed, and
         some c makes c*g lead with 1.  The pivot columns are the leading
         columns of ``chosen``, the bitmask ``pivots``, so the test reads two
-        per-candidate arrays; without symmetry reduction every child
-        passes.  Only the children that pass get coset rows, a block of
-        them at a time: at an inner node one float64 product gives the
-        block's commutation masks, and at a leaf-parent ``_leaves`` decides
-        the block's full tuples.  The node counter advances over each run
-        of children that fail, or whose full tuple fails, in one step, so
-        node indices, the budget stop and the ``max_hits`` stop are those
-        of a walk that counts one child at a time.  Passing children are
-        explored, or accepted, in index order.
+        per-candidate arrays (``_canonical``); without symmetry reduction
+        every child passes.  Only the children that pass get coset rows, a
+        block of them at a time, and one float64 product gives the block's
+        commutation masks.
+
+        Children that are leaf-parents (their children are full tuples)
+        are not expanded one by one.  ``offset`` is the node count before
+        position 0 plus the nodes listed below the children so far, so the
+        child at position p is node offset + p + 1.  For a block of
+        leaf-parents every (child, grandchild) pair comes off the masks at
+        once, in walk order; pair k of the block, below the child at
+        position p, is node offset + p + k + 2.  The canonical test runs on
+        all pairs together, with each child's pivots, and the full tuples
+        that pass it go to ``_decide``, so a leaf-parent without a
+        canonical child costs only its node.  A root that is itself a
+        leaf-parent (one generator) hands its own children to ``_decide``.
+        Node indices, the budget stop and the ``max_hits`` stop are those
+        of a walk that counts one node at a time, and hits are accepted in
+        walk order.
         """
-        spec = self.spec
+        spec, d = self.spec, self.spec.modulus
+        offset = self.nodes
         at = np.arange(len(children))
         if spec.symmetry_reduction:
-            at = np.flatnonzero(self.lead_one[children] & (self.support[children] & pivots == 0))
-        if not len(at):
-            self._advance(len(children))
-            return
-        leaf = len(chosen) + 1 == spec.generator_count
-        if leaf:
+            at = np.flatnonzero(self._canonical(children, pivots))
+        if len(chosen) + 1 == spec.generator_count:  # a root with one generator
             columns = self._central_columns(chosen)
-            width = spec.modulus * len(span) + len(columns)
-        else:
-            width = self.count
-        step = max(1, _BLOCK_ROWS // width)
-        counted = 0
+            self._decide([chosen], span[None], np.zeros((1, 1), dtype=np.int64), np.zeros(len(at), dtype=np.intp),
+                         children[at], offset + at + 1, columns, np.ones((1, len(columns)), dtype=bool))
+            if not self.stopped:
+                self._advance(offset + len(children) - self.nodes)
+            return
+        grandparent = len(chosen) + 2 == spec.generator_count
+        if grandparent:
+            columns = self._central_columns(chosen)
+            weights = self.weights[:, columns]
+        step = max(1, _BLOCK_ROWS // self.count)
         for lo in range(0, len(at), step):
             block = at[lo : lo + step]
             js = children[block]
-            rows, spans = self._grown(span, js)
-            if leaf:
-                passed, spans = self._leaves(js[:, None], spans, columns)
-                for t in np.flatnonzero(passed).tolist():
-                    self._advance(int(block[t]) + 1 - counted)
-                    counted = int(block[t]) + 1
-                    self._accept(chosen + [int(js[t])], spans[t])
-                    if self.stopped:
-                        return
-                continue
+            rows, codes = self._grown(span, js)
             masks = self._divisible(self.pairing[js] @ self.cand_t)
             masks &= comm_ok
+            # The span must strictly grow.  A zero code (repeated for composite D) maps to the child itself.
+            masks[np.arange(len(js))[:, None], np.where(codes == 0, js[:, None], codes // d - 1)] = False
+            if grandparent:
+                pairs = np.flatnonzero(masks & (np.arange(self.count) > js[:, None]))
+                owner, leaves = np.divmod(pairs, self.count)
+                nodes = offset + block[owner] + np.arange(len(pairs)) + 2
+                offset += len(pairs)
+                if spec.symmetry_reduction:
+                    fresh = self._canonical(leaves, pivots | self.lead_bit[js[owner]])
+                    owner, leaves, nodes = owner[fresh], leaves[fresh], nodes[fresh]
+                live, owner = np.unique(owner, return_inverse=True)
+                self._decide([chosen + [j] for j in js[live].tolist()], rows[live], codes[live], owner, leaves, nodes,
+                             columns, self._divisible(self.pairing[js[live]] @ weights))
+                if self.stopped:
+                    return
+                self._advance(offset + int(block[-1]) + 1 - self.nodes)
+                continue
             for t, (p, j) in enumerate(zip(block.tolist(), js.tolist())):
-                self._advance(p + 1 - counted)
-                counted = p + 1
-                grown, codes = rows[t], spans[t]
+                self._advance(offset + p + 1 - self.nodes)
+                grown = rows[t]
                 if not self.prime:
-                    codes, first = np.unique(codes, return_index=True)
-                    grown = grown[first]
+                    grown = grown[np.unique(codes[t], return_index=True)[1]]
                 mask = masks[t]
-                mask[codes[1:] // spec.modulus - 1] = False  # span must strictly grow
                 self._expand(chosen + [j], pivots | int(self.lead_bit[j]), mask, grown, np.flatnonzero(mask[j + 1 :]) + (j + 1))
                 if self.stopped:
                     return
-        self._advance(len(children) - counted)
+                offset = self.nodes - p - 1
+        self._advance(offset + len(children) - self.nodes)
+
+    def _decide(self, prefixes: list[list[int]], spans: np.ndarray, codes: np.ndarray, owner: np.ndarray,
+                leaves: np.ndarray, nodes: np.ndarray, columns: np.ndarray, known: np.ndarray) -> None:
+        """Decide the full tuples prefixes[o] + [g], (o, g) in zip(``owner``, ``leaves``), at node indices ``nodes``; accept the passing ones in order.
+
+        ``spans[o]`` and ``codes[o]`` are the rows and codes of the span of
+        ``prefixes[o]``, each element equally often (``_grown``), and
+        ``known[o]`` marks the weight vectors at ``columns`` that commute
+        with every generator of ``prefixes[o]``.  ``_leaves`` decides the
+        tuples in walk order, so the repeat test meets spans as a one-node
+        walk does, a bounded chunk at a time: a chunk takes whole prefixes
+        while they fit, so prefixes with few tuples share one call, and a
+        prefix with more gets chunks of its own.  A composite span is
+        sorted by code, so a chunk strides its prefixes' rows by the
+        greatest common divisor of their repeat counts.  A tuple past the
+        budget cannot be a hit and is not built.
+        """
+        repeat = np.ones(len(spans), dtype=np.int64)
+        if not self.prime:
+            order = np.argsort(codes, axis=1)
+            spans = np.take_along_axis(spans, order[:, :, None], axis=1)
+            distinct = np.count_nonzero(np.diff(np.take_along_axis(codes, order, axis=1), axis=1), axis=1) + 1
+            repeat = codes.shape[1] // distinct
+        end = int(np.searchsorted(nodes, self.spec.max_tuples, side="right"))
+        rows = self.spec.modulus * spans.shape[1]
+        room = max(1, _BLOCK_ROWS // (rows + len(columns)))
+        cuts = [0]
+        firsts = np.flatnonzero(np.diff(owner[:end], prepend=-1)).tolist()
+        for first, last in zip(firsts, [*firsts[1:], end]):
+            if last - cuts[-1] > room and first > cuts[-1]:
+                cuts.append(first)
+            if last - first > room:
+                o = owner[first]
+                piece = max(1, _BLOCK_ROWS // (rows // int(repeat[o]) + int(np.count_nonzero(known[o]))))
+                cuts += [*range(first + piece, last, piece), last]
+        for lo, hi in zip(cuts, [*cuts[1:], end]):
+            if lo >= hi:
+                continue
+            o, g = owner[lo:hi], leaves[lo:hi]
+            heads = slice(o[0], o[-1] + 1)  # owner ids count up from 0 in walk order
+            wide = known[heads].any(axis=0)
+            single = o[0] == o[-1]  # one span for the chunk, and every column known
+            chunk = np.ascontiguousarray((spans[heads] if single else spans[o])[:, :: int(np.gcd.reduce(repeat[heads]))])
+            passed, leaf_codes = self._leaves(g[:, None], self._grown(chunk, g)[1], columns[wide],
+                                              None if single else known[:, wide][o])
+            for t in np.flatnonzero(passed).tolist():
+                self._advance(int(nodes[lo + t]) - self.nodes)
+                self._accept(prefixes[o[t]] + [int(g[t])], leaf_codes[t])
+                if self.stopped:
+                    return
 
 
 def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:

@@ -5,15 +5,16 @@ import multiprocessing
 import re
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager, suppress
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_floyd_sample, reference_search
+from oracles import _reference_engine_class, reference_floyd_sample, reference_search
 
 import pfstab.code
 import pfstab.zmod
@@ -155,7 +156,11 @@ def _canonical_without_threads(cert) -> dict:
         SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=0, max_tuples=50),
         SearchSpec(4, 4, 1, 2, generator_count=1, max_hits=3),
         SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=2),
-        # Both stop inside the leaf block that holds the hits at nodes 177, 179, 181 and 183.
+        # The two composite specs of codes/: repeated spans in walk order, and a budget stop
+        # below a level-1 node whose children are leaf-parents.
+        SearchSpec(8, 4, 1, 1, generator_count=2, max_hits=0),
+        SearchSpec(4, 6, 1, 2, generator_count=3, max_hits=0, max_tuples=20_000),
+        # Both stop between the hits at nodes 177, 179, 181 and 183, which one _leaves call decides.
         SearchSpec(2, 8, 1, 2, max_hits=8),
         SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180),
     ],
@@ -183,7 +188,7 @@ def test_tuple_budget_examines_one_tuple_past_it():
     assert cert.tuples_examined == 101 and cert.budget_exceeded and not cert.exhausted
 
 
-# Serial canonical signatures and tuple counts of the two stops inside one leaf block.
+# Serial canonical signatures and tuple counts of the two stops inside one _leaves call.
 STOP_SIGNATURES = {
     (8, search.DEFAULT_TUPLE_BUDGET): ("cfc8529f04c78bbe9110644280b446e88526c75072e0be6425893d42ea447704", 179),
     (0, 180): ("d93afe69dbc52352d32cbf57b6af844e5fea356a879eaeedab3db0822fad1024", 181),
@@ -552,6 +557,80 @@ def test_batched_engine_matches_the_per_node_walk(data, modulus, modes, gens, ta
     assert cert.tuples_examined == batched["tuples_examined"]
     assert [h["key"] for h in cert.hits] == [key for _, key in batched["hits"]]
     assert cert.budget_exceeded == batched["budget_exceeded"]
+
+
+def _walk_with_leaf_parents(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
+    """Hit nodes of the per-node walk, and the node of every leaf-parent it visits, one list per grandparent."""
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
+
+    class Recording(_reference_engine_class()):
+        def _visit(self, chosen, comm_ok, span, codes, j):
+            if len(chosen) + 2 == self.spec.generator_count:
+                groups[tuple(chosen)].append(self.nodes + 1)
+            super()._visit(chosen, comm_ok, span, codes, j)
+
+    engine = Recording(spec)
+    with suppress(BudgetExceededError):
+        engine.run()
+    return [node for node, _, _ in engine.hits], list(groups.values())
+
+
+# Nodes the probe walks of the grandparent test visit.
+_PROBE_NODES_GRANDPARENT = 3000
+
+
+@pytest.mark.parametrize("reduction", [True, False])
+@pytest.mark.parametrize(
+    "modulus, modes, gens, target_d",
+    [
+        # Two generators: the root's children are the leaf-parents.
+        (2, 6, 2, 2),
+        (3, 6, 2, 2),
+        (4, 4, 2, 2),
+        (6, 4, 2, 1),
+        # Three generators: each first generator's children are.
+        (2, 8, 3, 2),
+        (3, 8, 3, 2),
+        (4, 6, 3, 1),
+        (6, 6, 3, 1),
+    ],
+)
+def test_grandparent_pass_matches_the_per_node_walk(modulus, modes, gens, target_d, reduction):
+    """A node whose children are leaf-parents decides all their full tuples at once; it must
+    count, stop and accept as the per-node walk does, with stops between two of its leaf-parents."""
+    base = dict(num_modes=modes, target_k=1, target_d=target_d, generator_count=gens, symmetry_reduction=reduction)
+    # Composite D runs without symmetry reduction (``find_codes``), so the probe walk does too.
+    probe = SearchSpec(modulus, max_hits=0, max_tuples=_PROBE_NODES_GRANDPARENT,
+                       **{**base, "symmetry_reduction": reduction and search._is_prime(modulus)})
+    hit_nodes, groups = _walk_with_leaf_parents(probe)
+    # Hits with a leaf-parent of the same grandparent on either side; the middle one stops both runs.
+    inside = [i for i, node in enumerate(hit_nodes) if any(g[0] < node < g[-1] for g in groups)]
+    assert inside
+    stop = inside[len(inside) // 2]
+    specs = [
+        SearchSpec(modulus, max_hits=stop + 1, max_tuples=_PROBE_NODES_GRANDPARENT, **base),
+        SearchSpec(modulus, max_hits=0, max_tuples=hit_nodes[stop], **base),
+    ]
+    for block_rows in (1, search._BLOCK_ROWS):
+        with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
+            for spec in specs:
+                reference = reference_search(spec)
+                assert reference["hits"][-1][0] == hit_nodes[stop]
+                assert _batched_search(spec) == reference
+
+
+_EXHAUSTIVE_CORPUS = sorted(
+    path for path in (Path(__file__).resolve().parent.parent / "codes").glob("search_*.json")
+    if not path.name.endswith(".cert.json") and json.loads(path.read_text())["mode"] == "exhaustive"
+)
+
+
+@pytest.mark.parametrize("path", _EXHAUSTIVE_CORPUS, ids=lambda path: path.stem)
+def test_exhaustive_corpus_specs_agree_across_thread_counts(path):
+    _, cert = find_codes(SearchSpec.from_dict(json.loads(path.read_text())), threads=2)
+    pinned = json.loads(path.with_name(f"{path.stem}.cert.json").read_text())
+    del pinned["threads"], pinned["signature"]
+    assert _canonical_without_threads(cert) == pinned
 
 
 @settings(max_examples=30, deadline=None)
