@@ -32,7 +32,7 @@ from .codefile import (
 )
 from .oracle import jw_modes, projector, relation_report, syndrome_sim
 from .repro import run_all_checks
-from .search import BudgetExceededError, SearchSpec, _candidate_count, default_thread_count, find_codes
+from .search import BudgetExceededError, SearchSpec, _candidate_count, find_codes
 
 USAGE_ERROR = 2
 INVALID_CODE = 1
@@ -278,8 +278,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is None:  # read per call, so that a changed PFSTAB_THREADS counts
-        args.threads = default_thread_count()
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

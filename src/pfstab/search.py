@@ -20,9 +20,10 @@ generating tuple (no symmetry reduction, or randomized mode) is skipped;
 then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
-canonical grandchildren of a block of a node's children, or a chunk's
-independent samples.  The tuple is commuting and parity-zero by construction, so acceptance only
-assigns phases and keys the span, in two steps.  ``_Engine._accept``
+canonical grandchildren of a block of a node's children, a fixed-size
+chunk at a time, or a chunk's independent samples.  The tuple is
+commuting and parity-zero by construction, so acceptance only assigns
+phases and keys the span, in two steps.  ``_Engine._accept``
 records a passing tuple: its node, its generator indices and a copy of
 its sorted span codes.  A span of D^r elements means independent rows
 (always so for prime D), whose phases come in closed form and always
@@ -51,12 +52,14 @@ tuples' prefilters, come from one float64 product read through a
 divisibility lookup table.  The engine does not recurse into a
 leaf-parent, a node whose children are full tuples: the node above it
 lists every (child, grandchild) pair of a block of its children, tests
-them all for canonicity at once, and decides the full tuples that remain,
-of several children at a time, in one ``_leaves`` call, so a leaf-parent
-without a canonical child costs only its node.  Passing children are
-explored in index order, and the node counter advances over each run of
-failing children in one step, so node indices, the budget stop and the
-``max_hits`` stop are those of a one-node-at-a-time walk.  Randomized mode draws a chunk of
+them all for canonicity at once, and cuts the full tuples that remain,
+in walk order, into chunks of one size, whichever children they fall
+under; ``_leaves`` decides a chunk in one call, given each tuple's prefix
+span and prefilter mask, so a leaf-parent without a canonical child costs
+only its node.  Passing children are explored in index order, and the
+node counter advances over each run of failing children in one step, so
+node indices, the budget stop and the ``max_hits`` stop are those of a
+one-node-at-a-time walk.  Randomized mode draws a chunk of
 samples at once (``_floyd_draw``, r raw PCG64 words per sample, in order),
 tests their commutation together and builds every span code of the
 commuting ones in one kernel, a coefficient table times their rows
@@ -99,7 +102,6 @@ __all__ = [
     "BudgetExceededError",
     "find_codes",
     "canonical_equivalence_key",
-    "default_thread_count",
 ]
 
 MAX_CANDIDATES = 400_000
@@ -169,19 +171,8 @@ class SearchSpec:
                     raise ValueError("generator_count exceeds the number of candidate vectors")
 
     def to_dict(self) -> dict:
-        return {
-            "D": self.modulus,
-            "num_modes": self.num_modes,
-            "target_k": self.target_k,
-            "target_d": self.target_d,
-            "mode": self.mode,
-            "seed": self.seed,
-            "samples": self.samples,
-            "generator_count": self.generator_count,
-            "symmetry_reduction": self.symmetry_reduction,
-            "max_hits": self.max_hits,
-            "max_tuples": self.max_tuples,
-        }
+        """Every field by name, ``modulus`` written as ``D``, so no field is left out of a certificate."""
+        return {"D" if f.name == "modulus" else f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpec":
@@ -252,14 +243,6 @@ def canonical_equivalence_key(code: PfCode) -> str:
 def _span_key(modulus: int, num_modes: int, rows: np.ndarray) -> str:
     """The key of the span over Z_D whose Howell basis is ``rows``, int64 rows in pivot order."""
     return hashlib.sha256(f"{modulus}:{num_modes}:".encode() + rows.tobytes()).hexdigest()
-
-
-def default_thread_count() -> int:
-    value = os.environ.get("PFSTAB_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _candidate_count(modulus: int, num_modes: int) -> int:
@@ -407,7 +390,7 @@ class _Engine:
         return np.flatnonzero(self._divisible(self.pairing[rows] @ self.weights).all(axis=0))
 
     def _leaves(self, generators: np.ndarray, span_codes: np.ndarray, columns: np.ndarray,
-                known: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of a block of full tuples go on to ``_accept``, and their spans' sorted codes.
 
         Row t of ``span_codes`` lists the codes of tuple t's span, each the
@@ -417,15 +400,15 @@ class _Engine:
         right size counts as met, in row order), and passes both
         prefilters: every weight-(< d) vector that commutes with the tuple
         lies in the span, and some weight-d one does not.  The weight
-        vectors at ``columns`` (``_central_columns``) commute with every
-        generator of tuple t except perhaps those in row t of
-        ``generators``; the others do not commute with the tuple.  When
-        ``known`` is given, only the vectors that ``known[t]`` marks commute
-        with tuple t's other generators.  The products of those generators
-        with those vectors go through ``_divisible`` at once, and span
-        membership is one ``searchsorted`` over the sorted codes of all
-        spans, each offset by its row number times D^m.  Returns a boolean per tuple and an array whose row t
-        holds span t's distinct codes in order wherever the tuple passed.
+        vectors at ``columns`` (``_central_columns``) that ``known[t]``
+        marks commute with every generator of tuple t except perhaps those
+        in row t of ``generators``; the others do not commute with the
+        tuple.  The products of those generators with those vectors go
+        through ``_divisible`` at once, and span membership is one
+        ``searchsorted`` over the sorted codes of all spans, each offset by
+        its row number times D^m.  Returns a boolean per tuple and an array
+        whose row t holds span t's distinct codes in order wherever the
+        tuple passed.
         """
         count, length = span_codes.shape
         size = self.span_size
@@ -446,18 +429,17 @@ class _Engine:
         if not live.size:
             return passed, spans
         products = self.pairing[generators[live].ravel()] @ self.weights[:, columns]
-        central = self._divisible(products).reshape(len(live), generators.shape[1], -1).all(axis=1)
-        if known is not None:
-            central &= known[live]
-        t, w = np.nonzero(central)
+        central = self._divisible(products).reshape(len(live), generators.shape[1], -1).all(axis=1) & known[live]
+        t, w = np.divmod(np.flatnonzero(central), central.shape[1])
+        picked = columns[w]
         offset = self.spec.modulus ** self.spec.num_modes
         members = (spans[live] + offset * np.arange(len(live))[:, None]).ravel()
-        wanted = self.weight_codes[columns[w]] + offset * t
+        wanted = self.weight_codes[picked] + offset * t
         found = members[np.minimum(np.searchsorted(members, wanted), len(members) - 1)] == wanted
-        outside = np.zeros(central.shape, dtype=bool)
-        outside[t[~found], w[~found]] = True
-        low = columns < self.low_count
-        passed[live] = ~outside[:, low].any(axis=1) & outside[:, ~low].any(axis=1)
+        # Row t: whether a weight-(< d) vector, and whether a weight-d one, central to tuple t lies outside its span.
+        outside = np.zeros((len(live), 2), dtype=bool)
+        outside[t[~found], (picked[~found] >= self.low_count).astype(np.intp)] = True
+        passed[live] = ~outside[:, 0] & outside[:, 1]
         return passed, spans
 
     def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
@@ -629,14 +611,15 @@ class _Engine:
         ``spans[o]`` and ``codes[o]`` are the rows and codes of the span of
         ``prefixes[o]``, each element equally often (``_grown``), and
         ``known[o]`` marks the weight vectors at ``columns`` that commute
-        with every generator of ``prefixes[o]``.  ``_leaves`` decides the
-        tuples in walk order, so the repeat test meets spans as a one-node
-        walk does, a bounded chunk at a time: a chunk takes whole prefixes
-        while they fit, so prefixes with few tuples share one call, and a
-        prefix with more gets chunks of its own.  A composite span is
-        sorted by code, so a chunk strides its prefixes' rows by the
-        greatest common divisor of their repeat counts.  A tuple past the
-        budget cannot be a hit and is not built.
+        with every generator of ``prefixes[o]``.  The tuples up to the
+        budget (a tuple past it cannot be a hit and is not built) are cut,
+        in walk order, into chunks of one size, about ``_BLOCK_ROWS`` leaf
+        rows and prefilter products each, whichever prefixes they fall
+        under.  Each chunk goes to ``_leaves`` with every tuple's prefix
+        span and its row of ``known``, so the repeat test meets spans as a
+        one-node walk does.  A composite span is sorted by code, so a chunk
+        strides its prefixes' rows by the greatest common divisor of their
+        repeat counts.
         """
         repeat = np.ones(len(spans), dtype=np.int64)
         if not self.prime:
@@ -645,27 +628,14 @@ class _Engine:
             distinct = np.count_nonzero(np.diff(np.take_along_axis(codes, order, axis=1), axis=1), axis=1) + 1
             repeat = codes.shape[1] // distinct
         end = int(np.searchsorted(nodes, self.spec.max_tuples, side="right"))
-        rows = self.spec.modulus * spans.shape[1]
-        room = max(1, _BLOCK_ROWS // (rows + len(columns)))
-        cuts = [0]
-        firsts = np.flatnonzero(np.diff(owner[:end], prepend=-1)).tolist()
-        for first, last in zip(firsts, [*firsts[1:], end]):
-            if last - cuts[-1] > room and first > cuts[-1]:
-                cuts.append(first)
-            if last - first > room:
-                o = owner[first]
-                piece = max(1, _BLOCK_ROWS // (rows // int(repeat[o]) + int(np.count_nonzero(known[o]))))
-                cuts += [*range(first + piece, last, piece), last]
-        for lo, hi in zip(cuts, [*cuts[1:], end]):
-            if lo >= hi:
-                continue
-            o, g = owner[lo:hi], leaves[lo:hi]
+        owner, leaves = owner[:end], leaves[:end]
+        room = max(1, _BLOCK_ROWS // (self.spec.modulus * spans.shape[1] + len(columns)))
+        for lo in range(0, end, room):
+            o, g = owner[lo : lo + room], leaves[lo : lo + room]
             heads = slice(o[0], o[-1] + 1)  # owner ids count up from 0 in walk order
             wide = known[heads].any(axis=0)
-            single = o[0] == o[-1]  # one span for the chunk, and every column known
-            chunk = np.ascontiguousarray((spans[heads] if single else spans[o])[:, :: int(np.gcd.reduce(repeat[heads]))])
-            passed, leaf_codes = self._leaves(g[:, None], self._grown(chunk, g)[1], columns[wide],
-                                              None if single else known[:, wide][o])
+            chunk = spans[o, :: int(np.gcd.reduce(repeat[heads]))]
+            passed, leaf_codes = self._leaves(g[:, None], self._grown(chunk, g)[1], columns[wide], known[:, wide][o])
             for t in np.flatnonzero(passed).tolist():
                 self._advance(int(nodes[lo + t]) - self.nodes)
                 self._accept(prefixes[o[t]] + [int(g[t])], leaf_codes[t])
@@ -898,6 +868,7 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
         cert.tuples_examined = spec.samples  # every sample fails the span-size test of _leaves
     d, r = spec.modulus, spec.generator_count
     columns = engine._central_columns([])  # every weight vector; _leaves tests every generator
+    every = np.ones((_SAMPLE_CHUNK, len(columns)), dtype=bool)  # a chunk's tuples have no other generators
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
         idx = _floyd_draw(bits, engine.count, r, size)
@@ -911,7 +882,7 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
             for t in range(1, r):
                 dependent |= (spans[:, : d**t] == spans[:, d**t, None]).any(axis=1)
             block = block[~dependent]
-            passed, spans = engine._leaves(idx[block], spans[~dependent], columns)
+            passed, spans = engine._leaves(idx[block], spans[~dependent], columns, every)
             for t in np.flatnonzero(passed).tolist():
                 engine._accept(idx[block[t]].tolist(), spans[t])
                 if engine.stopped:
@@ -942,12 +913,21 @@ def find_codes(spec: SearchSpec, threads: int | None = None) -> tuple[list[PfCod
     Exhaustive mode partitions the first-generator choice across processes
     when ``threads > 1``; results and hit order are identical to a serial
     run.  Randomized mode is always serial and reproducible by seed.
+    ``threads=None`` reads ``PFSTAB_THREADS`` on each call (unset or empty
+    means 1); a count below 1, or a value that is not an integer, raises
+    ValueError naming it, in either mode.
     """
+    name, value = "threads", threads
+    if threads is None:
+        name, value = "PFSTAB_THREADS", os.environ.get("PFSTAB_THREADS") or "1"
+        with suppress(ValueError):
+            threads = int(value)
+    if not _is_int(threads) or threads < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
     _candidate_count(spec.modulus, spec.num_modes)  # an oversized space raises before any primality test
     _bound_prefilters(spec)
     if spec.symmetry_reduction and not _is_prime(spec.modulus) and spec.mode == "exhaustive":
         spec = replace(spec, symmetry_reduction=False)
     if spec.mode == "randomized":
         return _find_randomized(spec)
-    threads = default_thread_count() if threads is None else max(1, threads)
     return _find_exhaustive(spec, threads)

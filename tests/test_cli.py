@@ -94,43 +94,48 @@ def test_params_capped_lcon_reads_as_bound(capsys):
     assert json.loads(out)["l_con"] == {"value": None, "cap": 2, "certificate": None}
 
 
-# sha256 of ``pfstab params --json`` on every parafermion code file under
-# codes/, uncapped and at --max-weight 4 --max-diameter 8 (the qudit file is
-# no ``params`` input).  The output is canonical: making distance or l_con
-# faster must leave these bytes alone.
+# ``pfstab params --json`` on every parafermion code file under codes/,
+# uncapped and at --max-weight 4 --max-diameter 8 (the qudit file is no
+# ``params`` input).  The output is canonical: making distance or l_con
+# faster must leave these bytes alone.  Where the output is the file
+# codes/<name>.params.json (every uncapped run of a code below the 20-mode
+# limit, and two capped runs), it is compared with that file, which
+# ``demos/regenerate_corpus.py`` writes; the other outputs are pinned by
+# their sha256 digests.
+PARAMS_JSON_IN_CODES = {
+    *((name, False) for name in ("chain_d2_n2", "chain_d3_n4", "chain_d5_n3", "embedded_5_1_3_d3",
+                                 "pf_6_1_3_d7", "pf_8_1_3_d3", "pf_d6_doubled")),
+    ("chain_d2_n2", True),
+    ("toric_p2_l1_a2_b2", True),
+}
 PARAMS_JSON_SHA256 = {
-    ("chain_d2_n2", False): "94e537718e4fc9e779be1b7d99370c0270a1df10bbc5c28324ed6cfad4c1ca05",
-    ("chain_d2_n2", True): "94e537718e4fc9e779be1b7d99370c0270a1df10bbc5c28324ed6cfad4c1ca05",
-    ("chain_d3_n4", False): "a74be7c966a76b56f9dc48185a283880e0ce7af630fab2926693843da1f4c66c",
     ("chain_d3_n4", True): "424f3f36e02e114be8493c0c306397720ceb99670af31ed6bec17b94bfe2cdef",
-    ("chain_d5_n3", False): "c8e19628b75e1a8c84d3ee169f070e5f18392ec532a3b5c07aa1933ebed87880",
     ("chain_d5_n3", True): "3be6acf771fd445321a49acd701d7fbb1229634bd8959eb7a331c347babd41db",
-    ("embedded_5_1_3_d3", False): "37df6cbc3f413309d73d4098f2c1f67e853ba638c9f583e86d8aa471ccebb423",
     ("embedded_5_1_3_d3", True): "4155ae9d7594d2985c26e4e432154644adba4cbb0e1b8ff129d00c358c47c93a",
-    ("pf_6_1_3_d7", False): "84ed91a9a80fa3ec169b1b837dae9bed8cfc3c463589c30d54accb8f0b8da51b",
     ("pf_6_1_3_d7", True): "4835537e393de90fec9755b657a7046d00377e6c3c7c9e34679294cde0dc87d6",
-    ("pf_8_1_3_d3", False): "0b604b2dc05b114d378aca24e9488f60609af8b71f5aff11deba7e8b6f3285f0",
     ("pf_8_1_3_d3", True): "e700eeb8359993ebfbfa77b76292219779ab64646156845f397fd5dacb83ce37",
-    ("pf_d6_doubled", False): "aaff770a0da79ca5cf4dfcfef43cfe5023c5fd38339531b081175a5108e20a03",
     ("pf_d6_doubled", True): "a332f326a043e907b7c3873ae56755e37fd7a9675b70a571ae913768c4186730",
     ("toric_p2_l1_a2_b2", False): "d423ceb8837d3421d0f3fe9e6645456d1617bb82064754d6b4a4b4e3d8c9855f",
-    ("toric_p2_l1_a2_b2", True): "bfb30724ffc26cdf02057039804bd75189cfa3f0a0903dce588f4c480299d6c9",
     ("toric_p2_l1_a2_b3", False): "3d8e002fc4a3213301ed0ee85374f9630ec6f63a7fda613f9a956dec439809ee",
     ("toric_p2_l1_a2_b3", True): "d92ce84a4d957de26ce0a1870d520b2bc515125e777d78ffac82aceb50250df5",
 }
 
 
-@pytest.mark.parametrize("name, capped", sorted(PARAMS_JSON_SHA256))
+@pytest.mark.parametrize("name, capped", sorted(PARAMS_JSON_IN_CODES | PARAMS_JSON_SHA256.keys()))
 def test_params_json_is_pinned(capsys, name, capped):
     caps = ["--max-weight", "4", "--max-diameter", "8"] if capped else []
     status, out, _ = run(capsys, "params", "--json", REPO_CODES / f"{name}.json", *caps)
     assert status == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PARAMS_JSON_SHA256[name, capped]
+    if (name, capped) in PARAMS_JSON_IN_CODES:
+        assert out.encode() == (REPO_CODES / f"{name}.params.json").read_bytes()
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == PARAMS_JSON_SHA256[name, capped]
 
 
 def test_pinned_params_cover_every_code_file():
     files = {p.stem for p in REPO_CODES.glob("*.json") if "generators" in json.loads(p.read_text())}
-    assert {name for name, _ in PARAMS_JSON_SHA256} == files
+    assert not PARAMS_JSON_IN_CODES & PARAMS_JSON_SHA256.keys()
+    assert PARAMS_JSON_IN_CODES | PARAMS_JSON_SHA256.keys() == {(name, capped) for name in files for capped in (False, True)}
 
 
 def test_syndrome_command(capsys):
@@ -297,6 +302,39 @@ def test_threads_default_reads_the_environment_on_each_call(capsys, tmp_path, mo
         assert json.loads(out_file.read_text())["threads"] == threads
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--threads", "0"], None, "threads must be a positive integer, not 0"),
+        (["--threads", "-3"], None, "threads must be a positive integer, not -3"),
+        ([], "abc", "PFSTAB_THREADS must be a positive integer, not 'abc'"),
+        ([], "0", "PFSTAB_THREADS must be a positive integer, not '0'"),
+    ],
+    ids=["flag_0", "flag_negative", "env_abc", "env_0"],
+)
+def test_bad_thread_count_exits_2(capsys, tmp_path, monkeypatch, argv, env, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": 0}))
+    if env is None:
+        monkeypatch.delenv("PFSTAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PFSTAB_THREADS", env)
+    status, out, err = run(capsys, *argv, "search", spec_file)
+    assert status == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert "Traceback" not in err
+
+
+def test_empty_thread_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(canonical_json({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "max_hits": 0, "max_tuples": 100}))
+    monkeypatch.setenv("PFSTAB_THREADS", "")
+    out_file = tmp_path / "cert.json"
+    assert run(capsys, "search", spec_file, "--canonical", "--out", out_file)[0] == 3
+    assert json.loads(out_file.read_text())["threads"] == 1
+
+
 def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(canonical_json({"D": 3, "num_modes": 16, "target_k": 1, "target_d": 3}))
@@ -374,33 +412,28 @@ def test_search_target_d_above_the_mode_count_exhausts_with_no_hits(capsys, tmp_
     assert peak < 16
 
 
-# sha256 of `search --canonical --out` files, recorded with the
-# non-incremental canonical-prefix test.
-CANONICAL_CERT_SHA = {
-    "d3_6modes": (
-        {"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": 0},
-        "0fe3209fae08b91451de4a3bc84d85083499baea1bf125ef9825222143500088",
-    ),
-    "d3_8modes_first": (
-        {"D": 3, "num_modes": 8, "target_k": 1, "target_d": 3, "max_hits": 1},
-        "f98e22fe0006ce3a1a0810d7e0ed9932887d772408b4148122271aefbd2b76be",
-    ),
+# `search --canonical --out` on these specs writes the certificate that codes/
+# pins for the same search (first recorded with the non-incremental
+# canonical-prefix test).
+CANONICAL_CERTS = {
+    "d3_6modes": ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": 0}, "search_d3_6modes"),
+    "d3_8modes_first": ({"D": 3, "num_modes": 8, "target_k": 1, "target_d": 3, "max_hits": 1}, "search_d3_8modes"),
     "d4_4modes": (
         {"D": 4, "num_modes": 4, "target_k": 1, "target_d": 2, "generator_count": 2, "max_hits": 0},
-        "d17c82da7edaaa24469f1d7847417be7197f85de5bb39745b143337367c86b96",
+        "search_d4_4modes",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CANONICAL_CERT_SHA))
+@pytest.mark.parametrize("name", sorted(CANONICAL_CERTS))
 def test_search_canonical_certificate_is_pinned(capsys, tmp_path, name):
-    spec, expected = CANONICAL_CERT_SHA[name]
+    spec, pinned = CANONICAL_CERTS[name]
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec))
     out_file = tmp_path / "cert.json"
     status, _, _ = run(capsys, "search", spec_file, "--canonical", "--out", out_file)
     assert status == 0
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected
+    assert out_file.read_bytes() == (REPO_CODES / f"{pinned}.cert.json").read_bytes()
 
 
 def test_search_bad_spec_exits_2(capsys, tmp_path):

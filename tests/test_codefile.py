@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -145,6 +146,21 @@ def test_canonical_json_has_sorted_keys():
     text = canonical_json({"b": 1, "a": [2, 1]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_regenerating_the_corpus_reproduces_codes(tmp_path, monkeypatch):
+    """``demos/regenerate_corpus.py`` writes exactly the files of codes/, byte for byte, so
+    every canonical output that codes/ holds is pinned by its file."""
+    script = REPO_CODES.parent / "demos" / "regenerate_corpus.py"
+    loader = importlib.util.spec_from_file_location("regenerate_corpus", script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == sorted(path.name for path in REPO_CODES.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (REPO_CODES / name).read_bytes(), name
 
 
 def test_shipped_corpus_files_parse_and_match_builders():

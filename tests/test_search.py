@@ -30,6 +30,8 @@ from pfstab.search import (
 )
 from pfstab.zmod import howell_form
 
+CODES = Path(__file__).resolve().parent.parent / "codes"
+
 
 def test_spec_defaults_generator_count_for_prime():
     spec = SearchSpec(3, 8, 1, 3)
@@ -169,8 +171,8 @@ def _canonical_without_threads(cert) -> dict:
 def test_budget_and_max_hits_stop_at_the_serial_tuple(spec):
     _, serial = find_codes(spec, threads=1)
     if spec.modulus == 2:
-        signature, nodes = STOP_SIGNATURES[spec.max_hits, spec.max_tuples]
-        assert serial.to_dict(canonical=True)["signature"] == signature
+        name, nodes = STOP_CERTIFICATES[spec.max_hits, spec.max_tuples]
+        assert serial.to_dict(canonical=True) == json.loads((CODES / f"{name}.cert.json").read_text())
         assert serial.tuples_examined == nodes and len(serial.hits) == 8
     _, parallel = find_codes(spec, threads=3)
     assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
@@ -188,10 +190,11 @@ def test_tuple_budget_examines_one_tuple_past_it():
     assert cert.tuples_examined == 101 and cert.budget_exceeded and not cert.exhausted
 
 
-# Serial canonical signatures and tuple counts of the two stops inside one _leaves call.
-STOP_SIGNATURES = {
-    (8, search.DEFAULT_TUPLE_BUDGET): ("cfc8529f04c78bbe9110644280b446e88526c75072e0be6425893d42ea447704", 179),
-    (0, 180): ("d93afe69dbc52352d32cbf57b6af844e5fea356a879eaeedab3db0822fad1024", 181),
+# The two stops inside one _leaves call: the codes/ file that pins each serial canonical
+# certificate, and its tuple count.
+STOP_CERTIFICATES = {
+    (8, search.DEFAULT_TUPLE_BUDGET): ("search_d2_8modes_hits8", 179),
+    (0, 180): ("search_d2_8modes_budget180", 181),
 }
 
 
@@ -611,7 +614,8 @@ def test_grandparent_pass_matches_the_per_node_walk(modulus, modes, gens, target
         SearchSpec(modulus, max_hits=stop + 1, max_tuples=_PROBE_NODES_GRANDPARENT, **base),
         SearchSpec(modulus, max_hits=0, max_tuples=hit_nodes[stop], **base),
     ]
-    for block_rows in (1, search._BLOCK_ROWS):
+    # 300, 1000 and 4000 cut chunks inside one leaf-parent's full tuples and across several.
+    for block_rows in (1, 300, 1000, 4000, search._BLOCK_ROWS):
         with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
             for spec in specs:
                 reference = reference_search(spec)
@@ -620,7 +624,7 @@ def test_grandparent_pass_matches_the_per_node_walk(modulus, modes, gens, target
 
 
 _EXHAUSTIVE_CORPUS = sorted(
-    path for path in (Path(__file__).resolve().parent.parent / "codes").glob("search_*.json")
+    path for path in CODES.glob("search_*.json")
     if not path.name.endswith(".cert.json") and json.loads(path.read_text())["mode"] == "exhaustive"
 )
 
