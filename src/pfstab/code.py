@@ -391,15 +391,16 @@ def _logical_rows(code: PfCode) -> np.ndarray:
 # lexicographic order.  A weight-w vector splits into a low part on its
 # w1 = w // 2 smallest positions and a high part on the other w2 = w - w1;
 # its syndrome is zero iff the high syndrome is minus the low one.  So the
-# scan keeps a table of the negated weight-w1 syndromes, sorted by a hash of
-# their words, and looks up the weight-w2 syndromes in blocks of whole
-# supports in colex order.  Colex order weighs the largest positions first,
-# so the first block that holds a logical holds the first logical.
+# scan looks up the weight-w2 syndromes, in blocks of whole supports in colex
+# order, among the negated weight-w1 syndromes, sorted by a hash of their
+# words.  The lows below a block's highs are a colex prefix, and colex order
+# weighs the largest positions first, so the first block that holds a
+# logical holds the first logical.
 
 # Weight-w2 rows per block (at least one support's), and per streamed table block.
 _BLOCK_ROWS = 1 << 16
-# Largest half table kept, r syndrome bytes plus 24 lookup bytes a row; a
-# larger one is built in blocks for each block of the other half.
+# Largest kept half table, r syndrome bytes plus 24 lookup bytes a row; the
+# low supports past it are built in blocks for each block of the other half.
 _TABLE_BYTES = 1 << 27
 # Largest one-letter table (8 * m * (D-1) * r bytes) that ``distance`` builds.
 # Its own name, so that setting _TABLE_BYTES to 0 (keep no table, as a test
@@ -509,6 +510,9 @@ def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: np.ndarray, 
 
     A block's zero-syndrome vectors, the pairs whose syndromes cancel and
     whose low positions come first, are reduced at once, in scan order.
+    The table of lows is kept over a colex prefix that at least doubles when
+    a block reaches past it, up to ``_TABLE_BYTES``; lows past that are
+    built in blocks for each block.
     """
     positions, q, r = contrib.shape
     # Unsigned entries wide enough for a sum of two residues, and rows padded
@@ -518,24 +522,27 @@ def _first_logical(contrib: np.ndarray, letters: np.ndarray, basis: np.ndarray, 
     padded = np.zeros((positions, q, max(per_word, -(-r // per_word) * per_word)), dtype=dtype)
     padded[:, :, :r] = contrib % modulus
     contrib, negated = padded, (modulus - padded) % modulus
-    level, table = -1, None  # the kept table of weight `level`, if any
+    level = -1
     for w in range(1, min(max_weight, positions) + 1):
         w1, w2 = w // 2, w - w // 2
         ql, qh = q**w1, q**w2
         lows, highs = _colex_supports(positions, w1), _colex_supports(positions, w2)
-        if level != w1:
-            fits = len(lows) * ql * (padded.shape[2] * dtype.itemsize + 24) <= _TABLE_BYTES
-            level, table = w1, _half_table(_syndromes(negated, lows, modulus)) if fits else None
+        if level != w1:  # a new low weight: its kept colex prefix starts empty
+            level, kept, table = w1, 0, None
+            cap = min(len(lows), _TABLE_BYTES // (ql * (padded.shape[2] * dtype.itemsize + 24)))
         highs = highs[highs[:, 0] >= w1]
         step = max(1, _BLOCK_ROWS // qh)
         for start in range(0, len(highs), step):
             high = highs[start : start + step]
             syn = _syndromes(contrib, high, modulus)
             below, low_step = comb(int(high[:, 0].max()), w1), max(1, _BLOCK_ROWS // ql)  # lows below some high
-            parts = [(0, table)] if table is not None else (
-                (lo, _half_table(_syndromes(negated, lows[lo : min(lo + low_step, below)], modulus)))
-                for lo in range(0, below, low_step))
-            low, row = (np.concatenate(found) for found in zip(*(_lookup(t, syn, lo * ql) for lo, t in parts)))
+            if kept < min(below, cap):  # grow the kept prefix, at least doubling it
+                kept = min(cap, max(below, 2 * kept))
+                table = _half_table(_syndromes(negated, lows[:kept], modulus))
+            found = [_lookup(table, syn, 0)] if kept else []
+            found += (_lookup(_half_table(_syndromes(negated, lows[lo : min(lo + low_step, below)], modulus)), syn, lo * ql)
+                      for lo in range(kept, below, low_step))
+            low, row = (np.concatenate(part) for part in zip(*found))
             keep = np.flatnonzero(lows.max(axis=1, initial=-1)[low // ql] < high[row // qh, 0])
             if not keep.size:
                 continue
@@ -560,11 +567,11 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
 
     Supports are scanned in colexicographic order and exponent assignments
     in lexicographic order, so the certificate is reproducible.  Weight w
-    joins two halves: a kept table of the syndromes of weight w1 = w // 2,
-    sorted by hash, which takes C(m, w1) * (D-1)^w1 * (r + 24) bytes (r
-    generators rounded up to a multiple of 8, D <= 128), and the vectors of
-    weight w - w1, looked up in blocks.  A table above 128 MiB is not kept
-    but rebuilt in blocks for each block.  The one-letter table,
+    joins two halves: the vectors of weight w - w1, in blocks, are looked up
+    in a kept table of the syndromes of weight w1 = w // 2, sorted by hash,
+    that grows over the supports the blocks reach, (D-1)^w1 * (r + 24) bytes
+    each (r generators rounded up to a multiple of 8, D <= 128).  Supports
+    past 128 MiB are built in blocks for each block.  The one-letter table,
     8 * m * (D-1) * r bytes, must itself fit in 128 MiB, else ValueError.  Codes with more than 20 modes require an
     explicit ``max_weight``; a capped search that finds nothing reports
     value None (meaning d > cap), never a guess.  A cap below 1 raises

@@ -60,10 +60,25 @@ def _expect_int(value, name: str) -> int:
     return value
 
 
-def _all_in_range(values: list, bound: int) -> bool:
-    """Whether every entry is a plain int in [0, bound), in one pass and
-    without building the per-entry messages."""
-    return all(type(v) is int for v in values) and min(values, default=0) >= 0 and max(values, default=0) < bound
+def _expect_residues(values: list, bound: int, name: str) -> None:
+    """Every entry a plain int in [0, bound), else the first bad one named (one pass when all are good)."""
+    if all(type(v) is int for v in values) and min(values, default=0) >= 0 and max(values, default=0) < bound:
+        return
+    for pos, entry in enumerate(values):
+        value = _expect_int(entry, f"{name}[{pos}]")
+        _expect(0 <= value < bound, f"{name}[{pos}] must lie in [0, {bound})")
+
+
+def _expect_header(payload, size: str, other: str, other_kind: str) -> int:
+    """The D of a payload, checked with its object, format and version; one
+    with the ``other`` format's size field and not ``size`` holds ``other_kind``."""
+    _expect(isinstance(payload, dict), "top level must be a JSON object")
+    _expect(other not in payload or size in payload, other_kind)
+    version = _expect_int(payload.get("format_version"), "format_version")
+    _expect(version == FORMAT_VERSION, f"unsupported format_version {version}")
+    modulus = _expect_int(payload.get("D"), "D")
+    _expect(modulus >= 2, "D must be >= 2")
+    return modulus
 
 
 def code_to_payload(code: PfCode, provenance: dict | None = None) -> dict:
@@ -81,13 +96,8 @@ def code_to_payload(code: PfCode, provenance: dict | None = None) -> dict:
 
 
 def code_from_payload(payload: dict) -> PfCode:
-    _expect(isinstance(payload, dict), "top level must be a JSON object")
-    _expect("num_qudits" not in payload or "num_modes" in payload,
-            "this file holds a qudit code (it has 'num_qudits'); `pfstab embed` turns it into a parafermion code")
-    version = _expect_int(payload.get("format_version"), "format_version")
-    _expect(version == FORMAT_VERSION, f"unsupported format_version {version}")
-    modulus = _expect_int(payload.get("D"), "D")
-    _expect(modulus >= 2, "D must be >= 2")
+    modulus = _expect_header(payload, "num_modes", "num_qudits",
+                             "this file holds a qudit code (it has 'num_qudits'); `pfstab embed` turns it into a parafermion code")
     num_modes = _expect_int(payload.get("num_modes"), "num_modes")
     _expect(num_modes >= 2 and num_modes % 2 == 0, "num_modes must be even and >= 2")
     raw_gens = payload.get("generators")
@@ -100,10 +110,7 @@ def code_from_payload(payload: dict) -> PfCode:
         alpha = item.get("alpha")
         _expect(isinstance(alpha, list), f"generators[{idx}].alpha must be a list")
         _expect(len(alpha) == num_modes, f"generators[{idx}].alpha must have {num_modes} entries")
-        if not _all_in_range(alpha, modulus):  # name the first bad entry
-            for pos, entry in enumerate(alpha):
-                value = _expect_int(entry, f"generators[{idx}].alpha[{pos}]")
-                _expect(0 <= value < modulus, f"generators[{idx}].alpha[{pos}] must lie in [0, {modulus})")
+        _expect_residues(alpha, modulus, f"generators[{idx}].alpha")
         gens.append((mu, tuple(alpha)))
     layout = None
     if "mode_layout" in payload:
@@ -159,13 +166,8 @@ def qudit_to_payload(q: QuditCheckMatrix, provenance: dict | None = None) -> dic
 
 
 def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
-    _expect(isinstance(payload, dict), "top level must be a JSON object")
-    _expect("num_modes" not in payload or "num_qudits" in payload,
-            "this file holds a parafermion code (it has 'num_modes'); `pfstab embed` reads a qudit code file")
-    version = _expect_int(payload.get("format_version"), "format_version")
-    _expect(version == FORMAT_VERSION, f"unsupported format_version {version}")
-    modulus = _expect_int(payload.get("D"), "D")
-    _expect(modulus >= 2, "D must be >= 2")
+    modulus = _expect_header(payload, "num_qudits", "num_modes",
+                             "this file holds a parafermion code (it has 'num_modes'); `pfstab embed` reads a qudit code file")
     num_qudits = _expect_int(payload.get("num_qudits"), "num_qudits")
     _expect(num_qudits >= 1, "num_qudits must be >= 1")
     raw_rows = payload.get("rows")
@@ -177,10 +179,7 @@ def qudit_from_payload(payload: dict) -> QuditCheckMatrix:
             vec = item.get(part)
             _expect(isinstance(vec, list) and len(vec) == num_qudits,
                     f"rows[{idx}].{part} must be a list of {num_qudits} entries")
-            if not _all_in_range(vec, modulus):  # name the first bad entry
-                for pos, entry in enumerate(vec):
-                    value = _expect_int(entry, f"rows[{idx}].{part}[{pos}]")
-                    _expect(0 <= value < modulus, f"rows[{idx}].{part}[{pos}] must lie in [0, {modulus})")
+            _expect_residues(vec, modulus, f"rows[{idx}].{part}")
         rows.append(tuple(item["x"]) + tuple(item["z"]))
     try:
         return QuditCheckMatrix(modulus, num_qudits, tuple(rows))

@@ -162,6 +162,8 @@ class SearchSpec:
                 _candidate_count(self.modulus, self.num_modes)
                 if not _is_prime(self.modulus):
                     raise ValueError("generator_count is required for composite moduli")
+            if self.target_k >= self.num_modes // 2:
+                raise ValueError(f"target_k must be below n = {self.num_modes // 2}: generator_count defaults to n - target_k")
             object.__setattr__(self, "generator_count", self.num_modes // 2 - self.target_k)
         if not _is_int(self.generator_count) or self.generator_count < 1:
             raise ValueError("generator_count must be an integer >= 1")
@@ -213,17 +215,9 @@ class SearchCertificate:
     threads: int = 1
 
     def to_dict(self, canonical: bool = False) -> dict:
-        payload = {
-            "spec": self.spec,
-            "candidate_count": self.candidate_count,
-            "estimated_tuples": self.estimated_tuples,
-            "tuples_examined": self.tuples_examined,
-            "hits": self.hits,
-            "exhausted": self.exhausted,
-            "early_stopped": self.early_stopped,
-            "budget_exceeded": self.budget_exceeded,
-            "threads": self.threads,
-        }
+        """Every field by name, signed; ``wall_time_s`` is left out of the
+        signature and of a canonical dict, and a randomized search adds its ``sampler``."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time_s"}
         if self.spec["mode"] == "randomized":
             payload["sampler"] = SAMPLER
         payload["signature"] = hashlib.sha256(

@@ -107,8 +107,9 @@ def test_five_qudit_code_is_valid_and_distance_three():
     modulus=st.sampled_from([2, 3, 4, 5]),
     num_qudits=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
-    # With no kept table both halves of every weight are built in blocks.
-    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+    # With no kept table both halves of every weight are built in blocks;
+    # 2048 bytes keep a few supports and stream the rest.
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0, 2048]),
     block_rows=st.sampled_from([pfstab.code._BLOCK_ROWS, 1]),
 )
 def test_qudit_distance_matches_brute_force(modulus, num_qudits, seed, table_bytes, block_rows):

@@ -210,8 +210,9 @@ def _random_code(modulus: int, modes: int, gens: int, dense: bool, seed: int) ->
     spare=st.integers(1, 2),
     dense=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    # With no kept tables every weight is built from tails of that length.
-    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+    # With no kept tables every weight is built from tails of that length;
+    # 2048 bytes keep a few supports and stream the rest.
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0, 2048]),
     block_rows=st.sampled_from([pfstab.code._BLOCK_ROWS, 1]),
 )
 def test_distance_matches_per_support_reference(modulus, modes, spare, dense, seed, table_bytes, block_rows):
@@ -236,7 +237,7 @@ def test_distance_matches_per_support_reference(modulus, modes, spare, dense, se
     modulus=st.sampled_from([2, 3, 4, 5, 6]),
     modes=st.sampled_from([4, 6, 8]),
     seed=st.integers(0, 2**32 - 1),
-    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0]),
+    table_bytes=st.sampled_from([pfstab.code._TABLE_BYTES, 0, 2048]),
 )
 def test_distance_certificates_survive_one_hash_bucket(modulus, modes, seed, table_bytes):
     # Every syndrome hashes alike, so only the whole-row comparison tells matches apart.
@@ -251,6 +252,23 @@ def test_distance_certificates_survive_one_hash_bucket(modulus, modes, seed, tab
     with patch.object(pfstab.code, "_row_hashes", one_bucket), patch.object(pfstab.code, "_TABLE_BYTES", table_bytes):
         res = distance(code)
     assert (res.value, str(res.certificate)) == reference_distance(code)
+
+
+def test_distance_grows_its_kept_table_only_as_far_as_the_scan_reaches():
+    # The first logical lies in the first high blocks, so the kept weight-2
+    # prefix stays far below all 4,464 rows of that weight.
+    sizes = []
+    half_table = pfstab.code._half_table
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return half_table(rows)
+
+    code = build_toric(ToricSpec(2, 1, 2, 2)).code
+    with patch.object(pfstab.code, "_BLOCK_ROWS", 64), patch.object(pfstab.code, "_half_table", spy):
+        res = distance(code, max_weight=4)
+    assert (res.value, str(res.certificate)) == (4, "g1 g2 g5 g6")
+    assert max(sizes) <= 200
 
 
 def test_distance_requires_logicals():

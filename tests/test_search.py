@@ -461,6 +461,7 @@ def test_composite_search_accepts_each_span_once():
         ({"symmetry_reduction": 1}, "symmetry_reduction"),
         ({"generator_count": 0}, "generator_count"),
         ({"mode": "randomized", "generator_count": 27}, "candidate vectors"),  # 3^3 - 1 = 26
+        ({"target_k": 2}, "target_k must be below n = 2"),  # no default generator count: n - k = 0
     ],
 )
 def test_spec_rejects_bad_fields(fields, message):
