@@ -20,6 +20,7 @@ from .code import (
     _LETTER_TABLE_BYTES,
     InvalidCodeError,
     PfCode,
+    _check_cap,
     _first_logical,
     _phase_solution,
     _row_forms,
@@ -81,7 +82,11 @@ class QuditCheckMatrix:
         return total // order
 
     def distance(self, max_weight: int | None = None) -> int | None:
-        """Minimum weight of a logical Weyl error; None when nothing logical exists.
+        """Minimum weight of a logical Weyl error, up to ``max_weight``.
+
+        None means no logical up to the cap: d > ``max_weight``, or, when
+        uncapped, no logical at all (k = 0).  A cap below 1 raises
+        ValueError, as :func:`pfstab.code.distance` does.
 
         An error (u|v) is undetected iff u.v_r == v.u_r (mod D) against every
         row r; it is logical if additionally (u|v) is outside the row span.
@@ -91,6 +96,7 @@ class QuditCheckMatrix:
         16 * (D^2 - 1) + 8 * n * (D^2 - 1) * r bytes, must fit in 128 MiB,
         else ValueError.
         """
+        _check_cap("max_weight", max_weight)
         d, nq = self.modulus, self.num_qudits
         cap = max_weight if max_weight is not None else nq
         table_bytes = 8 * (d * d - 1) * (2 + nq * len(self.rows))

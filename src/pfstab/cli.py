@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / valid, 1 invalid code or failed check, 2 usage,
-file-format or ``--out`` write error, 3 enumeration budget exceeded.
+file-format or ``--out`` write error, 3 enumeration budget exceeded or
+out of memory.
 """
 
 from __future__ import annotations
@@ -280,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:  # running out of memory is a budget too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return BUDGET_EXCEEDED
     except (InvalidCodeError, PhaseAssignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

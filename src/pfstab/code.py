@@ -66,6 +66,7 @@ from .zmod import (
     _check_range,
     _column_step,
     _howell_basis,  # noqa: F401  (the benchmark's span tracer patches this name here)
+    _is_int,
     _reduce_against,
     _solve_front,
     _step_dtype,
@@ -115,7 +116,9 @@ class PfCode:
     computed on first use and kept.
 
     ``mode_layout`` optionally maps 1-indexed modes to integer lattice
-    coordinates; when absent, modes sit on the 1-D chain i -> (i,).
+    coordinates, at least one each and every one in [-2^31, 2^31), so the
+    ``l_con`` scan's int64 differences cannot wrap; when absent, modes sit
+    on the 1-D chain i -> (i,).
     """
 
     modulus: int
@@ -137,6 +140,8 @@ class PfCode:
             dims = {len(c) for c in self.mode_layout.values()}
             if len(dims) != 1:
                 raise ValueError("mode_layout coordinates must share one dimension")
+            if dims == {0} or not all(_is_int(x) and -(2**31) <= x < 2**31 for c in self.mode_layout.values() for x in c):
+                raise ValueError("mode_layout coordinates must be integers in [-2^31, 2^31), at least one per mode")
 
     @property
     def n(self) -> int:

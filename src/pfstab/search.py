@@ -49,7 +49,10 @@ read off the span's codes, and span membership in the prefilters is one
 node together and builds span rows only for the children that pass, a
 bounded block at a time; the block's commutation masks, or its full
 tuples' prefilters, come from one float64 product read through a
-divisibility lookup table.  The engine does not recurse into a
+divisibility lookup table.  A grown span lists each element equally
+often, 0 among them, so its zero codes count each element's copies: one
+rule, for every D, gives a child's distinct rows, a chunk's rows and the
+span-size test.  The engine does not recurse into a
 leaf-parent, a node whose children are full tuples: the node above it
 lists every (child, grandchild) pair of a block of its children, tests
 them all for canonicity at once, and cuts the full tuples that remain,
@@ -276,16 +279,13 @@ def _bound_prefilters(spec: SearchSpec) -> None:
 class _Engine:
     """Shared state for one exhaustive enumeration over a first-generator range.
 
-    A span is carried as its rows, row 0 the zero vector, in the smallest
-    unsigned dtype that holds 2D - 1; a block of children gets its grown
-    spans' rows and integer codes ``row @ place`` in one kernel
+    A span is carried as its distinct rows, row 0 the zero vector, in the
+    smallest unsigned dtype that holds 2D - 1; a block of children gets its
+    grown spans' rows and integer codes ``row @ place`` in one kernel
     (``_grown``).  The walk recurses down to the nodes whose children are
     leaf-parents, and each of those decides its grandchildren, the full
     tuples, itself (``_expand``, ``_decide``); a root with one generator
-    decides its own children.  A nonzero parity-zero vector with code c is
-    candidate ``c // D - 1`` (the candidates run through the first m - 1
-    digits in order), so the span members to clear from a commutation mask
-    are read off the codes.  For the canonical test each candidate keeps
+    decides its own children.  For the canonical test each candidate keeps
     its support as a bitmask over the columns and whether its leading
     digit is 1; the test assumes prime D (``find_codes`` turns symmetry
     reduction off for composite moduli).
@@ -310,9 +310,9 @@ class _Engine:
         lead = np.argmax(nonzero, axis=1)
         self.lead_bit = 1 << lead
         self.lead_one = self.cand[np.arange(self.count), lead] == 1
-        # |S| = D^(n-k) for a valid code, so a span of any other size has the wrong k.
+        # |S| = D^(n-k) > 1 for a valid code (it holds a nonzero generator); any other size has the wrong k.
         n = m // 2
-        self.span_size = d ** (n - spec.target_k) if spec.target_k <= n else 0
+        self.span_size = d ** (n - spec.target_k) if spec.target_k < n else 0
         # Without symmetry reduction, or when sampling, a span can arrive more than once.
         self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
         self.pairing = _pairing(self.cand, d).astype(np.float64)  # row i pairs as pairing[i] @ x
@@ -357,13 +357,14 @@ class _Engine:
         """Rows of span + c * cand[j], c = 0 .. D-1, for each j in ``block``, and their codes.
 
         Shapes (K, D |span|, m) and (K, D |span|) for K = len(block); each
-        starts with ``span`` itself.  Every element of the grown span appears
-        equally often: once for prime D, where the cosets are disjoint, and
-        more often for composite D when a multiple c*g falls back into the
-        span.  Rows are held in ``digit_dtype``, which holds 2D - 1: each
-        c*g is reduced mod D once per candidate, added to the span rows,
-        and the sum wrapped by one unsigned subtract of D.  The codes are
-        int64, since ``place`` is.
+        starts with ``span`` itself.  A row lists every element of its span
+        equally often, 0 among them, so its zero codes count each element's
+        copies s.  Coset c holds 0 exactly when c*g is in the span, and then
+        repeats an earlier coset, so if ``span`` lists distinct elements, so
+        do the first D |span| / s rows.  Rows are held in ``digit_dtype``,
+        which holds 2D - 1: each c*g is reduced mod D once per candidate,
+        added to the span rows, and the sum wrapped by one unsigned subtract
+        of D.  The codes are int64, since ``place`` is.
         """
         d = self.spec.modulus
         steps = ((self.multiples * self.cand[block][:, None, :]) % d).astype(self.digit_dtype)
@@ -387,33 +388,32 @@ class _Engine:
                 known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of a block of full tuples go on to ``_accept``, and their spans' sorted codes.
 
-        Row t of ``span_codes`` lists the codes of tuple t's span, each the
-        same number of times (more than once only for composite D, see
-        ``_grown``).  A tuple passes when its span has D^(n-k) elements, is
-        not a span met before (when spans can repeat, every span of the
-        right size counts as met, in row order), and passes both
-        prefilters: every weight-(< d) vector that commutes with the tuple
-        lies in the span, and some weight-d one does not.  The weight
-        vectors at ``columns`` (``_central_columns``) that ``known[t]``
-        marks commute with every generator of tuple t except perhaps those
-        in row t of ``generators``; the others do not commute with the
-        tuple.  The products of those generators with those vectors go
-        through ``_divisible`` at once, and span membership is one
-        ``searchsorted`` over the sorted codes of all spans, each offset by
-        its row number times D^m.  Returns a boolean per tuple and an array
-        whose row t holds span t's distinct codes in order wherever the
-        tuple passed.
+        Row t of ``span_codes`` lists tuple t's span codes, each equally
+        often, 0 among them (``_grown``), so the span has D^(n-k) elements
+        exactly when the sorted row starts with s = L / D^(n-k) zeros and no
+        more (L the row length); every s-th sorted code is then distinct.  A
+        tuple passes when its span has D^(n-k) elements, is not a span met
+        before (when spans can repeat, every span of the right size counts
+        as met, in row order), and passes both prefilters: every
+        weight-(< d) vector that commutes with the tuple lies in the span,
+        and some weight-d one does not.  The weight vectors at ``columns``
+        (``_central_columns``) that ``known[t]`` marks commute with every
+        generator of tuple t except perhaps those in row t of
+        ``generators``; the others do not commute with the tuple.  The
+        products of those generators with those vectors go through
+        ``_divisible`` at once, and span membership is one ``searchsorted``
+        over the sorted codes of all spans, each offset by its row number
+        times D^m.  Returns a boolean per tuple and an array whose row t
+        holds span t's distinct codes in order wherever the tuple passed.
         """
         count, length = span_codes.shape
         size = self.span_size
         if not size or length % size:
             return np.zeros(count, dtype=bool), span_codes
         spans = np.sort(span_codes, axis=1)
-        if self.prime:
-            passed = np.full(count, length == size)
-        else:
-            passed = np.count_nonzero(np.diff(spans, axis=1), axis=1) + 1 == size
-            spans = spans[:, :: length // size]
+        s = length // size
+        passed = (spans[:, s - 1] == 0) & (spans[:, s] != 0)
+        spans = spans[:, ::s]
         if self.repeats:
             for t in np.flatnonzero(passed).tolist():
                 key = spans[t].tobytes()
@@ -520,16 +520,15 @@ class _Engine:
         the child adding j is the greedy lexicographically minimal
         generating tuple of its span exactly when cand[j] is the minimum of
         the new cosets span + c*cand[j], c = 1 .. D-1 (McKay's canonical
-        augmentation).  For prime D that holds
-        exactly when cand[j] is zero on every pivot column of the span and
-        its leading digit is 1: the least element of span + g is g reduced
-        against the span's echelon form with the pivot entries zeroed, and
-        some c makes c*g lead with 1.  The pivot columns are the leading
-        columns of ``chosen``, the bitmask ``pivots``, so the test reads two
-        per-candidate arrays (``_canonical``); without symmetry reduction
-        every child passes.  Only the children that pass get coset rows, a
-        block of them at a time, and one float64 product gives the block's
-        commutation masks.
+        augmentation).  For prime D that holds exactly when cand[j] is zero
+        on every pivot column of the span and its leading digit is 1: the
+        least element of span + g is g reduced against the span's echelon
+        form with the pivot entries zeroed, and some c makes c*g lead with
+        1.  The pivot columns are the leading columns of ``chosen``, the
+        bitmask ``pivots``, so the test reads two per-candidate arrays
+        (``_canonical``); without symmetry reduction every child passes.
+        Only the children that pass get coset rows, a block of them at a
+        time, and one float64 product gives the block's commutation masks.
 
         Children that are leaf-parents (their children are full tuples)
         are not expanded one by one.  ``offset`` is the node count before
@@ -553,7 +552,7 @@ class _Engine:
             at = np.flatnonzero(self._canonical(children, pivots))
         if len(chosen) + 1 == spec.generator_count:  # a root with one generator
             columns = self._central_columns(chosen)
-            self._decide([chosen], span[None], np.zeros((1, 1), dtype=np.int64), np.zeros(len(at), dtype=np.intp),
+            self._decide([chosen], span[None], np.ones(1, dtype=np.int64), np.zeros(len(at), dtype=np.intp),
                          children[at], offset + at + 1, columns, np.ones((1, len(columns)), dtype=bool))
             if not self.stopped:
                 self._advance(offset + len(children) - self.nodes)
@@ -569,8 +568,10 @@ class _Engine:
             rows, codes = self._grown(span, js)
             masks = self._divisible(self.pairing[js] @ self.cand_t)
             masks &= comm_ok
-            # The span must strictly grow.  A zero code (repeated for composite D) maps to the child itself.
-            masks[np.arange(len(js))[:, None], np.where(codes == 0, js[:, None], codes // d - 1)] = False
+            # The span must strictly grow; a zero code maps to the child itself.  Zeros count repeats (``_grown``).
+            zeros = codes == 0
+            masks[np.arange(len(js))[:, None], np.where(zeros, js[:, None], codes // d - 1)] = False
+            repeat = zeros.sum(axis=1)
             if grandparent:
                 pairs = np.flatnonzero(masks & (np.arange(self.count) > js[:, None]))
                 owner, leaves = np.divmod(pairs, self.count)
@@ -580,30 +581,27 @@ class _Engine:
                     fresh = self._canonical(leaves, pivots | self.lead_bit[js[owner]])
                     owner, leaves, nodes = owner[fresh], leaves[fresh], nodes[fresh]
                 live, owner = np.unique(owner, return_inverse=True)
-                self._decide([chosen + [j] for j in js[live].tolist()], rows[live], codes[live], owner, leaves, nodes,
+                self._decide([chosen + [j] for j in js[live].tolist()], rows[live], repeat[live], owner, leaves, nodes,
                              columns, self._divisible(self.pairing[js[live]] @ weights))
                 if self.stopped:
                     return
                 self._advance(offset + int(block[-1]) + 1 - self.nodes)
                 continue
-            for t, (p, j) in enumerate(zip(block.tolist(), js.tolist())):
+            for t, (p, j, s) in enumerate(zip(block.tolist(), js.tolist(), repeat.tolist())):
                 self._advance(offset + p + 1 - self.nodes)
-                grown = rows[t]
-                if not self.prime:
-                    grown = grown[np.unique(codes[t], return_index=True)[1]]
-                mask = masks[t]
-                self._expand(chosen + [j], pivots | int(self.lead_bit[j]), mask, grown, np.flatnonzero(mask[j + 1 :]) + (j + 1))
+                self._expand(chosen + [j], pivots | int(self.lead_bit[j]), masks[t], rows[t, : rows.shape[1] // s],
+                             np.flatnonzero(masks[t, j + 1 :]) + (j + 1))
                 if self.stopped:
                     return
                 offset = self.nodes - p - 1
         self._advance(offset + len(children) - self.nodes)
 
-    def _decide(self, prefixes: list[list[int]], spans: np.ndarray, codes: np.ndarray, owner: np.ndarray,
+    def _decide(self, prefixes: list[list[int]], spans: np.ndarray, repeat: np.ndarray, owner: np.ndarray,
                 leaves: np.ndarray, nodes: np.ndarray, columns: np.ndarray, known: np.ndarray) -> None:
         """Decide the full tuples prefixes[o] + [g], (o, g) in zip(``owner``, ``leaves``), at node indices ``nodes``; accept the passing ones in order.
 
-        ``spans[o]`` and ``codes[o]`` are the rows and codes of the span of
-        ``prefixes[o]``, each element equally often (``_grown``), and
+        ``spans[o]`` holds the rows of the span of ``prefixes[o]`` as
+        ``_grown`` lists them, each element ``repeat[o]`` times, and
         ``known[o]`` marks the weight vectors at ``columns`` that commute
         with every generator of ``prefixes[o]``.  The tuples up to the
         budget (a tuple past it cannot be a hit and is not built) are cut,
@@ -611,16 +609,10 @@ class _Engine:
         rows and prefilter products each, whichever prefixes they fall
         under.  Each chunk goes to ``_leaves`` with every tuple's prefix
         span and its row of ``known``, so the repeat test meets spans as a
-        one-node walk does.  A composite span is sorted by code, so a chunk
-        strides its prefixes' rows by the greatest common divisor of their
-        repeat counts.
+        one-node walk does.  A chunk cuts its prefixes' rows to their length
+        over the gcd s of their repeat counts: the cosets of ``_grown``
+        recur, so each element of span o appears ``repeat[o] / s`` times.
         """
-        repeat = np.ones(len(spans), dtype=np.int64)
-        if not self.prime:
-            order = np.argsort(codes, axis=1)
-            spans = np.take_along_axis(spans, order[:, :, None], axis=1)
-            distinct = np.count_nonzero(np.diff(np.take_along_axis(codes, order, axis=1), axis=1), axis=1) + 1
-            repeat = codes.shape[1] // distinct
         end = int(np.searchsorted(nodes, self.spec.max_tuples, side="right"))
         owner, leaves = owner[:end], leaves[:end]
         room = max(1, _BLOCK_ROWS // (self.spec.modulus * spans.shape[1] + len(columns)))
@@ -628,7 +620,7 @@ class _Engine:
             o, g = owner[lo : lo + room], leaves[lo : lo + room]
             heads = slice(o[0], o[-1] + 1)  # owner ids count up from 0 in walk order
             wide = known[heads].any(axis=0)
-            chunk = spans[o, :: int(np.gcd.reduce(repeat[heads]))]
+            chunk = spans[o, : spans.shape[1] // int(np.gcd.reduce(repeat[heads]))]
             passed, leaf_codes = self._leaves(g[:, None], self._grown(chunk, g)[1], columns[wide], known[:, wide][o])
             for t in np.flatnonzero(passed).tolist():
                 self._advance(int(nodes[lo + t]) - self.nodes)
@@ -843,11 +835,11 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     coefficient table of ``_span_table`` times each sample's rows.  A
     sample is dependent, and dropped, exactly when generator t's code is
     among the table's first D^(t-1) codes, the span of the generators
-    before it, for some t.  An independent sample's D^r codes are distinct
-    for prime D; for composite D each span element appears equally often
-    (the table is a group homomorphism onto the span), which ``_leaves``
-    expects.  The block's independent samples go to ``_leaves`` together.
-    The samples after a stop were drawn but are not counted as examined.
+    before it, for some t.  A sample's D^r codes list each span element
+    equally often (the table is a group homomorphism onto the span), as
+    ``_leaves`` expects; the block's independent samples go to it
+    together.  The samples after a stop were drawn but are not counted as
+    examined.
     """
     start_time = time.monotonic()
     engine = _Engine(spec)

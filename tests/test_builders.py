@@ -137,6 +137,16 @@ def test_qudit_distance_bounds_its_letter_table():
     assert QuditCheckMatrix(300, 1, ()).distance() == 1
 
 
+def test_qudit_distance_cap_reads_as_code_distance_does():
+    # None means no logical up to the cap: d = 3 > 2, or k = 0 with no cap.
+    assert five_qutrit_code().distance(2) is None
+    assert five_qutrit_code().distance(3) == 3
+    assert QuditCheckMatrix(3, 2, ((1, 1, 0, 0), (0, 0, 1, 2))).distance() is None
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"max_weight must be at least 1, got {cap}"):
+            five_qutrit_code().distance(cap)
+
+
 def test_qudit_check_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         QuditCheckMatrix(3, 2, ((1, 0, 0),))

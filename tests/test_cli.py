@@ -550,7 +550,8 @@ def test_usage_error_on_unknown_command(capsys):
 
 # A fresh copy per draw: a junk list written into a document can itself be
 # overwritten later, which must not change (or make circular) the shared value.
-_JUNK = st.sampled_from([-1, 0, 1, 2, 9, True, False, "1", 1.5, None, [], {}, [0, 1], "\u00b2", "\u0661"]).map(copy.deepcopy)
+_JUNK = st.sampled_from([-1, 0, 1, 2, 9, True, False, "1", 1.5, None, [], {}, [0, 1], "\u00b2", "\u0661",
+                         2**31, -(2**31) - 1, 2**63 - 1, 10**20]).map(copy.deepcopy)
 
 
 @st.composite
@@ -661,6 +662,44 @@ def test_layout_coordinates_reject_booleans(capsys, tmp_path):
     status, _, err = run(capsys, "validate", path)
     assert status == 2
     assert "mode_layout[3] must be a list of integers" in err
+
+
+# int64 differences of these coordinates wrap (the first two), or the coordinate
+# itself does not fit (the third); coordinates need a dimension (the fourth).
+@pytest.mark.parametrize(
+    "coordinates",
+    [
+        [-(2**63) + 1, 0, 1, 2**63 - 1],
+        [-(2**62), 0, 1, 2**62],
+        [0, 1, 2, 2**63 - 1],
+        None,
+    ],
+    ids=["full-int64", "half-int64", "one-wide", "empty"],
+)
+def test_wide_or_empty_layout_exits_2(capsys, tmp_path, coordinates):
+    payload = {"format_version": 1, "D": 3, "num_modes": 4, "generators": [{"mu": 0, "alpha": [1, 2, 0, 0]}]}
+    payload["mode_layout"] = {str(mode): [] if coordinates is None else [coordinates[mode - 1]] for mode in range(1, 5)}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    status, out, err = run(capsys, "params", path)
+    assert status == 2 and out == ""
+    assert err.startswith("error: mode_layout coordinates") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [(["chain", "--D", "3", "--n", "100000"], "build_clock_chain"),
+     (["toric", "--p", "2", "--l", "1", "--a", "1000", "--b", "1000"], "build_toric")],
+)
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array with shape (99999, 200000)", ""])
+def test_running_out_of_memory_exits_3(capsys, monkeypatch, argv, builder, message):
+    def exhausted(*_):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"pfstab.cli.{builder}", exhausted)  # never allocates for real
+    status, out, err = run(capsys, *argv)
+    assert status == 3 and out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 # str.isdigit accepts the first two, int() the last three; code files write str(mode) only.

@@ -379,6 +379,42 @@ def test_lcon_matches_per_window_reference(search_hits, source, modulus, pick, p
     assert (res.value, str(res.certificate) if res.certificate else None, res.cap) == reference_lcon(code, cap)
 
 
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(["chain", "toric"]), modulus=st.sampled_from([2, 3, 4, 5, 6]), n=st.integers(2, 4),
+       data=st.data())
+def test_lcon_is_translation_invariant(source, modulus, n, data):
+    code = build_toric(ToricSpec(2, 1, 2, 2)).code if source == "toric" else build_clock_chain(modulus, n)
+    coords = {mode: code.mode_layout[mode] if code.mode_layout else (mode,) for mode in range(1, code.num_modes + 1)}
+    # Per axis, any shift that keeps every coordinate in [-2^31, 2^31).
+    offsets = [data.draw(st.integers(-(2**31) - min(axis), 2**31 - 1 - max(axis))) for axis in zip(*coords.values())]
+    shifted = PfCode(code.modulus, code.num_modes, code.generators,
+                     {mode: tuple(x + o for x, o in zip(c, offsets)) for mode, c in coords.items()})
+    want, got = l_con(code), l_con(shifted)
+    assert (got.value, str(got.certificate)) == (want.value, str(want.certificate))
+
+
+@pytest.mark.parametrize(
+    "coordinates",
+    [
+        [(-(2**63) + 1,), (0,), (1,), (2**63 - 1,)],
+        [(-(2**62),), (0,), (1,), (2**62,)],
+        [(0,), (1,), (2,), (2**63 - 1,)],
+        [(0,), (1,), (2,), (2**31,)],
+        [(-(2**31) - 1,), (0,), (1,), (2,)],
+        [(), (), (), ()],
+        [(0.5,), (1,), (2,), (3,)],
+        [(0,), (1,), (2,), (True,)],
+    ],
+    ids=["full-int64", "half-int64", "one-wide", "2^31", "below-2^31", "empty", "float", "bool"],
+)
+def test_layout_coordinates_must_be_integers_in_the_int32_range(coordinates):
+    generators = (PfOperator(3, 4, 0, (1, 2, 0, 0)),)
+    with pytest.raises(ValueError, match="mode_layout coordinates must"):
+        PfCode(3, 4, generators, dict(enumerate(coordinates, 1)))
+    edge = PfCode(3, 4, generators, {1: (-(2**31),), 2: (0,), 3: (1,), 4: (2**31 - 1,)})
+    assert str(l_con(edge).certificate) == "g3 g4^2"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     modulus=st.sampled_from([4, 5, 6, 7, 8, 9, 10, 12]),

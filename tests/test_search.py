@@ -338,6 +338,27 @@ def test_pivot_column_test_matches_the_coset_minimum(modulus, modes, data):
     assert leads == sum(1 << j for j in pfstab.zmod._pivot_columns(basis).tolist())
 
 
+@pytest.mark.parametrize("modulus", range(2, 13))
+@settings(max_examples=15, deadline=None)
+@given(modes=st.sampled_from([2, 4, 6]), data=st.data())
+def test_grown_rows_count_each_elements_copies_by_their_zero_codes(modulus, modes, data):
+    """The walk's one multiplicity rule: a grown row's zero codes count every element's copies,
+    and its first D |S| / count rows are S + <g>, each element once."""
+    engine = search._Engine(SearchSpec(modulus, modes, 0, 1, generator_count=1))
+    index = st.integers(0, engine.count - 1)
+    picks = engine.cand[data.draw(st.lists(index, min_size=1, max_size=3))]
+    g = data.draw(index)
+    span = np.unique(_span_elements(picks, modulus), axis=0)  # distinct, the zero row first
+    rows, codes = engine._grown(span.astype(engine.digit_dtype), np.array([g]))
+    copies = int(np.count_nonzero(codes[0] == 0))
+    assert set(np.unique(codes[0], return_counts=True)[1].tolist()) == {copies}
+    first = codes[0, : modulus * len(span) // copies]
+    assert len(np.unique(first)) == len(first)
+    grown = _span_elements(np.vstack([picks, engine.cand[g]]), modulus) @ engine.place
+    assert sorted(first.tolist()) == np.unique(grown).tolist()
+    assert (rows[0, : len(first)] @ engine.place).tolist() == first.tolist()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
