@@ -727,7 +727,9 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     dtype = _step_dtype(d)
     table = np.zeros((spanned + len(logicals), m + 1), dtype=dtype)
     table[: spanned - 1, :m], table[spanned - 1, :m], table[spanned:, :m] = code._comm_rows, 1, logicals
-    best = (diameter_bound + 1, len(corners))
+    # No window yet.  Padded columns join at side diameter_bound + 1, and no corner
+    # index is below 0, so a corner whose remaining columns are padding is dropped.
+    best = (diameter_bound + 1, 0)
     step = max(1, _WINDOW_BYTES // (dtype.itemsize * len(table) * width))
     for start in range(0, len(corners), step):
         best = _first_window(table[:, columns[start : start + step]], spanned, sides[start : start + step], d, best, start)

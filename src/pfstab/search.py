@@ -21,7 +21,10 @@ then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
 canonical grandchildren of a block of a node's children, a fixed-size
-chunk at a time, or a chunk's independent samples.  The tuple is
+chunk at a time, or a chunk's independent samples.  It runs the
+prefilters in two stages, the weight-(< d) vectors for every tuple of the
+right span size and then the weight-d ones only for the tuples that
+passed, since most tuples fail on a vector of lower weight.  The tuple is
 commuting and parity-zero by construction, so acceptance only assigns
 phases and keys the span, in two steps.  ``_Engine._accept``
 records a passing tuple: its node, its generator indices and a copy of
@@ -63,10 +66,11 @@ only its node.  Passing children are explored in index order, and the
 node counter advances over each run of failing children in one step, so
 node indices, the budget stop and the ``max_hits`` stop are those of a
 one-node-at-a-time walk.  Randomized mode draws a chunk of
-samples at once (``_floyd_draw``, r raw PCG64 words per sample, in order),
-tests their commutation together and builds every span code of the
-commuting ones in one kernel, a coefficient table times their rows
-(``_find_randomized``).
+``_BLOCK_ROWS`` / (r m) samples at once (``_floyd_draw``, r raw PCG64
+words per sample, in order), tests their commutation one generator
+against the later ones at a time (``_Engine._commuting``) and builds
+every span code of the commuting ones in one kernel, a coefficient table
+times their rows (``_find_randomized``).
 
 With ``--threads N`` the first-generator range is cut into 4N blocks,
 run by at most N worker processes (no more than the blocks or the CPUs),
@@ -81,8 +85,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 from contextlib import suppress
@@ -109,8 +111,6 @@ __all__ = [
 
 MAX_CANDIDATES = 400_000
 DEFAULT_TUPLE_BUDGET = 200_000_000
-# Randomized mode draws and tests commutation for this many samples at once.
-_SAMPLE_CHUNK = 256
 # Recorded in every randomized certificate: names the sampling stream, which is not a setting.
 SAMPLER = "floyd-pcg64-raw-v1"
 # ``--threads N`` cuts the first-generator range into this many blocks per requested thread.
@@ -384,6 +384,46 @@ class _Engine:
         """Positions of the weight vectors that commute with every candidate in ``rows``."""
         return np.flatnonzero(self._divisible(self.pairing[rows] @ self.weights).all(axis=0))
 
+    def _commuting(self, idx: np.ndarray) -> np.ndarray:
+        """Positions of the rows of ``idx`` (candidate indices, one tuple a row) whose candidates pairwise commute.
+
+        The pairing is antisymmetric with a zero diagonal, so each
+        generator is tested against the later ones of its row only, and
+        only in the rows where every earlier generator passed: one
+        row-wise product per generator.
+        """
+        live = np.arange(len(idx))
+        for a in range(idx.shape[1] - 1):
+            rows = idx[live]
+            products = np.einsum("sm,msb->sb", self.pairing[rows[:, a]], self.cand_t[:, rows[:, a + 1 :]])
+            live = live[self._divisible(products).all(axis=1)]
+        return live
+
+    def _outside(self, generators: np.ndarray, spans: np.ndarray, columns: np.ndarray,
+                 known: np.ndarray) -> np.ndarray:
+        """Whether some weight vector central to tuple t lies outside its span, for each row t.
+
+        The weight vectors at ``columns`` that ``known[t]`` marks commute
+        with every generator of tuple t except perhaps those in row t of
+        ``generators``; the products of those generators with those vectors
+        go through ``_divisible`` at once.  ``spans[t]`` holds span t's
+        distinct codes in order, and membership is one ``searchsorted``
+        over the codes of all spans, each offset by its row number times D^m.
+        """
+        count = len(generators)
+        if not len(columns):
+            return np.zeros(count, dtype=bool)
+        products = self.pairing[generators.ravel()] @ self.weights[:, columns]
+        central = self._divisible(products).reshape(count, generators.shape[1], -1).all(axis=1) & known
+        t, w = np.divmod(np.flatnonzero(central), len(columns))
+        offset = self.spec.modulus ** self.spec.num_modes
+        members = (spans + offset * np.arange(count)[:, None]).ravel()
+        wanted = self.weight_codes[columns[w]] + offset * t
+        found = members[np.minimum(np.searchsorted(members, wanted), len(members) - 1)] == wanted
+        outside = np.zeros(count, dtype=bool)
+        outside[t[~found]] = True
+        return outside
+
     def _leaves(self, generators: np.ndarray, span_codes: np.ndarray, columns: np.ndarray,
                 known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of a block of full tuples go on to ``_accept``, and their spans' sorted codes.
@@ -397,14 +437,15 @@ class _Engine:
         as met, in row order), and passes both prefilters: every
         weight-(< d) vector that commutes with the tuple lies in the span,
         and some weight-d one does not.  The weight vectors at ``columns``
-        (``_central_columns``) that ``known[t]`` marks commute with every
-        generator of tuple t except perhaps those in row t of
+        (``_central_columns``, ascending) that ``known[t]`` marks commute
+        with every generator of tuple t except perhaps those in row t of
         ``generators``; the others do not commute with the tuple.  The
-        products of those generators with those vectors go through
-        ``_divisible`` at once, and span membership is one ``searchsorted``
-        over the sorted codes of all spans, each offset by its row number
-        times D^m.  Returns a boolean per tuple and an array whose row t
-        holds span t's distinct codes in order wherever the tuple passed.
+        prefilters run in two stages of ``_outside``: the weight-(< d)
+        columns for every tuple of the right span size, then the weight-d
+        columns only for the tuples that passed the first, since most
+        tuples already fail on a weight-(< d) vector.  Returns a boolean per
+        tuple and an array whose row t holds span t's distinct codes in
+        order wherever the tuple passed.
         """
         count, length = span_codes.shape
         size = self.span_size
@@ -422,18 +463,11 @@ class _Engine:
         live = np.flatnonzero(passed)
         if not live.size:
             return passed, spans
-        products = self.pairing[generators[live].ravel()] @ self.weights[:, columns]
-        central = self._divisible(products).reshape(len(live), generators.shape[1], -1).all(axis=1) & known[live]
-        t, w = np.divmod(np.flatnonzero(central), central.shape[1])
-        picked = columns[w]
-        offset = self.spec.modulus ** self.spec.num_modes
-        members = (spans[live] + offset * np.arange(len(live))[:, None]).ravel()
-        wanted = self.weight_codes[picked] + offset * t
-        found = members[np.minimum(np.searchsorted(members, wanted), len(members) - 1)] == wanted
-        # Row t: whether a weight-(< d) vector, and whether a weight-d one, central to tuple t lies outside its span.
-        outside = np.zeros((len(live), 2), dtype=bool)
-        outside[t[~found], (picked[~found] >= self.low_count).astype(np.intp)] = True
-        passed[live] = ~outside[:, 0] & outside[:, 1]
+        low = int(np.searchsorted(columns, self.low_count))  # the weight-(< d) columns come first
+        passed[live] = ~self._outside(generators[live], spans[live], columns[:low], known[live, :low])
+        live = live[passed[live]]
+        if live.size:
+            passed[live] = self._outside(generators[live], spans[live], columns[low:], known[live, low:])
         return passed, spans
 
     def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
@@ -687,6 +721,8 @@ class _BlockWorkers:
     """
 
     def __init__(self, spec: SearchSpec, size: int):
+        import multiprocessing  # only ``--threads`` > 1 needs it, so ``import pfstab`` does not load it
+
         self.idle: list = []
         self.busy: dict = {}  # connection -> index of the block it runs
         self.processes: list = []
@@ -721,7 +757,9 @@ class _BlockWorkers:
 
     def finished(self) -> tuple[int, tuple[bool, object]]:
         """(index, outcome) of a block that finished; waits for one if none has."""
-        conn = multiprocessing.connection.wait(list(self.busy))[0]
+        from multiprocessing.connection import wait
+
+        conn = wait(list(self.busy))[0]
         outcome = conn.recv()
         self.idle.append(conn)
         return self.busy.pop(conn), outcome
@@ -830,9 +868,14 @@ def _span_table(engine: _Engine) -> np.ndarray | None:
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
     """Draw ``spec.samples`` tuples in chunks and hand the spans of the commuting, independent ones to ``_leaves``.
 
-    One kernel builds every span code of a block of a chunk's commuting
-    samples, at most about ``_BLOCK_ROWS`` rows and prefilter products: the
-    coefficient table of ``_span_table`` times each sample's rows.  A
+    A chunk holds ``_BLOCK_ROWS`` // (r m) samples, one at least, and its
+    commuting samples come from ``_Engine._commuting``; since each sample
+    takes its own r raw words, the chunk size changes no draw.  The
+    prefilter mask ``_leaves`` reads is a broadcast view of True: a
+    sample has no generators outside its own row.  One kernel builds
+    every span code of a block of a chunk's commuting samples, at most
+    about ``_BLOCK_ROWS`` rows and prefilter products: the coefficient
+    table of ``_span_table`` times each sample's rows.  A
     sample is dependent, and dropped, exactly when generator t's code is
     among the table's first D^(t-1) codes, the span of the generators
     before it, for some t.  A sample's D^r codes list each span element
@@ -853,14 +896,14 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     if table is None:
         cert.tuples_examined = spec.samples  # every sample fails the span-size test of _leaves
     d, r = spec.modulus, spec.generator_count
+    chunk = max(1, _BLOCK_ROWS // (r * spec.num_modes))
     columns = engine._central_columns([])  # every weight vector; _leaves tests every generator
-    every = np.ones((_SAMPLE_CHUNK, len(columns)), dtype=bool)  # a chunk's tuples have no other generators
+    every = np.broadcast_to(True, (chunk, len(columns)))  # a chunk's tuples have no other generators
     while cert.tuples_examined < spec.samples and not engine.stopped:
-        size = min(_SAMPLE_CHUNK, spec.samples - cert.tuples_examined)
+        size = min(chunk, spec.samples - cert.tuples_examined)
         idx = _floyd_draw(bits, engine.count, r, size)
         step = max(1, _BLOCK_ROWS // (len(table) + r * engine.weights.shape[1]))
-        pairs = engine._divisible(engine.pairing[idx] @ engine.cand_t[:, idx].transpose(1, 0, 2))
-        commuting = np.flatnonzero(pairs.all(axis=(1, 2)))
+        commuting = engine._commuting(idx)
         for lo in range(0, len(commuting), step):
             block = commuting[lo : lo + step]
             spans = ((table @ engine.cand[idx[block]]) % d) @ engine.place

@@ -609,6 +609,52 @@ def test_code_file_fuzz_never_raises(capsys, tmp_path, command, document):
     assert "Traceback" not in err
 
 
+_TORIC_FILES = sorted(path for path in REPO_CODES.glob("toric_*.json") if not path.name.endswith(".params.json"))
+
+
+@st.composite
+def _one_field_layout_documents(draw) -> str:
+    """A toric code file of the corpus (it has a mode_layout) with exactly one field replaced: a layout
+    coordinate or a generator exponent, by junk or a small integer, or a layout key, renamed.  A
+    coordinate is as often an integer just past the int32 or int64 range, which only the header check
+    keeps from the scan."""
+    payload = json.loads(draw(st.sampled_from(_TORIC_FILES)).read_text())
+    layout = payload["mode_layout"]
+    value = st.one_of(_JUNK, st.integers(-3, 9))
+    field = draw(st.sampled_from(["coordinate", "exponent", "key"]))
+    if field == "coordinate":
+        coords = layout[draw(st.sampled_from(sorted(layout)))]
+        edge = st.sampled_from([2**31, -(2**31) - 1, 2**63, -(2**63) - 1, 10**20])
+        coords[draw(st.integers(0, len(coords) - 1))] = draw(st.one_of(value, edge))
+    elif field == "exponent":
+        alpha = draw(st.sampled_from(payload["generators"]))["alpha"]
+        alpha[draw(st.integers(0, len(alpha) - 1))] = draw(value)
+    else:
+        key = draw(st.sampled_from(sorted(layout)))
+        layout[draw(st.sampled_from(["0", "x", "01", "\u00b2", "\u0661", str(len(layout) + 1), *sorted(layout)]))] = layout.pop(key)
+    return json.dumps(payload)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_one_field_layout_documents())
+def test_one_field_layout_fuzz_reaches_lcon_and_never_raises(capsys, tmp_path, document):
+    path = tmp_path / "code.json"
+    path.write_text(document)
+    status, out, err = run(capsys, "params", "--max-weight", 2, "--max-diameter", 4, path)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if status == 0:  # a valid code: the report went through the l_con window scan
+        assert "l_con" in out
+
+
+def test_import_pfstab_leaves_multiprocessing_out():
+    # Only a search with threads > 1 starts worker processes; the package import must not pay for them.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_SRC), os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, pfstab, pfstab.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 @st.composite
 def _qudit_documents(draw) -> str:
     """A small qudit check file, commuting or not, then up to two fields replaced by junk."""

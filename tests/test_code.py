@@ -451,6 +451,21 @@ def test_toric_lcon_is_two_a_minus_one(a):
     assert support_diameter(res.certificate, code.mode_layout) == res.value
 
 
+@pytest.mark.parametrize(
+    "builder, cap",
+    [(("toric", a), cap) for a in (2, 3, 4, 5) for cap in (None, a)]
+    + [(("chain", modulus, n), cap) for modulus, n in ((2, 2), (3, 4), (5, 3), (4, 3), (6, 2)) for cap in (None, 1, 2, 3)],
+    ids=str,
+)
+def test_lcon_drops_finished_corners_and_stays_exact(builder, cap):
+    # A corner whose remaining columns are padding cannot tie the scan's sentinel; with and without a
+    # cap below the value (no window at all) the value and certificate are the per-window reference's.
+    kind, *args = builder
+    code = build_toric(ToricSpec(2, 1, args[0], args[0])).code if kind == "toric" else build_clock_chain(*args)
+    res = l_con(code, max_diameter=cap)
+    assert (res.value, str(res.certificate) if res.certificate else None, res.cap) == reference_lcon(code, cap)
+
+
 @pytest.mark.parametrize("modulus", [10**6, 30030])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lcon_matches_reference_at_large_moduli(modulus, seed):

@@ -668,13 +668,24 @@ def test_exhaustive_corpus_specs_agree_across_thread_counts(path):
     seed=st.integers(0, 2**16),
     samples=st.integers(0, 300),
     max_hits=st.integers(0, 3),
-    chunk=st.sampled_from([1, 7, search._SAMPLE_CHUNK]),
+    chunk=st.sampled_from([1, 7, None]),
 )
 def test_chunked_sampling_matches_one_sample_at_a_time(modulus, modes, gens, target_d, seed, samples, max_hits, chunk):
     spec = SearchSpec(modulus, modes, max(0, modes // 2 - gens), target_d, mode="randomized", seed=seed,
                       samples=samples, generator_count=gens, max_hits=max_hits)
-    with mock.patch.object(search, "_SAMPLE_CHUNK", chunk):
+    # A chunk holds _BLOCK_ROWS // (r m) samples, one at least; None keeps the default size.
+    block_rows = search._BLOCK_ROWS if chunk is None else chunk * gens * modes
+    sizes = []
+    draw = search._floyd_draw
+
+    def recording(bits, count, r, size):
+        sizes.append(size)
+        return draw(bits, count, r, size)
+
+    with mock.patch.object(search, "_BLOCK_ROWS", block_rows), mock.patch.object(search, "_floyd_draw", recording):
         _, cert = find_codes(spec)
+    if sizes:  # the chunk is the size that was asked for
+        assert sizes[0] == min(block_rows // (gens * modes), samples)
     reference = reference_search(spec)
     assert [h["key"] for h in cert.hits] == [key for _, key in reference["hits"]]
     assert cert.tuples_examined == reference["tuples_examined"]
@@ -696,8 +707,58 @@ def test_randomized_span_table_is_bounded_and_skipped_when_no_sample_can_pass():
 def test_a_stop_inside_a_sample_chunk_counts_the_samples_up_to_it():
     spec = SearchSpec(3, 8, 1, 3, mode="randomized", seed=7, samples=20_000, max_hits=2)
     _, cert = find_codes(spec)
-    assert cert.early_stopped and cert.tuples_examined == 335  # not a multiple of the chunk
-    assert cert.tuples_examined % search._SAMPLE_CHUNK
+    assert cert.early_stopped and cert.tuples_examined == 335
+    assert cert.tuples_examined % max(1, search._BLOCK_ROWS // (3 * 8))  # not a multiple of the chunk
+
+
+# (D, modes) pairs whose full vector space the reference's prefilters enumerate quickly.
+_REFERENCE_SHAPES = [(d, m) for d in range(2, 8) for m in (4, 6, 8) if d**m <= 7**6]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(_REFERENCE_SHAPES),
+    gens=st.integers(1, 3),
+    target_d=st.integers(1, 3),
+    reduction=st.booleans(),
+    randomized=st.booleans(),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(0, 1500),
+    max_hits=st.integers(0, 3),
+)
+def test_two_stage_prefilter_decides_as_the_per_node_reference(shape, gens, target_d, reduction, randomized, seed,
+                                                               budget, max_hits):
+    """The weight-(< d) stage, then the weight-d stage on what passed it, accept exactly the reference's
+    tuples, in both modes and under both stops (d = 1 has no weight-(< d) vector)."""
+    modulus, modes = shape
+    mode = dict(mode="randomized", seed=seed, samples=budget // 4) if randomized else dict(max_tuples=budget)
+    spec = SearchSpec(modulus, modes, max(0, modes // 2 - gens), target_d, generator_count=gens,
+                      symmetry_reduction=reduction, max_hits=max_hits, **mode)
+    _, cert = find_codes(spec)
+    reference = reference_search(spec)
+    assert [h["key"] for h in cert.hits] == [key for _, key in reference["hits"]]
+    assert cert.tuples_examined == reference["tuples_examined"]
+    assert cert.budget_exceeded == reference["budget_exceeded"]
+    assert cert.early_stopped == reference["stopped"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=st.integers(2, 12), modes=st.sampled_from([4, 6]), r=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_per_generator_commutation_matches_the_stacked_pair_test(modulus, modes, r, seed):
+    """Generator a against generators a+1 .. r of the rows still commuting finds the rows whose
+    r x r pairing products are all divisible by D (r = 1 has no pair)."""
+    if modulus ** (modes - 1) > search.MAX_CANDIDATES:
+        modes = 4
+    engine = search._Engine(SearchSpec(modulus, modes, 0, 1, mode="randomized", generator_count=r))
+    rng = np.random.default_rng(seed)
+    # Sums of vectors (a, -a) on mode pairs (1, 2), (3, 4), ... pairwise commute; mix them with
+    # arbitrary candidates so that rows fail at every pair, or at none.
+    cand = engine.cand
+    pool = np.flatnonzero(((cand[:, 0::2] + cand[:, 1::2]) % modulus == 0).all(axis=1))
+    idx = np.where(rng.random((300, r)) < 0.8, rng.choice(pool, (300, r)), rng.integers(0, engine.count, (300, r)))
+    stacked = engine._divisible(engine.pairing[idx] @ engine.cand_t[:, idx].transpose(1, 0, 2)).all(axis=(1, 2))
+    assert np.array_equal(engine._commuting(idx), np.flatnonzero(stacked))
+    assert r == 1 or 0 < stacked.sum() < len(idx) or len(pool) < 2
 
 
 @settings(max_examples=60, deadline=None)
