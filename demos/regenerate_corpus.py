@@ -87,6 +87,14 @@ def main() -> None:
         # and one _leaves call of the grandparent pass decides them with the block's other full tuples.
         ("search_d2_8modes_hits8", SearchSpec(2, 8, 1, 2, max_hits=8)),
         ("search_d2_8modes_budget180", SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180)),
+        # Composite D, two generators and d = 3: the root is the grandparent, so every weight
+        # vector is a prefilter column while only the weight-(< d) ones size a _leaves block.
+        ("search_d6_6modes_gc2_budget100000",
+         SearchSpec(6, 6, 1, 3, generator_count=2, max_hits=0, max_tuples=100_000)),
+        # Composite D, randomized, r > n - k: 9 of its 51 commuting samples are dependent, and the
+        # others list each element of their span 1, 2, 4 or 8 times.
+        ("search_d4_6modes_randomized_gc3",
+         SearchSpec(4, 6, 1, 2, mode="randomized", seed=5, samples=2000, generator_count=3, max_hits=0)),
     ]:
         (OUT / f"{name}.json").write_text(canonical_json(spec.to_dict()))
         _, cert = find_codes(spec, threads=1)

@@ -21,7 +21,7 @@ then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
 canonical grandchildren of a block of a node's children, a fixed-size
-chunk at a time, or a chunk's independent samples.  It runs the
+chunk at a time, or a block of a chunk's independent samples.  It runs the
 prefilters in two stages, the weight-(< d) vectors for every tuple of the
 right span size and then the weight-d ones only for the tuples that
 passed, since most tuples fail on a vector of lower weight.  The tuple is
@@ -68,9 +68,12 @@ node indices, the budget stop and the ``max_hits`` stop are those of a
 one-node-at-a-time walk.  Randomized mode draws a chunk of
 ``_BLOCK_ROWS`` / (r m) samples at once (``_floyd_draw``, r raw PCG64
 words per sample, in order), tests their commutation one generator
-against the later ones at a time (``_Engine._commuting``) and builds
-every span code of the commuting ones in one kernel, a coefficient table
-times their rows (``_find_randomized``).
+against the later ones at a time (``_Engine._commuting``) and grows the
+commuting ones' spans from the zero row with ``_grown``, the one span
+kernel, dropping a sample when the coset S + g of a step holds 0
+(``_find_randomized``).  Both modes size a ``_leaves`` block by one rule
+(``_Engine._room``): about ``_BLOCK_ROWS`` leaf rows plus weight-(< d)
+prefilter products.
 
 With ``--threads N`` the first-generator range is cut into 4N blocks,
 run by at most N worker processes (no more than the blocks or the CPUs),
@@ -470,6 +473,16 @@ class _Engine:
             passed[live] = self._outside(generators[live], spans[live], columns[low:], known[live, low:])
         return passed, spans
 
+    def _room(self, leaf_rows: int, generators: int, columns: np.ndarray) -> int:
+        """Tuples per ``_leaves`` block: about ``_BLOCK_ROWS`` leaf rows and first-stage products in all.
+
+        Each tuple brings ``leaf_rows`` span rows, and ``generators`` of its
+        generators meet the weight-(< d) vectors among ``columns``
+        (ascending) in the first prefilter stage; the weight-d products
+        come only for the few tuples that pass it, so they are not counted.
+        """
+        return max(1, _BLOCK_ROWS // (leaf_rows + generators * int(np.searchsorted(columns, self.low_count))))
+
     def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
         """Record a hit for a span that passed ``_leaves``, given its sorted codes; ``_settle`` keys, phases and builds it.
 
@@ -639,17 +652,18 @@ class _Engine:
         ``known[o]`` marks the weight vectors at ``columns`` that commute
         with every generator of ``prefixes[o]``.  The tuples up to the
         budget (a tuple past it cannot be a hit and is not built) are cut,
-        in walk order, into chunks of one size, about ``_BLOCK_ROWS`` leaf
-        rows and prefilter products each, whichever prefixes they fall
-        under.  Each chunk goes to ``_leaves`` with every tuple's prefix
-        span and its row of ``known``, so the repeat test meets spans as a
-        one-node walk does.  A chunk cuts its prefixes' rows to their length
-        over the gcd s of their repeat counts: the cosets of ``_grown``
-        recur, so each element of span o appears ``repeat[o] / s`` times.
+        in walk order, into chunks of one size (``_room``: about
+        ``_BLOCK_ROWS`` leaf rows, D per prefix row, and weight-(< d)
+        products each), whichever prefixes they fall under.  Each chunk
+        goes to ``_leaves`` with every tuple's prefix span and its row of
+        ``known``, so the repeat test meets spans as a one-node walk does.
+        A chunk cuts its prefixes' rows to their length over the gcd s of
+        their repeat counts: the cosets of ``_grown`` recur, so each
+        element of span o appears ``repeat[o] / s`` times.
         """
         end = int(np.searchsorted(nodes, self.spec.max_tuples, side="right"))
         owner, leaves = owner[:end], leaves[:end]
-        room = max(1, _BLOCK_ROWS // (self.spec.modulus * spans.shape[1] + len(columns)))
+        room = self._room(self.spec.modulus * spans.shape[1], 1, columns)
         for lo in range(0, end, room):
             o, g = owner[lo : lo + room], leaves[lo : lo + room]
             heads = slice(o[0], o[-1] + 1)  # owner ids count up from 0 in walk order
@@ -842,29 +856,6 @@ def _floyd_draw(bits: np.random.PCG64, count: int, r: int, size: int) -> np.ndar
     return picks
 
 
-def _span_table(engine: _Engine) -> np.ndarray | None:
-    """The D^r x r coefficients of every combination of a sample's r generators, or None when no sample can pass ``_leaves``.
-
-    Row c holds the base-D digits of c, generator 1 least significant, so
-    the rows below D^(t-1) combine generators 1 .. t-1 only and row
-    D^(t-1) is generator t itself.  A sample none of whose generators lies
-    in the span of the ones before it has a span of at most D^r and at
-    least p^r elements (each generator enlarges the span by a factor of at
-    least p, with p = D for prime D and p >= 2 otherwise), so when the
-    target span size D^(n-k) lies outside that range no sample reaches the
-    acceptance test.  Raises :class:`BudgetExceededError` when the table
-    would exceed ``MAX_CANDIDATES`` rows, which only a composite D with
-    many generators asks for.
-    """
-    d, r = engine.spec.modulus, engine.spec.generator_count
-    least = d if engine.prime else 2
-    if not (r < engine.span_size.bit_length() and least**r <= engine.span_size <= d**r):
-        return None
-    if d**r > MAX_CANDIDATES:
-        raise BudgetExceededError(f"span table of {d}^{r} combinations exceeds the supported size {MAX_CANDIDATES}")
-    return _lex_digits(np.arange(d**r, dtype=np.int64), d, r)[:, ::-1]
-
-
 def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]:
     """Draw ``spec.samples`` tuples in chunks and hand the spans of the commuting, independent ones to ``_leaves``.
 
@@ -872,46 +863,52 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     commuting samples come from ``_Engine._commuting``; since each sample
     takes its own r raw words, the chunk size changes no draw.  The
     prefilter mask ``_leaves`` reads is a broadcast view of True: a
-    sample has no generators outside its own row.  One kernel builds
-    every span code of a block of a chunk's commuting samples, at most
-    about ``_BLOCK_ROWS`` rows and prefilter products: the coefficient
-    table of ``_span_table`` times each sample's rows.  A
-    sample is dependent, and dropped, exactly when generator t's code is
-    among the table's first D^(t-1) codes, the span of the generators
-    before it, for some t.  A sample's D^r codes list each span element
-    equally often (the table is a group homomorphism onto the span), as
-    ``_leaves`` expects; the block's independent samples go to it
-    together.  The samples after a stop were drawn but are not counted as
-    examined.
+    sample has no generators outside its own row.  The commuting samples
+    go to ``_leaves`` in blocks of ``_Engine._room`` samples, by the rule
+    that sizes ``_decide``'s chunks, and a block's spans grow from the
+    zero row by ``_Engine._grown``, one generator a step, so a sample's
+    D^r codes list each span element equally often.  A sample is
+    dependent, and dropped, when coset 1 of some step t (rows D^t ..
+    2 D^t - 1, the coset S + g) holds a zero code, that is when g lies in
+    the span S of the generators before it.  An independent sample spans
+    at most D^r and at least p^r elements (each generator enlarges the
+    span by a factor of at least p, with p = D for prime D and p >= 2
+    otherwise), so when the target span size D^(n-k) lies outside that
+    range nothing is drawn; when it lies inside and D^r exceeds
+    ``MAX_CANDIDATES``, which only a composite D with many generators
+    asks for, :class:`BudgetExceededError` is raised.  The samples after
+    a stop were drawn but are not counted as examined.
     """
     start_time = time.monotonic()
     engine = _Engine(spec)
-    table = _span_table(engine)
     bits = np.random.PCG64(spec.seed)
     cert = SearchCertificate(
         spec=spec.to_dict(),
         candidate_count=engine.count,
         estimated_tuples=spec.samples,
     )
-    if table is None:
-        cert.tuples_examined = spec.samples  # every sample fails the span-size test of _leaves
     d, r = spec.modulus, spec.generator_count
+    if not (r < engine.span_size.bit_length() and (d if engine.prime else 2) ** r <= engine.span_size <= d**r):
+        cert.tuples_examined = spec.samples  # every sample fails the span-size test of _leaves
+    elif d**r > MAX_CANDIDATES:
+        raise BudgetExceededError(f"spans of {d}^{r} rows per sample exceed the supported size {MAX_CANDIDATES}")
     chunk = max(1, _BLOCK_ROWS // (r * spec.num_modes))
     columns = engine._central_columns([])  # every weight vector; _leaves tests every generator
     every = np.broadcast_to(True, (chunk, len(columns)))  # a chunk's tuples have no other generators
+    step = engine._room(d**r, r, columns)
     while cert.tuples_examined < spec.samples and not engine.stopped:
         size = min(chunk, spec.samples - cert.tuples_examined)
         idx = _floyd_draw(bits, engine.count, r, size)
-        step = max(1, _BLOCK_ROWS // (len(table) + r * engine.weights.shape[1]))
         commuting = engine._commuting(idx)
         for lo in range(0, len(commuting), step):
             block = commuting[lo : lo + step]
-            spans = ((table @ engine.cand[idx[block]]) % d) @ engine.place
-            dependent = np.zeros(len(block), dtype=bool)
-            for t in range(1, r):
-                dependent |= (spans[:, : d**t] == spans[:, d**t, None]).any(axis=1)
-            block = block[~dependent]
-            passed, spans = engine._leaves(idx[block], spans[~dependent], columns, every)
+            rows = np.zeros((len(block), 1, spec.num_modes), dtype=engine.digit_dtype)
+            fresh = np.ones(len(block), dtype=bool)
+            for t in range(r):
+                rows, codes = engine._grown(rows, idx[block, t])
+                fresh &= ~(codes[:, d**t : 2 * d**t] == 0).any(axis=1)  # S + g holds 0 exactly when g is in S
+            block = block[fresh]
+            passed, spans = engine._leaves(idx[block], codes[fresh], columns, every)
             for t in np.flatnonzero(passed).tolist():
                 engine._accept(idx[block[t]].tolist(), spans[t])
                 if engine.stopped:

@@ -357,6 +357,9 @@ def test_grown_rows_count_each_elements_copies_by_their_zero_codes(modulus, mode
     grown = _span_elements(np.vstack([picks, engine.cand[g]]), modulus) @ engine.place
     assert sorted(first.tolist()) == np.unique(grown).tolist()
     assert (rows[0, : len(first)] @ engine.place).tolist() == first.tolist()
+    # Coset 1, S + g, holds a zero code exactly when g lies in S: randomized mode's dependency rule.
+    in_span = bool(np.isin(engine.cand[g] @ engine.place, span @ engine.place))
+    assert bool((codes[0, len(span) : 2 * len(span)] == 0).any()) == in_span
 
 
 @pytest.mark.parametrize(
@@ -694,14 +697,34 @@ def test_chunked_sampling_matches_one_sample_at_a_time(modulus, modes, gens, tar
 
 def test_randomized_span_table_is_bounded_and_skipped_when_no_sample_can_pass():
     # 2^7 <= 8^3 <= 8^7: an independent sample could have the target span
-    # size, but its 8^7-row coefficient table is refused before any draw.
-    with pytest.raises(BudgetExceededError, match="span table"):
+    # size, but its 8^7 span rows are refused before any draw.
+    drawn = mock.Mock(wraps=search._floyd_draw)
+    with mock.patch.object(search, "_floyd_draw", drawn), pytest.raises(BudgetExceededError, match=r"8\^7 rows"):
         find_codes(SearchSpec(8, 6, 0, 1, mode="randomized", generator_count=7, samples=1))
+    assert not drawn.called
     # 26 independent generators mod 3 would span 3^26 elements, not 3^1: no span is built.
     spec = SearchSpec(3, 4, 1, 2, mode="randomized", seed=1, samples=50, generator_count=26, max_hits=0)
-    assert search._span_table(search._Engine(spec)) is None
-    _, cert = find_codes(spec)
+    with mock.patch.object(search._Engine, "_grown", autospec=True, side_effect=search._Engine._grown) as grown:
+        _, cert = find_codes(spec)
+    assert grown.call_count == 0
     assert cert.tuples_examined == reference_search(spec)["tuples_examined"] == 50 and not cert.hits
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(4, 4, 1, 1, mode="randomized", seed=0, samples=300, generator_count=2, max_hits=0),
+        SearchSpec(4, 6, 1, 2, mode="randomized", seed=4, samples=300, generator_count=3, max_hits=0),
+    ],
+    ids=["d4_4modes_gc2", "d4_6modes_gc3"],
+)
+def test_randomized_drops_dependent_samples_as_the_reference_does(spec):
+    """With r > n - k a sample whose generator lies in the span of the ones before it can still
+    span D^(n-k) elements and pass both prefilters; it is dropped, as the one-sample reference
+    drops it (kept, these seeds give 15 hits instead of 6, and 2 instead of 1)."""
+    _, cert = find_codes(spec)
+    assert cert.hits
+    assert [h["key"] for h in cert.hits] == [key for _, key in reference_search(spec)["hits"]]
 
 
 def test_a_stop_inside_a_sample_chunk_counts_the_samples_up_to_it():
