@@ -173,7 +173,7 @@ def double_to_css(code: PfCode) -> QuditCheckMatrix:
     """
     if not validate(code).all_ok:
         raise InvalidCodeError("doubling requires a valid code")
-    zeros = np.zeros((len(code.generators), code.num_modes), dtype=np.int64)
+    zeros = np.zeros((len(code._rows), code.num_modes), dtype=np.int64)
     rows = np.block([[commutation_rows(code), zeros], [zeros, stabilizer_matrix(code).array]])
     out = QuditCheckMatrix(code.modulus, code.num_modes, rows.tolist())
     if not out.commutes():

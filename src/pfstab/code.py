@@ -42,7 +42,13 @@ phases and forms already at hand, and keeps them: :func:`canonical_phases`
 passes on its input's, the builders pass the forms they solved the phases
 from, and the search passes a hit's slice of the Howell bases read off
 the sorted integer codes of a batch of spans (``_span_bases``) and, for
-dependent rows only, the kernel relations.  Every parameter (|S|, k, d,
+dependent rows only, the kernel relations.  Such a code keeps its rows and
+phases as arrays (``_rows``, ``_mu``) and builds its generator operators
+only when ``generators`` is first read; validation, the identity-phase
+check of :func:`canonical_phases` and the code file writer read the
+arrays, so validating, re-phasing or saving it builds no operator.  A code
+from the public constructor reads ``_rows`` and ``_mu`` off its
+generators, once.  Every parameter (|S|, k, d,
 l_con, the logicals) is defined only for a valid code, so each public
 function raises :class:`InvalidCodeError` on an invalid one and otherwise
 reads the kept bases, reducing against them with ``zmod._reduce_against``,
@@ -160,21 +166,32 @@ class PfCode:
                     mode_layout=None, **kept) -> "PfCode":
         """The code with generators w^{mu_i} g^{rows_i} and ``mode_layout``.
 
-        It keeps ``rows`` (made read-only) as S, ``forms`` as ``_row_forms``
-        (the Howell bases of S and of its left kernel) and ``kept``, any of
-        ``_comm_rows`` and ``_centralizer``; none of them depends on mu.  The
-        caller vouches that they are what their names say, that ``rows``
-        holds residues mod D, that ``mu`` lies in [0, 2D) and that the
-        fields pass ``__post_init__``'s checks, so the fields are set
-        directly and the generators are built without normalising them
-        again.
+        It keeps ``rows`` as S and ``mu`` as ``_mu`` (both made read-only),
+        ``forms`` as ``_row_forms`` (the Howell bases of S and of its left
+        kernel) and ``kept``, any of ``_comm_rows`` and ``_centralizer``;
+        none but ``_mu`` depends on mu.  The caller vouches that they are
+        what their names say, that ``rows`` holds residues mod D, that
+        ``mu`` lies in [0, 2D) and that the fields pass ``__post_init__``'s
+        checks, so the fields are set directly.  The generators are left
+        unbuilt: the first read of ``generators`` builds them from the rows
+        and phases without normalising them again (``__getattr__``).
         """
-        generators = tuple(PfOperator._reduced(modulus, num_modes, x, tuple(a)) for x, a in zip(mu.tolist(), rows.tolist()))
-        rows.flags.writeable = False
+        rows.setflags(write=False)
+        mu.setflags(write=False)
         code = object.__new__(cls)
-        code.__dict__.update(modulus=modulus, num_modes=num_modes, generators=generators, mode_layout=mode_layout,
-                             _rows=rows, _row_forms=forms, **kept)
+        code.__dict__.update(modulus=modulus, num_modes=num_modes, mode_layout=mode_layout,
+                             _rows=rows, _mu=mu, _row_forms=forms, **kept)
         return code
+
+    def __getattr__(self, name: str):
+        """The generators of a code from ``_from_forms``, built from ``_rows``
+        and ``_mu`` on their first read and kept; normal lookup finds them after."""
+        if name != "generators" or "_mu" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        generators = tuple(PfOperator._reduced(self.modulus, self.num_modes, x, tuple(a))
+                           for x, a in zip(self._mu.tolist(), self._rows.tolist()))
+        self.__dict__["generators"] = generators
+        return generators
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -182,6 +199,13 @@ class PfCode:
         rows = np.array([g.alpha for g in self.generators], dtype=np.int64).reshape(-1, self.num_modes)
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def _mu(self) -> np.ndarray:
+        """The generators' phases mu, one read-only int64 array of length r."""
+        mu = np.array([g.mu for g in self.generators], dtype=np.int64)
+        mu.flags.writeable = False
+        return mu
 
     @cached_property
     def _comm_rows(self) -> np.ndarray:
@@ -206,14 +230,13 @@ class PfCode:
     def _flags(self) -> ValidationFlags:
         """The closed forms of the module docstring, for every generator pair,
         every D-th power and every kernel relation at once."""
-        if not self.generators:
-            return ValidationFlags(True, True, True)
         d = self.modulus
         rows = self._rows
+        if not len(rows):
+            return ValidationFlags(True, True, True)
         abelian = not ((self._comm_rows @ rows.T) % d).any()
         parity_ok = not (rows.sum(axis=1) % d).any()
-        mu = np.array([g.mu for g in self.generators], dtype=np.int64)
-        phase_ok = not _relation_phases(rows, mu, _phase_relations(self._row_forms[1], d), d).any()
+        phase_ok = not _relation_phases(rows, self._mu, _phase_relations(self._row_forms[1], d), d).any()
         return ValidationFlags(abelian, parity_ok, phase_ok)
 
 
@@ -595,7 +618,7 @@ def distance(code: PfCode, max_weight: int | None = None) -> DistanceResult:
     # is k = 0, exactly when |S| = D^n.
     if codespace_dim(code) == 1:
         raise InvalidCodeError("code has no logical operators (k = 0)")
-    table_bytes = 8 * m * (d - 1) * len(code.generators)
+    table_bytes = 8 * m * (d - 1) * len(code._rows)
     if table_bytes > _LETTER_TABLE_BYTES:
         raise ValueError(f"the distance scan's letter table would take {table_bytes} bytes, over {_LETTER_TABLE_BYTES}")
     rows = code._comm_rows
@@ -723,7 +746,7 @@ def l_con(code: PfCode, max_diameter: int | None = None) -> LconResult:
     # Rows [S L; 1; l L] over the modes, and a zero column m for padding, in
     # the smallest integer type that holds the elimination step's
     # intermediates, which stay below 2 D^2.
-    spanned = len(code.generators) + 1
+    spanned = len(code._rows) + 1
     dtype = _step_dtype(d)
     table = np.zeros((spanned + len(logicals), m + 1), dtype=dtype)
     table[: spanned - 1, :m], table[spanned - 1, :m], table[spanned:, :m] = code._comm_rows, 1, logicals
@@ -750,10 +773,9 @@ def canonical_phases(code: PfCode) -> PfCode:
     :class:`PhaseAssignmentError` when none exists.  The returned code
     keeps the input's mu-free forms (see :meth:`PfCode._from_forms`).
     """
-    for g in code.generators:
-        if not any(g.alpha) and g.mu:
-            raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
-    if not code.generators:
+    if code._mu[~code._rows.any(axis=1)].any():
+        raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
+    if not len(code._rows):
         return code
     mu = _phase_solution(code._rows, code._row_forms[1], code.modulus)
     kept = {name: code.__dict__[name] for name in ("_comm_rows", "_centralizer") if name in code.__dict__}

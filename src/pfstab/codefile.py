@@ -82,11 +82,13 @@ def _expect_header(payload, size: str, other: str, other_kind: str) -> int:
 
 
 def code_to_payload(code: PfCode, provenance: dict | None = None) -> dict:
+    """The code file payload; the generators are written from the code's
+    phase and row arrays, so a code that has not built its operators does not build them."""
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "D": code.modulus,
         "num_modes": code.num_modes,
-        "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in code.generators],
+        "generators": [{"mu": mu, "alpha": alpha} for mu, alpha in zip(code._mu.tolist(), code._rows.tolist())],
     }
     if code.mode_layout is not None:
         payload["mode_layout"] = {str(m): list(c) for m, c in sorted(code.mode_layout.items())}

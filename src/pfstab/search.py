@@ -33,15 +33,20 @@ its sorted span codes.  A span of D^r elements means independent rows
 exist.  A dependent tuple (composite D with r > n - k) takes a Howell
 form of its rows and a phase solve over Z_2D when it is recorded, since
 no solution is the only rejection left and the ``max_hits`` stop counts
-only hits.  ``_Engine._settle`` then builds the recorded hits together,
-when a run returns or stops and whenever their codes pass
+only hits.  ``_Engine._settle`` then keys and phases the recorded hits
+together, when a run returns or stops and whenever their codes pass
 ``_BLOCK_ROWS``.  The key hashes the span's Howell basis, read off its
 sorted integer codes (``code._span_bases``): the row with pivot j is the
 least span code in [D^(m-1-j), D^(m-j)), found for every span by one
 ``searchsorted``.  The closed-form phases of all independent tuples come
 from one product (``code._phase_solution``, which ``canonical_phases``
-uses too), and each hit's code is built once and keeps the basis it was
-keyed by.
+uses too).  Hits stay lists and arrays until the search returns: a
+settled batch (``_Hits``) holds the nodes, keys, rows, phases, Howell
+bases and relations of its hits, and ``_finish`` writes every
+certificate entry from one ``tolist`` of the returned hits' rows and one
+of their phases, then builds each hit's code once, keeping the basis it
+was keyed by.  A code builds its generator operators only when they are
+read.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -237,12 +242,40 @@ class SearchCertificate:
 def canonical_equivalence_key(code: PfCode) -> str:
     """Equal keys iff equal stabilizer spans: the Howell form of the row matrix,
     as the code keeps it, rows stacked in pivot order."""
-    return _span_key(code.modulus, code.num_modes, code._row_forms[0])
+    basis = code._row_forms[0]
+    return _span_keys(code.modulus, code.num_modes, basis, [0, len(basis)])[0]
 
 
-def _span_key(modulus: int, num_modes: int, rows: np.ndarray) -> str:
-    """The key of the span over Z_D whose Howell basis is ``rows``, int64 rows in pivot order."""
-    return hashlib.sha256(f"{modulus}:{num_modes}:".encode() + rows.tobytes()).hexdigest()
+def _span_keys(modulus: int, num_modes: int, basis: np.ndarray, ends: list[int]) -> list[str]:
+    """The key of each span over Z_D whose Howell basis, int64 rows in pivot order, is ``basis[ends[i]:ends[i + 1]]``."""
+    prefix = f"{modulus}:{num_modes}:".encode()
+    raw, width = basis.tobytes(), basis.itemsize * num_modes
+    return [hashlib.sha256(prefix + raw[start * width : end * width]).hexdigest() for start, end in zip(ends, ends[1:])]
+
+
+@dataclass(eq=False)
+class _Hits:
+    """The hits of one ``_Engine._settle`` call as lists and arrays, in the order found.
+
+    Hit i was found at node ``nodes[i]``, has span key ``keys[i]``,
+    generator rows ``rows[i]`` and phases ``mu[i]``; the Howell basis of
+    its span, rows in pivot order, is ``basis[ends[i]:ends[i + 1]]``, and
+    its rows' kernel relations are ``relations[i]``.  A search holds no
+    object per hit until it returns, so it pipes a few arrays between
+    processes, and it builds codes only for output (``_finish``).
+    """
+
+    nodes: list[int]
+    keys: list[str]
+    rows: np.ndarray
+    mu: np.ndarray
+    basis: np.ndarray
+    ends: list[int]
+    relations: list[np.ndarray]
+
+    def forms(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``_row_forms`` of hit i: the Howell bases of its rows and of their left kernel."""
+        return self.basis[self.ends[i] : self.ends[i + 1]], self.relations[i]
 
 
 def _candidate_count(modulus: int, num_modes: int) -> int:
@@ -334,14 +367,14 @@ class _Engine:
         # (D^r elements) when r = n - k, and every one dependent otherwise.
         self.independent = spec.generator_count == n - spec.target_k
         self.nodes = 0
-        # (node index, span key, phased code) of each settled hit, in the order found.
-        self.hits: list[tuple[int, str, PfCode]] = []
+        # The settled hits, one ``_Hits`` batch per ``_settle`` call, in the order found.
+        self.hits: list[_Hits] = []
         # The node index of every recorded hit, settled or not, in order: its length counts the
         # hits for the max_hits stop and for the benchmark's span tracer (perfbench/spans.py).
         self.hit_keys: list[int] = []
-        # The recorded hits that ``_settle`` has not yet built: the generator indices and a copy
-        # of the sorted span codes of each and, for dependent tuples only, their kernel relations
-        # and phases (None for independent ones).
+        # The recorded hits that ``_settle`` has not yet keyed and phased: the generator indices
+        # and a copy of the sorted span codes of each and, for dependent tuples only, their kernel
+        # relations and phases (None for independent ones).
         self.pending: list[tuple[list[int], np.ndarray, tuple[np.ndarray, np.ndarray] | None]] = []
         # Sorted codes (as bytes) of every span of the right size that reached
         # the repeat test, kept only when spans can repeat.
@@ -484,7 +517,7 @@ class _Engine:
         return max(1, _BLOCK_ROWS // (leaf_rows + generators * int(np.searchsorted(columns, self.low_count))))
 
     def _accept(self, chosen: list[int], codes: np.ndarray) -> None:
-        """Record a hit for a span that passed ``_leaves``, given its sorted codes; ``_settle`` keys, phases and builds it.
+        """Record a hit for a span that passed ``_leaves``, given its sorted codes; ``_settle`` keys and phases it.
 
         ``_leaves`` has fixed k (span size) and d (the prefilters), and
         hands each span over at most once.  The tuple is commuting (the
@@ -515,16 +548,18 @@ class _Engine:
             self._settle()
 
     def _settle(self) -> None:
-        """Build the recorded hits: append (node index, span key, phased code) to ``hits`` for each, in order.
+        """Key and phase the recorded hits, in order, as one ``_Hits`` batch appended to ``hits``.
 
         Every span's Howell basis is read off its sorted codes, for all
         spans by one ``searchsorted`` (``code._span_bases``), into one
         contiguous array of rows in pivot order, the format of every
-        Howell basis; a span's key hashes its slice of it (``_span_key``,
-        as ``canonical_equivalence_key`` does), and its code keeps the
-        slice, as it is, as its Howell basis.  Independent tuples get their
-        closed-form phases from one ``_phase_solution`` over the stack of
-        their rows; dependent ones were solved when recorded.
+        Howell basis; a span's key hashes its slice of the array's bytes
+        (``_span_keys``, as ``canonical_equivalence_key`` does), and the
+        batch keeps the array, so that a hit's code keeps its slice, as it
+        is, as its Howell basis.  Independent tuples get their closed-form
+        phases from one ``_phase_solution`` over the stack of their rows
+        and share one empty array of relations; dependent ones were solved
+        when recorded.  No code is built here.
         """
         if not self.pending:
             return
@@ -532,14 +567,15 @@ class _Engine:
         chosen, codes, solved = zip(*self.pending)
         rows = self.cand[np.array(chosen)]
         pivots, basis = _span_bases(np.stack(codes), d, m)
-        ends = np.cumsum(pivots.sum(axis=1)).tolist()
-        spans = [basis[start:end] for start, end in zip([0, *ends], ends)]
+        ends = [0, *np.cumsum(pivots.sum(axis=1)).tolist()]
         if self.independent:
-            none = np.zeros((0, rows.shape[1]), dtype=np.int64)
-            solved = zip([none] * len(rows), _phase_solution(rows, none, d))
-        for node, t_rows, span, (relations, mu) in zip(self.hit_keys[len(self.hits):], rows, spans, solved):
-            code = PfCode._from_forms(d, m, t_rows, mu, (span, relations))
-            self.hits.append((node, _span_key(d, m, span), code))
+            relations = [np.zeros((0, rows.shape[1]), dtype=np.int64)] * len(rows)
+            mu = _phase_solution(rows, relations[0], d)
+        else:
+            relations, mu = map(list, zip(*solved))
+            mu = np.stack(mu)
+        nodes = self.hit_keys[len(self.hit_keys) - len(rows):]
+        self.hits.append(_Hits(nodes, _span_keys(d, m, basis, ends), rows, mu, basis, ends, relations))
         self.pending = []
 
     # -- enumeration --------------------------------------------------------
@@ -685,7 +721,7 @@ def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:
     return {"nodes": engine.nodes, "hits": engine.hits}
 
 
-def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bool, bool]:
+def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[list[tuple[_Hits, list[int]]], int, bool, bool]:
     """The serial run's hits, tuple count and stop flags, from blocks each run on its own.
 
     A block visits the nodes of its first generators in the serial order,
@@ -695,19 +731,26 @@ def _replay_serial(spec: SearchSpec, results: list[dict]) -> tuple[dict, int, bo
     earlier block found (no symmetry reduction) does not count.  A block
     that stopped at its own ``max_hits`` repeats at most as many spans as
     were found before it, so the replay stops inside that block.  Returns
-    ({key: code}, tuples examined, budget exceeded, stopped on ``max_hits``).
+    ([(batch, indices)], tuples examined, budget exceeded, stopped on
+    ``max_hits``): the serial run's hits are those at ``indices`` of each
+    ``_Hits`` batch, in order.
     """
-    found: dict[str, PfCode] = {}
+    found: list[tuple[_Hits, list[int]]] = []
+    seen: set[str] = set()
     offset = 0
     for res in results:
-        for node, key, code in res["hits"]:
-            if offset + node > spec.max_tuples:
-                break
-            if key in found:
-                continue
-            found[key] = code
-            if spec.max_hits and len(found) >= spec.max_hits:
-                return found, offset + node, False, True
+        for batch in res["hits"]:
+            kept: list[int] = []
+            found.append((batch, kept))
+            for i, (node, key) in enumerate(zip(batch.nodes, batch.keys)):
+                if offset + node > spec.max_tuples:
+                    break  # as are the block's later hits: its nodes ascend
+                if key in seen:
+                    continue
+                seen.add(key)
+                kept.append(i)
+                if spec.max_hits and len(seen) >= spec.max_hits:
+                    return found, offset + node, False, True
         if offset + res["nodes"] > spec.max_tuples:
             return found, spec.max_tuples + 1, True, False
         offset += res["nodes"]
@@ -828,10 +871,9 @@ def _find_exhaustive(spec: SearchSpec, threads: int) -> tuple[list[PfCode], Sear
         results = [_run_block(spec, (0, count))]
     else:
         results = _run_blocks(spec, count, threads)
-    found, cert.tuples_examined, cert.budget_exceeded, stopped = _replay_serial(spec, results)
-    cert.early_stopped = bool(spec.max_hits) and len(found) >= spec.max_hits
-    cert.exhausted = not cert.budget_exceeded and not stopped
-    return _finish(cert, found.items(), start_time)
+    found, cert.tuples_examined, cert.budget_exceeded, cert.early_stopped = _replay_serial(spec, results)
+    cert.exhausted = not cert.budget_exceeded and not cert.early_stopped
+    return _finish(cert, found, start_time)
 
 
 def _floyd_draw(bits: np.random.PCG64, count: int, r: int, size: int) -> np.ndarray:
@@ -920,15 +962,29 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     engine._settle()
     cert.early_stopped = engine.stopped
     cert.exhausted = False  # sampling can never certify nonexistence
-    return _finish(cert, [(key, code) for _, key, code in engine.hits], start_time)
+    return _finish(cert, [(batch, list(range(len(batch.keys)))) for batch in engine.hits], start_time)
 
 
-def _finish(cert: SearchCertificate, hits, start_time: float):
-    """(codes, certificate) of a search, from its (key, code) hits in order."""
+def _finish(cert: SearchCertificate, found: list[tuple[_Hits, list[int]]], start_time: float):
+    """(codes, certificate) of a search whose hits are those at ``indices`` of each batch, for (batch, indices) in ``found``, in order.
+
+    The hits' generator rows and phases are gathered into one stack each,
+    and every certificate entry is written from one ``tolist`` of each,
+    flattened to one generator a row.  Each code is built by
+    ``PfCode._from_forms`` from its rows, phases and forms, its generator
+    operators left unbuilt until read.
+    """
     codes = []
-    for key, code in hits:
-        codes.append(code)
-        cert.hits.append({"key": key, "generators": [{"mu": g.mu, "alpha": list(g.alpha)} for g in code.generators]})
+    keys = [batch.keys[i] for batch, picks in found for i in picks]
+    if keys:
+        d, m = cert.spec["D"], cert.spec["num_modes"]
+        rows = np.concatenate([batch.rows[picks] for batch, picks in found])
+        mu = np.concatenate([batch.mu[picks] for batch, picks in found])
+        r = rows.shape[1]
+        generators = [{"mu": x, "alpha": a} for x, a in zip(mu.ravel().tolist(), rows.reshape(-1, m).tolist())]
+        cert.hits.extend({"key": key, "generators": generators[t * r : t * r + r]} for t, key in enumerate(keys))
+        forms = [batch.forms(i) for batch, picks in found for i in picks]
+        codes = [PfCode._from_forms(d, m, t_rows, t_mu, t_forms) for t_rows, t_mu, t_forms in zip(rows, mu, forms)]
     cert.wall_time_s = time.monotonic() - start_time
     return codes, cert
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import pickle
 import re
 import time
 import tracemalloc
@@ -21,7 +22,8 @@ import pfstab.zmod
 from pfstab import search
 from pfstab.algebra import PfOperator
 from pfstab.builders import code_8_1_3_d3
-from pfstab.code import PfCode, analyze, codespace_dim, distance, stabilizer_matrix, validate
+from pfstab.code import PfCode, analyze, canonical_phases, codespace_dim, distance, stabilizer_matrix, validate
+from pfstab.codefile import code_to_payload
 from pfstab.search import (
     BudgetExceededError,
     SearchSpec,
@@ -181,7 +183,7 @@ def test_budget_and_max_hits_stop_at_the_serial_tuple(spec):
     with suppress(BudgetExceededError):
         engine.run()
     assert serial.tuples_examined == engine.nodes
-    assert _keys(serial) == [key for _, key, _ in engine.hits]
+    assert _keys(serial) == [key for batch in engine.hits for key in batch.keys]
     assert serial.budget_exceeded == (engine.nodes > spec.max_tuples)
 
 
@@ -250,11 +252,65 @@ def test_search_tree_pinned_ten_modes_d3_first_hit():
     assert cert.tuples_examined == 66682 and _keys(cert) == [TEN_MODE_KEY]
 
 
+K2_ALL_HITS_SIGNATURE = "189e50a15c5ba60b9c33a497f6973574aec28268fa1a3e5c2b1fccc2b6e7a7df"
+
+
 def test_search_pinned_eight_modes_d3_k2_all_hits():
     # 13,244 hits: the accept path's keys, phases and operators, pinned as one signature.
     _, cert = find_codes(SearchSpec(3, 8, 2, 2, max_hits=0), threads=1)
     assert cert.tuples_examined == 499046 and len(cert.hits) == 13244 and cert.exhausted
-    assert cert.to_dict(canonical=True)["signature"] == "189e50a15c5ba60b9c33a497f6973574aec28268fa1a3e5c2b1fccc2b6e7a7df"
+    assert cert.to_dict(canonical=True)["signature"] == K2_ALL_HITS_SIGNATURE
+
+
+def test_k2_all_hits_cross_process_pipes_as_the_serial_run_pins_them():
+    # Every block's hits reach the parent as arrays; keys, generator entries and order must not change.
+    _, cert = find_codes(SearchSpec(3, 8, 2, 2, max_hits=0), threads=2)
+    assert cert.threads == 2 and len(cert.hits) == 13244
+    cert.threads = 1
+    assert cert.to_dict(canonical=True)["signature"] == K2_ALL_HITS_SIGNATURE
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    modulus=st.integers(2, 7),
+    modes=st.sampled_from([4, 6]),
+    mode=st.sampled_from(["exhaustive", "randomized"]),
+    threads=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_hit_codes_built_on_read_behave_as_constructed_codes(modulus, modes, mode, threads, data):
+    n = modes // 2
+    k = data.draw(st.integers(0, n - 1))
+    extra = 0 if search._is_prime(modulus) else data.draw(st.integers(0, 1))  # dependent tuples for composite D
+    spec = SearchSpec(modulus, modes, k, data.draw(st.integers(1, 2)), mode=mode, seed=data.draw(st.integers(0, 99)),
+                      samples=200, generator_count=n - k + extra, max_hits=0, max_tuples=2000)
+    codes, cert = find_codes(spec, threads=threads)
+    assert len(codes) == len(cert.hits)
+    for code, hit in zip(codes, cert.hits):
+        assert canonical_equivalence_key(code) == hit["key"]
+        flags = validate(code)
+        built = PfCode(code.modulus, code.num_modes, code.generators)
+        assert code == built and hash(code) == hash(built) and repr(code) == repr(built)
+        assert flags == validate(built)
+        copy = pickle.loads(pickle.dumps(code))
+        assert copy == code and hash(copy) == hash(code)
+        assert hit["generators"] == [{"mu": g.mu, "alpha": list(g.alpha)} for g in code.generators]
+
+
+def test_search_hits_build_no_operator_until_their_generators_are_read(monkeypatch):
+    built = []
+    reduced, post_init = PfOperator._reduced.__func__, PfOperator.__post_init__
+    monkeypatch.setattr(PfOperator, "_reduced", classmethod(lambda cls, *args: built.append(args) or reduced(cls, *args)))
+    monkeypatch.setattr(PfOperator, "__post_init__", lambda self: built.append(self) or post_init(self))
+    codes, cert = find_codes(SearchSpec(2, 8, 1, 2, max_hits=0), threads=1)
+    code = codes[0]
+    assert validate(code).all_ok and built == []
+    # Saving a hit, re-phasing it and validating the result read the arrays too.
+    assert code_to_payload(code)["generators"] == cert.hits[0]["generators"]
+    assert validate(canonical_phases(code)).all_ok and built == []
+    generators = code.generators
+    assert len(generators) == len(built) == 3
+    assert code.generators is generators and len(built) == 3
 
 
 def test_search_tree_pinned_composite_modulus():
@@ -530,7 +586,7 @@ def _batched_search(spec: SearchSpec) -> dict:
     except BudgetExceededError:
         budget = True
     return {
-        "hits": [(node, key) for node, key, _ in engine.hits],
+        "hits": [(node, key) for batch in engine.hits for node, key in zip(batch.nodes, batch.keys)],
         "tuples_examined": engine.nodes,
         "budget_exceeded": budget,
         "stopped": engine.stopped,
