@@ -84,11 +84,15 @@ def main() -> None:
         # Three generators where n - k = 2: dependent tuples, and a budget stop below the root's children.
         ("search_d4_6modes_budget20000", SearchSpec(4, 6, 1, 2, generator_count=3, max_hits=0, max_tuples=20_000)),
         # Two stops between the hits at nodes 177, 179, 181 and 183: they lie below one leaf-parent,
-        # and one _leaves call of the grandparent pass decides them with the block's other full tuples.
+        # and one _leaves call decides them with the other full tuples of its block of leaf-parents.
         ("search_d2_8modes_hits8", SearchSpec(2, 8, 1, 2, max_hits=8)),
         ("search_d2_8modes_budget180", SearchSpec(2, 8, 1, 2, max_hits=0, max_tuples=180)),
-        # Composite D, two generators and d = 3: the root is the grandparent, so every weight
-        # vector is a prefilter column while only the weight-(< d) ones size a _leaves block.
+        # Four generators, three levels of blocks above the full tuples: a max_hits stop at node 1,390
+        # and a budget stop at node 1,501 after 42 hits.
+        ("search_d2_10modes_hits40", SearchSpec(2, 10, 1, 2, max_hits=40)),
+        ("search_d2_10modes_budget1500", SearchSpec(2, 10, 1, 2, max_hits=0, max_tuples=1_500)),
+        # Composite D, two generators and d = 3: the root's children are the leaf-parents, so every
+        # weight vector is a prefilter column while only the weight-(< d) ones size a _leaves block.
         ("search_d6_6modes_gc2_budget100000",
          SearchSpec(6, 6, 1, 3, generator_count=2, max_hits=0, max_tuples=100_000)),
         # Composite D, randomized, r > n - k: 9 of its 51 commuting samples are dependent, and the

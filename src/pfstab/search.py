@@ -11,8 +11,8 @@ adding generator g to span S is canonical exactly when g is the minimum of
 the new cosets S + c*g, c = 1 .. D-1.  For prime D that minimum is g
 exactly when g is zero on every pivot column of S and its leading digit is
 1, and the pivot columns of S are the leading columns of the tuple's
-generators, so the test reads two per-candidate arrays (a support bitmask
-and whether the leading digit is 1) against one bitmask per node.
+generators, so the test reads one bitmask per candidate (its support,
+plus a bit when its leading digit is not 1) against one bitmask per node.
 
 A full tuple meets one acceptance rule for every modulus.  Its span must
 have D^(n-k) elements, which fixes k; a span met again under another
@@ -20,8 +20,8 @@ generating tuple (no symmetry reduction, or randomized mode) is skipped;
 then two prefilters fix d: every weight-(< d) vector that commutes with
 the tuple lies in the span, and some weight-d one does not.  One kernel,
 ``_Engine._leaves``, decides all of this for a block of full tuples: the
-canonical grandchildren of a block of a node's children, a fixed-size
-chunk at a time, or a block of a chunk's independent samples.  It runs the
+canonical children of a block of leaf-parents, a fixed-size chunk at a
+time, or a block of a chunk's independent samples.  It runs the
 prefilters in two stages, the weight-(< d) vectors for every tuple of the
 right span size and then the weight-d ones only for the tuples that
 passed, since most tuples fail on a vector of lower weight.  The tuple is
@@ -53,26 +53,32 @@ Each exponent vector v carries the base-D integer code ``v @ place`` with
 order on codes.  A nonzero parity-zero vector with code c is candidate
 ``c // D - 1``, so the span members to clear from a commutation mask are
 read off the span's codes, and span membership in the prefilters is one
-``searchsorted`` over sorted codes.  The engine tests all children of a
-node together and builds span rows only for the children that pass, a
-bounded block at a time; the block's commutation masks, or its full
-tuples' prefilters, come from one float64 product read through a
-divisibility lookup table.  A grown span lists each element equally
-often, 0 among them, so its zero codes count each element's copies: one
-rule, for every D, gives a child's distinct rows, a chunk's rows and the
-span-size test.  The engine does not recurse into a
-leaf-parent, a node whose children are full tuples: the node above it
-lists every (child, grandchild) pair of a block of its children, tests
-them all for canonicity at once, and cuts the full tuples that remain,
-in walk order, into chunks of one size, whichever children they fall
-under; ``_leaves`` decides a chunk in one call, given each tuple's prefix
-span and prefilter mask, so a leaf-parent without a canonical child costs
-only its node.  Passing children are explored in index order, and the
-node counter advances over each run of failing children in one step, so
-node indices, the budget stop and the ``max_hits`` stop are those of a
-one-node-at-a-time walk.  Randomized mode draws a chunk of
-``_BLOCK_ROWS`` / (r m) samples at once (``_floyd_draw``, r raw PCG64
-words per sample, in order), tests their commutation one generator
+``searchsorted`` over sorted codes.
+
+The walk has one rule for every depth (``_Engine._walk``).  A block of
+same-depth nodes, in walk order, lists all its (node, child) pairs with
+one ``flatnonzero`` of its commutation masks past each node's last
+generator and applies the canonical test to them (``_children``); the
+root is a block of one node, whose first-generator window restricts
+only its own listing.  Full tuples go to ``_decide``; other children
+are cut, in walk order, into blocks of one size, whichever parents they
+fall under, and each block gets its spans and masks (``_grown``, and one
+float64 product read through a divisibility lookup table, over the
+candidates from its least last generator on), and is walked in turn.
+Node indices come from per-depth counters ``listed[s]``: when the walk
+reaches a tuple x of length t, its index is the sum over s <= t of the
+rank of x[:s] among the listed tuples of length s, plus the sum of
+``listed[s]`` over s > t.  So a full tuple's index is known once it is
+listed, a block checks the budget at its first node and a run checks
+the total at its end: node indices, hit order and both stops are those
+of a one-node-at-a-time walk.  A node's prefilter marks (the weight
+vectors central to it) are its parent's less those of its last
+generator.  A grown span lists each element equally often, so its zero
+codes count each element's copies.  Cousins can have spans of different
+sizes (composite D): then each child keeps its distinct elements, tiled
+to the block's lcm length (``_distinct``).  Randomized mode draws a
+chunk of ``_BLOCK_ROWS`` / (r m) samples at once (``_floyd_draw``, r raw
+PCG64 words per sample, in order), tests their commutation one generator
 against the later ones at a time (``_Engine._commuting``) and grows the
 commuting ones' spans from the zero row with ``_grown``, the one span
 kernel, dropping a sample when the coset S + g of a step holds 0
@@ -315,16 +321,15 @@ def _bound_prefilters(spec: SearchSpec) -> None:
 class _Engine:
     """Shared state for one exhaustive enumeration over a first-generator range.
 
-    A span is carried as its distinct rows, row 0 the zero vector, in the
-    smallest unsigned dtype that holds 2D - 1; a block of children gets its
-    grown spans' rows and integer codes ``row @ place`` in one kernel
-    (``_grown``).  The walk recurses down to the nodes whose children are
-    leaf-parents, and each of those decides its grandchildren, the full
-    tuples, itself (``_expand``, ``_decide``); a root with one generator
-    decides its own children.  For the canonical test each candidate keeps
-    its support as a bitmask over the columns and whether its leading
-    digit is 1; the test assumes prime D (``find_codes`` turns symmetry
-    reduction off for composite moduli).
+    A span is carried as rows that list each element equally often, in
+    the smallest unsigned dtype that holds 2D - 1, and grown with its
+    integer codes ``row @ place`` by one kernel (``_grown``).  The walk
+    takes a block of same-depth nodes at a time, at every depth alike
+    (``_walk``), and ``_decide`` the full tuples below a block of
+    leaf-parents; a node's index is the sum of its prefixes' ranks plus
+    ``listed[s]`` for every s past its length.  The canonical test reads
+    one bitmask per candidate and assumes prime D (``find_codes`` turns
+    symmetry reduction off for composite moduli).
 
     Commutation is read off float64 products of pairing rows with exponent
     vectors (candidates, or the prefilters' weight vectors), exact because
@@ -338,14 +343,17 @@ class _Engine:
         self.cand = _parity_zero_candidates(d, m)
         self.count = self.cand.shape[0]
         self.place = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        self.multiples = np.arange(d, dtype=np.int64)[:, None]
+        self.index = np.arange(self.count)
+        # The candidates in the smallest unsigned dtype that holds (D - 1)^2, for the cosets of ``_grown``.
+        self.digits = self.cand.astype(np.min_scalar_type((d - 1) ** 2))
+        self.multiples = np.arange(d, dtype=self.digits.dtype)[:, None]
         self.digit_dtype = np.min_scalar_type(2 * d)
         self.prime = _is_prime(d)
         nonzero = self.cand != 0
-        self.support = nonzero @ (1 << np.arange(m, dtype=np.int64))
         lead = np.argmax(nonzero, axis=1)
-        self.lead_bit = 1 << lead
-        self.lead_one = self.cand[np.arange(self.count), lead] == 1
+        self.lead_bit = (1 << lead).astype(np.int32)
+        # The support as a bitmask over the columns, plus bit m when the leading digit is not 1 (``_canonical``).
+        self.support = (nonzero @ (1 << np.arange(m)) | (self.cand[self.index, lead] != 1) << m).astype(np.int32)
         # |S| = D^(n-k) > 1 for a valid code (it holds a nonzero generator); any other size has the wrong k.
         n = m // 2
         self.span_size = d ** (n - spec.target_k) if spec.target_k < n else 0
@@ -392,33 +400,20 @@ class _Engine:
     def _grown(self, span: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of span + c * cand[j], c = 0 .. D-1, for each j in ``block``, and their codes.
 
-        Shapes (K, D |span|, m) and (K, D |span|) for K = len(block); each
-        starts with ``span`` itself.  A row lists every element of its span
-        equally often, 0 among them, so its zero codes count each element's
-        copies s.  Coset c holds 0 exactly when c*g is in the span, and then
-        repeats an earlier coset, so if ``span`` lists distinct elements, so
-        do the first D |span| / s rows.  Rows are held in ``digit_dtype``,
-        which holds 2D - 1: each c*g is reduced mod D once per candidate,
-        added to the span rows, and the sum wrapped by one unsigned subtract
-        of D.  The codes are int64, since ``place`` is.
+        ``span`` is one span's rows or one per candidate; the shapes are
+        (K, D |span|, m) and (K, D |span|) for K = len(block).  A row lists
+        its elements equally often if its span does, 0 among them, so its
+        zero codes count each element's copies; coset c holds 0 exactly
+        when c*g is in the span.  Rows are held in ``digit_dtype`` (2D - 1
+        fits): c*g, reduced mod D in ``digits``' dtype, is added to the span
+        rows and the sum wrapped by one unsigned subtract of D.
         """
         d = self.spec.modulus
-        steps = ((self.multiples * self.cand[block][:, None, :]) % d).astype(self.digit_dtype)
+        steps = ((self.multiples * self.digits[block][:, None, :]) % d).astype(self.digit_dtype, copy=False)
         rows = span[..., None, :, :] + steps[:, :, None, :]
         np.minimum(rows, rows - d, out=rows)  # reduce mod D; unsigned wrap-around
         rows = rows.reshape(len(block), -1, span.shape[-1])
         return rows, rows @ self.place
-
-    def _advance(self, count: int) -> None:
-        """Count ``count`` more nodes; the budget stops at node ``max_tuples + 1``."""
-        self.nodes += count
-        if self.nodes > self.spec.max_tuples:
-            self.nodes = self.spec.max_tuples + 1
-            raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
-
-    def _central_columns(self, rows: list[int]) -> np.ndarray:
-        """Positions of the weight vectors that commute with every candidate in ``rows``."""
-        return np.flatnonzero(self._divisible(self.pairing[rows] @ self.weights).all(axis=0))
 
     def _commuting(self, idx: np.ndarray) -> np.ndarray:
         """Positions of the rows of ``idx`` (candidate indices, one tuple a row) whose candidates pairwise commute.
@@ -473,7 +468,7 @@ class _Engine:
         as met, in row order), and passes both prefilters: every
         weight-(< d) vector that commutes with the tuple lies in the span,
         and some weight-d one does not.  The weight vectors at ``columns``
-        (``_central_columns``, ascending) that ``known[t]`` marks commute
+        (ascending) that ``known[t]`` marks commute
         with every generator of tuple t except perhaps those in row t of
         ``generators``; the others do not commute with the tuple.  The
         prefilters run in two stages of ``_outside``: the weight-(< d)
@@ -581,120 +576,124 @@ class _Engine:
     # -- enumeration --------------------------------------------------------
 
     def run(self, first_lo: int = 0, first_hi: int | None = None) -> None:
-        """Walk the first generators in [first_lo, first_hi); ``hits`` is complete on return and on a budget stop."""
-        first_hi = self.count if first_hi is None else first_hi
-        zero = np.zeros((1, self.spec.num_modes), dtype=self.digit_dtype)
+        """Walk the first generators in [first_lo, first_hi); ``hits`` is complete on return and on a budget stop.
+
+        The root, a block of one node, has every weight vector central to it.
+        """
+        spec, every = self.spec, np.arange(self.weights.shape[1])
+        self.listed = [0] * (spec.generator_count + 1)
+        chosen, masks = np.zeros((1, 0), dtype=np.intp), np.ones((1, self.count - first_lo), dtype=bool)
+        children = self._children(chosen, np.zeros(1, dtype=np.int64), masks, first_hi)
         try:
-            self._expand([], 0, np.ones(self.count, dtype=bool), zero, np.arange(first_lo, first_hi))
+            self._walk(chosen, masks, np.zeros((1, 1, spec.num_modes), dtype=self.digit_dtype), np.ones(1, dtype=np.int64),
+                       children, (every, np.ones((1, len(every)), dtype=bool)[children[3]]))
+            if not self.stopped:
+                self._reach(sum(self.listed))
         finally:
             self._settle()
 
-    def _canonical(self, children: np.ndarray, pivots) -> np.ndarray:
-        """Whether each child adding cand[j], j in ``children``, to a span with pivot columns ``pivots`` is canonical."""
-        return self.lead_one[children] & (self.support[children] & pivots == 0)
+    def _reach(self, node: int) -> None:
+        """Stand at node index ``node``; the budget stops at node ``max_tuples + 1``."""
+        self.nodes = min(node, self.spec.max_tuples + 1)
+        if node > self.spec.max_tuples:
+            raise BudgetExceededError(f"tuple budget {self.spec.max_tuples} exceeded")
 
-    def _expand(self, chosen: list[int], pivots: int, comm_ok: np.ndarray, span: np.ndarray,
-                children: np.ndarray) -> None:
-        """Count the nodes below ``chosen`` that add each candidate in ``children``, and explore them.
+    def _children(self, chosen: np.ndarray, nodes: np.ndarray, masks: np.ndarray,
+                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """List the children of a block of same-depth nodes, rank them in ``listed``, and keep the canonical ones.
 
-        ``comm_ok`` marks the candidates that commute with every chosen
-        generator and lie outside their span.  ``chosen`` has passed the
-        canonical test itself and every child index exceeds its indices, so
-        the child adding j is the greedy lexicographically minimal
-        generating tuple of its span exactly when cand[j] is the minimum of
-        the new cosets span + c*cand[j], c = 1 .. D-1 (McKay's canonical
-        augmentation).  For prime D that holds exactly when cand[j] is zero
-        on every pivot column of the span and its leading digit is 1: the
-        least element of span + g is g reduced against the span's echelon
-        form with the pivot entries zeroed, and some c makes c*g lead with
-        1.  The pivot columns are the leading columns of ``chosen``, the
-        bitmask ``pivots``, so the test reads two per-candidate arrays
-        (``_canonical``); without symmetry reduction every child passes.
-        Only the children that pass get coset rows, a block of them at a
-        time, and one float64 product gives the block's commutation masks.
+        Node k adds the generators ``chosen[k]`` and ``nodes[k]`` sums its
+        prefixes' ranks; ``masks[k, i]`` marks candidate count - width + i
+        if it commutes with them and lies outside their span.  Its children
+        are the marked candidates past its last generator (at the root,
+        before ``stop``).  Returns the parent, candidate and node index of
+        each canonical child, in walk order, and which nodes have one.
+        """
+        depth = chosen.shape[1] + 1
+        first, hi = self.count - masks.shape[1], self.count if stop is None else stop
+        listing = masks[:, : hi - first] & (self.index[first:hi] > (chosen[:, -1:] if depth > 1 else first - 1))
+        pairs = flat = np.flatnonzero(listing)
+        if self.spec.symmetry_reduction:
+            listing &= self._canonical(np.bitwise_or.reduce(self.lead_bit[chosen], axis=1), slice(first, hi))
+            flat = np.flatnonzero(listing)
+            at = np.searchsorted(pairs, flat)
+        else:
+            at = np.arange(len(pairs))
+        owner, children = np.divmod(flat, hi - first)
+        ranked = nodes[owner] + at + (self.listed[depth] + 1)
+        self.listed[depth] += len(pairs)
+        return owner, children + first, ranked, listing.any(axis=1)
 
-        Children that are leaf-parents (their children are full tuples)
-        are not expanded one by one.  ``offset`` is the node count before
-        position 0 plus the nodes listed below the children so far, so the
-        child at position p is node offset + p + 1.  For a block of
-        leaf-parents every (child, grandchild) pair comes off the masks at
-        once, in walk order; pair k of the block, below the child at
-        position p, is node offset + p + k + 2.  The canonical test runs on
-        all pairs together, with each child's pivots, and the full tuples
-        that pass it go to ``_decide``, so a leaf-parent without a
-        canonical child costs only its node.  A root that is itself a
-        leaf-parent (one generator) hands its own children to ``_decide``.
-        Node indices, the budget stop and the ``max_hits`` stop are those
-        of a walk that counts one node at a time, and hits are accepted in
-        walk order.
+    def _walk(self, chosen: np.ndarray, masks: np.ndarray, spans: np.ndarray, repeat: np.ndarray,
+              children: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+              prefilter: tuple[np.ndarray, np.ndarray]) -> None:
+        """Walk a block of same-depth nodes and everything below it, given its ``_children``.
+
+        Node k adds the generators ``chosen[k]``; ``masks[k]`` marks the
+        candidates that commute with them and lie outside their span, whose
+        rows ``spans[k]`` list each element ``repeat[k]`` times.
+        ``prefilter`` = (columns, marks) gives, for each node with a child,
+        in order, the weight vectors at ``columns`` central to it.
         """
         spec, d = self.spec, self.spec.modulus
-        offset = self.nodes
-        at = np.arange(len(children))
-        if spec.symmetry_reduction:
-            at = np.flatnonzero(self._canonical(children, pivots))
-        if len(chosen) + 1 == spec.generator_count:  # a root with one generator
-            columns = self._central_columns(chosen)
-            self._decide([chosen], span[None], np.ones(1, dtype=np.int64), np.zeros(len(at), dtype=np.intp),
-                         children[at], offset + at + 1, columns, np.ones((1, len(columns)), dtype=bool))
-            if not self.stopped:
-                self._advance(offset + len(children) - self.nodes)
+        (owner, kids, ranked, has), (columns, marks) = children, prefilter
+        heir = (np.cumsum(has) - 1)[owner]  # the parent of each child, among the nodes with a child
+        depth = chosen.shape[1] + 1  # of the children
+        if depth == spec.generator_count:
+            self._decide(chosen[has], spans[has], repeat[has], heir, kids, ranked, columns, marks)
             return
-        grandparent = len(chosen) + 2 == spec.generator_count
-        if grandparent:
-            columns = self._central_columns(chosen)
-            weights = self.weights[:, columns]
+        first = self.count - masks.shape[1]
         step = max(1, _BLOCK_ROWS // self.count)
-        for lo in range(0, len(at), step):
-            block = at[lo : lo + step]
-            js = children[block]
-            rows, codes = self._grown(span, js)
-            masks = self._divisible(self.pairing[js] @ self.cand_t)
-            masks &= comm_ok
-            # The span must strictly grow; a zero code maps to the child itself.  Zeros count repeats (``_grown``).
-            zeros = codes == 0
-            masks[np.arange(len(js))[:, None], np.where(zeros, js[:, None], codes // d - 1)] = False
-            repeat = zeros.sum(axis=1)
-            if grandparent:
-                pairs = np.flatnonzero(masks & (np.arange(self.count) > js[:, None]))
-                owner, leaves = np.divmod(pairs, self.count)
-                nodes = offset + block[owner] + np.arange(len(pairs)) + 2
-                offset += len(pairs)
-                if spec.symmetry_reduction:
-                    fresh = self._canonical(leaves, pivots | self.lead_bit[js[owner]])
-                    owner, leaves, nodes = owner[fresh], leaves[fresh], nodes[fresh]
-                live, owner = np.unique(owner, return_inverse=True)
-                self._decide([chosen + [j] for j in js[live].tolist()], rows[live], repeat[live], owner, leaves, nodes,
-                             columns, self._divisible(self.pairing[js[live]] @ weights))
-                if self.stopped:
-                    return
-                self._advance(offset + int(block[-1]) + 1 - self.nodes)
-                continue
-            for t, (p, j, s) in enumerate(zip(block.tolist(), js.tolist(), repeat.tolist())):
-                self._advance(offset + p + 1 - self.nodes)
-                self._expand(chosen + [j], pivots | int(self.lead_bit[j]), masks[t], rows[t, : rows.shape[1] // s],
-                             np.flatnonzero(masks[t, j + 1 :]) + (j + 1))
-                if self.stopped:
-                    return
-                offset = self.nodes - p - 1
-        self._advance(offset + len(children) - self.nodes)
+        for lo in range(0, len(kids), step):
+            o, js = owner[lo : lo + step], kids[lo : lo + step]
+            self._reach(int(ranked[lo]) + sum(self.listed[depth + 1 :]))
+            rows, codes = self._grown(spans[o], js)
+            # Every node below lists only candidates past its own generators, so masks start at the least child.
+            base = int(js.min())
+            grown = self._divisible(self.pairing[js] @ self.cand_t[:, base:])
+            grown &= masks[o, base - first :]
+            # The span must strictly grow.  A member before the child (the zero code among them) maps to the child.
+            grown[np.arange(len(js))[:, None], np.maximum(codes // d - 1, js[:, None]) - base] = False
+            counts = np.count_nonzero(codes == 0, axis=1)  # each element's copies (``_grown``)
+            if counts.max() > 1:
+                rows, counts = self._distinct(rows, codes, counts)
+            block = np.hstack((chosen[o], js[:, None]))
+            below = self._children(block, ranked[lo : lo + step], grown)
+            known = marks[heir[lo : lo + step][below[3]]] & self._divisible(self.pairing[js[below[3]]] @ self.weights[:, columns])
+            wide = known.any(axis=0)
+            self._walk(block, grown, rows, counts, below, (columns[wide], known[:, wide]))
+            if self.stopped:
+                return
 
-    def _decide(self, prefixes: list[list[int]], spans: np.ndarray, repeat: np.ndarray, owner: np.ndarray,
+    def _distinct(self, rows: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each span's distinct rows, tiled to the lcm of their numbers, and how often each now appears.
+
+        Row k lists each element ``counts[k]`` times, so one ``argsort`` of
+        the block's codes finds the first of each run of equal codes.
+        """
+        sizes = codes.shape[1] // counts
+        length = int(np.lcm.reduce(sizes))
+        runs = (np.arange(length) % sizes[:, None]) * counts[:, None]
+        picks = np.take_along_axis(np.argsort(codes, axis=1), runs, axis=1)
+        return np.take_along_axis(rows, picks[..., None], axis=1), length // sizes
+
+    def _canonical(self, pivots: np.ndarray, candidates: slice) -> np.ndarray:
+        """Whether the child adding cand[j], j in ``candidates``, to a span with pivot columns ``pivots[k]`` is canonical, at [k, j]."""
+        return self.support[candidates] & (pivots[:, None] | 1 << self.spec.num_modes) == 0
+
+    def _decide(self, prefixes: np.ndarray, spans: np.ndarray, repeat: np.ndarray, owner: np.ndarray,
                 leaves: np.ndarray, nodes: np.ndarray, columns: np.ndarray, known: np.ndarray) -> None:
         """Decide the full tuples prefixes[o] + [g], (o, g) in zip(``owner``, ``leaves``), at node indices ``nodes``; accept the passing ones in order.
 
-        ``spans[o]`` holds the rows of the span of ``prefixes[o]`` as
-        ``_grown`` lists them, each element ``repeat[o]`` times, and
-        ``known[o]`` marks the weight vectors at ``columns`` that commute
-        with every generator of ``prefixes[o]``.  The tuples up to the
-        budget (a tuple past it cannot be a hit and is not built) are cut,
-        in walk order, into chunks of one size (``_room``: about
-        ``_BLOCK_ROWS`` leaf rows, D per prefix row, and weight-(< d)
-        products each), whichever prefixes they fall under.  Each chunk
-        goes to ``_leaves`` with every tuple's prefix span and its row of
-        ``known``, so the repeat test meets spans as a one-node walk does.
-        A chunk cuts its prefixes' rows to their length over the gcd s of
-        their repeat counts: the cosets of ``_grown`` recur, so each
+        ``spans[o]`` lists the span of ``prefixes[o]``, each element
+        ``repeat[o]`` times, and ``known[o]`` marks the weight vectors at
+        ``columns`` central to it.  The tuples up to the budget are cut, in
+        walk order, into chunks of one size (``_room``), whichever prefixes
+        they fall under, and each goes to ``_leaves`` with its tuples'
+        prefix spans and rows of ``known``, so the repeat test meets spans
+        as a one-node walk does.  A chunk cuts its prefixes' rows to their
+        length over the gcd s of their repeat counts: a row repeats no
+        element or tiles its distinct elements (``_distinct``), so each
         element of span o appears ``repeat[o] / s`` times.
         """
         end = int(np.searchsorted(nodes, self.spec.max_tuples, side="right"))
@@ -702,15 +701,22 @@ class _Engine:
         room = self._room(self.spec.modulus * spans.shape[1], 1, columns)
         for lo in range(0, end, room):
             o, g = owner[lo : lo + room], leaves[lo : lo + room]
-            heads = slice(o[0], o[-1] + 1)  # owner ids count up from 0 in walk order
+            heads = slice(o[0], o[-1] + 1)  # owners ascend in walk order
             wide = known[heads].any(axis=0)
             chunk = spans[o, : spans.shape[1] // int(np.gcd.reduce(repeat[heads]))]
             passed, leaf_codes = self._leaves(g[:, None], self._grown(chunk, g)[1], columns[wide], known[:, wide][o])
             for t in np.flatnonzero(passed).tolist():
-                self._advance(int(nodes[lo + t]) - self.nodes)
-                self._accept(prefixes[o[t]] + [int(g[t])], leaf_codes[t])
+                self.nodes = int(nodes[lo + t])
+                self._accept(prefixes[o[t]].tolist() + [int(g[t])], leaf_codes[t])
                 if self.stopped:
                     return
+
+
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D ``rows`` differs from the row before it (the first always does)."""
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return starts
 
 
 def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:
@@ -935,7 +941,7 @@ def _find_randomized(spec: SearchSpec) -> tuple[list[PfCode], SearchCertificate]
     elif d**r > MAX_CANDIDATES:
         raise BudgetExceededError(f"spans of {d}^{r} rows per sample exceed the supported size {MAX_CANDIDATES}")
     chunk = max(1, _BLOCK_ROWS // (r * spec.num_modes))
-    columns = engine._central_columns([])  # every weight vector; _leaves tests every generator
+    columns = np.arange(engine.weights.shape[1])  # every weight vector; _leaves tests every generator
     every = np.broadcast_to(True, (chunk, len(columns)))  # a chunk's tuples have no other generators
     step = engine._room(d**r, r, columns)
     while cert.tuples_examined < spec.samples and not engine.stopped:

@@ -380,9 +380,9 @@ def test_pivot_column_test_matches_the_coset_minimum(modulus, modes, data):
     span = _span_elements(rows, modulus)
     pivots = sum(1 << j for j in pfstab.zmod._pivot_columns(pfstab.zmod._howell_basis(rows, modulus)).tolist())
     probes = range(engine.count) if engine.count <= 300 else data.draw(st.lists(index, min_size=1, max_size=40))
+    canonical = engine._canonical(np.array([pivots]), slice(None))[0]
     for j in probes:
-        fresh = bool(engine.lead_one[j]) and not int(engine.support[j]) & pivots
-        assert fresh == _coset_minimum_test(engine, span, j), (rows.tolist(), j)
+        assert bool(canonical[j]) == _coset_minimum_test(engine, span, j), (rows.tolist(), j)
     # Along a canonical tuple the leading columns are the span's pivot columns.
     chosen, span = [], _span_elements(rows[:0], modulus)
     for j in sorted(set(data.draw(st.lists(index, max_size=6)))):
@@ -593,22 +593,20 @@ def _batched_search(spec: SearchSpec) -> dict:
     }
 
 
-def _chunk_ends(spec: SearchSpec) -> list[int]:
-    """The node count after each step of the batched engine's counter."""
+def _block_starts(spec: SearchSpec) -> list[int]:
+    """The node index at which each block of the batched walk checks the budget (``_Engine._reach``)."""
     engine = search._Engine(spec)
-    ends: list[int] = []
-    advance = engine._advance
+    starts: list[int] = []
+    reach = engine._reach
 
-    def spy(count):
-        try:
-            advance(count)
-        finally:
-            ends.append(engine.nodes)
+    def spy(node):
+        starts.append(node)
+        reach(node)
 
-    engine._advance = spy
+    engine._reach = spy
     with suppress(BudgetExceededError):
         engine.run()
-    return ends
+    return starts
 
 
 @settings(max_examples=50, deadline=None)
@@ -627,9 +625,9 @@ def test_batched_engine_matches_the_per_node_walk(data, modulus, modes, gens, ta
     probe = SearchSpec(modulus, max_hits=0, max_tuples=_PROBE_NODES, **base)
     with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
         hit_nodes = [node for node, _ in reference_search(probe)["hits"]]
-        ends = _chunk_ends(SearchSpec.from_dict({**probe.to_dict(), "symmetry_reduction": reduction and search._is_prime(modulus)}))
-        # A budget on a hit node, one past it, on a chunk end, or none to speak of.
-        choices = {"chunk end": ends, "none": [_PROBE_NODES]}
+        starts = _block_starts(SearchSpec.from_dict({**probe.to_dict(), "symmetry_reduction": reduction and search._is_prime(modulus)}))
+        # A budget on a hit node, one past it, on a block's first node or the node before it, or none to speak of.
+        choices = {"block start": starts + [n - 1 for n in starts], "none": [_PROBE_NODES]}
         if hit_nodes:
             choices.update({"hit": hit_nodes, "past hit": [n + 1 for n in hit_nodes]})
         budget = data.draw(st.sampled_from(choices[data.draw(st.sampled_from(sorted(choices)))]))
@@ -643,9 +641,11 @@ def test_batched_engine_matches_the_per_node_walk(data, modulus, modes, gens, ta
     assert cert.budget_exceeded == batched["budget_exceeded"]
 
 
-def _walk_with_leaf_parents(spec: SearchSpec) -> tuple[list[int], list[list[int]]]:
-    """Hit nodes of the per-node walk, and the node of every leaf-parent it visits, one list per grandparent."""
+def _walk_with_leaf_parents(spec: SearchSpec) -> tuple[list[tuple], list[tuple], dict[tuple, list[int]]]:
+    """The (node, key) hits of the per-node walk, each hit's generator tuple, and the nodes of the leaf-parents
+    it visits, by their parent."""
     groups: defaultdict[tuple, list[int]] = defaultdict(list)
+    tuples: list[tuple] = []
 
     class Recording(_reference_engine_class()):
         def _visit(self, chosen, comm_ok, span, codes, j):
@@ -653,55 +653,81 @@ def _walk_with_leaf_parents(spec: SearchSpec) -> tuple[list[int], list[list[int]
                 groups[tuple(chosen)].append(self.nodes + 1)
             super()._visit(chosen, comm_ok, span, codes, j)
 
+        def _accept(self, chosen, codes):
+            hits = len(self.hits)
+            super()._accept(chosen, codes)
+            tuples.extend([tuple(chosen)] * (len(self.hits) - hits))
+
     engine = Recording(spec)
     with suppress(BudgetExceededError):
         engine.run()
-    return [node for node, _, _ in engine.hits], list(groups.values())
-
-
-# Nodes the probe walks of the grandparent test visit.
-_PROBE_NODES_GRANDPARENT = 3000
+    return [(node, key) for node, key, _ in engine.hits], tuples, groups
 
 
 @pytest.mark.parametrize("reduction", [True, False])
 @pytest.mark.parametrize(
-    "modulus, modes, gens, target_d",
+    "modulus, modes, gens, target_d, probe",
     [
+        # One generator: the root is the leaf-parent.
+        pytest.param(2, 4, 1, 1, 3000, id="2-4-1-1"),
+        pytest.param(5, 4, 1, 1, 3000, id="5-4-1-1"),
         # Two generators: the root's children are the leaf-parents.
-        (2, 6, 2, 2),
-        (3, 6, 2, 2),
-        (4, 4, 2, 2),
-        (6, 4, 2, 1),
-        # Three generators: each first generator's children are.
-        (2, 8, 3, 2),
-        (3, 8, 3, 2),
-        (4, 6, 3, 1),
-        (6, 6, 3, 1),
+        pytest.param(2, 6, 2, 2, 3000, id="2-6-2-2"),
+        pytest.param(3, 6, 2, 2, 3000, id="3-6-2-2"),
+        pytest.param(4, 4, 2, 2, 3000, id="4-4-2-2"),
+        pytest.param(6, 4, 2, 1, 3000, id="6-4-2-1"),
+        # Three generators: a block of leaf-parents can hold children of different first generators, and for
+        # composite D spans of different sizes.  The probe reaches a second first generator with a hit below it.
+        pytest.param(2, 8, 3, 2, 3000, id="2-8-3-2"),
+        pytest.param(3, 8, 3, 2, 30_000, id="3-8-3-2"),
+        pytest.param(4, 6, 3, 1, 10_000, id="4-6-3-1"),
+        pytest.param(6, 6, 3, 1, 3000, id="6-6-3-1"),
+        # Four generators: three levels of blocks above the full tuples.
+        pytest.param(2, 10, 4, 2, 10_000, id="2-10-4-2"),
     ],
 )
-def test_grandparent_pass_matches_the_per_node_walk(modulus, modes, gens, target_d, reduction):
-    """A node whose children are leaf-parents decides all their full tuples at once; it must
-    count, stop and accept as the per-node walk does, with stops between two of its leaf-parents."""
+def test_grandparent_pass_matches_the_per_node_walk(modulus, modes, gens, target_d, probe, reduction):
+    """The block walk must count, stop and accept as the per-node walk does, at every depth and block size:
+    with stops between two leaf-parents of one parent, and between leaf-parents of different parents."""
     base = dict(num_modes=modes, target_k=1, target_d=target_d, generator_count=gens, symmetry_reduction=reduction)
     # Composite D runs without symmetry reduction (``find_codes``), so the probe walk does too.
-    probe = SearchSpec(modulus, max_hits=0, max_tuples=_PROBE_NODES_GRANDPARENT,
-                       **{**base, "symmetry_reduction": reduction and search._is_prime(modulus)})
-    hit_nodes, groups = _walk_with_leaf_parents(probe)
-    # Hits with a leaf-parent of the same grandparent on either side; the middle one stops both runs.
-    inside = [i for i, node in enumerate(hit_nodes) if any(g[0] < node < g[-1] for g in groups)]
-    assert inside
-    stop = inside[len(inside) // 2]
-    specs = [
-        SearchSpec(modulus, max_hits=stop + 1, max_tuples=_PROBE_NODES_GRANDPARENT, **base),
-        SearchSpec(modulus, max_hits=0, max_tuples=hit_nodes[stop], **base),
-    ]
-    # 300, 1000 and 4000 cut chunks inside one leaf-parent's full tuples and across several.
-    for block_rows in (1, 300, 1000, 4000, search._BLOCK_ROWS):
-        with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
-            for spec in specs:
-                reference = reference_search(spec)
-                assert reference["hits"][-1][0] == hit_nodes[stop]
-                assert _batched_search(spec) == reference
+    hits, tuples, groups = _walk_with_leaf_parents(SearchSpec(modulus, max_hits=0, max_tuples=probe, **{
+        **base, "symmetry_reduction": reduction and search._is_prime(modulus)}))
+    nodes = [node for node, _ in hits]
+    # Hits with a leaf-parent of the same parent on either side (with one generator, between two hits), and
+    # the first hit below each parent of leaf-parents but the first.
+    inside = [i for i, node in enumerate(nodes) if any(g[0] < node < g[-1] for g in groups.values())]
+    if gens == 1:
+        inside = list(range(1, len(nodes) - 1))
+    cousins = [i for i in range(1, len(tuples)) if tuples[i][:-2] != tuples[i - 1][:-2]]
+    assert inside and (cousins or probe == 3000 or not reduction)
+    # Each stop ends both runs at its hit: the max_hits run there, the budget run one node past it.
+    runs = []
+    for stop in sorted({inside[len(inside) // 2], *cousins[:1]}):
+        runs.append((SearchSpec(modulus, max_hits=stop + 1, max_tuples=probe, **base),
+                     {"hits": hits[: stop + 1], "tuples_examined": nodes[stop], "budget_exceeded": False, "stopped": True}))
+        runs.append((SearchSpec(modulus, max_hits=0, max_tuples=nodes[stop], **base),
+                     {"hits": hits[: stop + 1], "tuples_examined": nodes[stop] + 1, "budget_exceeded": True, "stopped": False}))
+    # Record how many parents meet in one block of leaf-parents, and how many span lengths.
+    parents, repeats = [0], [0]
+    walk = search._Engine._walk
+
+    def spy(self, chosen, masks, spans, repeat, *rest):
+        if chosen.shape[1] + 1 == gens:
+            parents.append(len(np.unique(chosen[:, :-1], axis=0)))
+            repeats.append(len(set(repeat.tolist())))
+        return walk(self, chosen, masks, spans, repeat, *rest)
+
+    # 300, 1000 and 4000 cut blocks and chunks inside one node's children and across several nodes.
+    with mock.patch.object(search._Engine, "_walk", spy):
+        for block_rows in (1, 300, 1000, 4000, search._BLOCK_ROWS):
+            with mock.patch.object(search, "_BLOCK_ROWS", block_rows):
+                for spec, reference in runs:
+                    assert _batched_search(spec) == reference
+    if cousins:
+        assert max(parents) > 1  # some block held leaf-parents of different parents
+    if gens >= 3 and not search._is_prime(modulus):
+        assert max(repeats) > 1  # and spans of different sizes, tiled to one length
 
 
 _EXHAUSTIVE_CORPUS = sorted(
