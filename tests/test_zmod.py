@@ -1,5 +1,6 @@
 import itertools
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,3 +395,88 @@ def test_column_step_raises_when_it_leaves_a_pivot_entry(monkeypatch, modulus, r
     sides = np.arange(1, block.shape[2] + 1)[None, :]
     with pytest.raises(OverflowError, match="pivot column 0"):
         _first_window(block, len(rows), sides, modulus, (block.shape[2] + 1, 1), 0)
+
+
+@pytest.mark.parametrize("modulus, rows", [(5, [[1, 2], [3, 4]]), (_EDGE_COMPOSITE, [[2, 1, 7], [6, 5, 9]])])
+def test_batched_column_step_raises_when_it_leaves_a_pivot_entry(monkeypatch, modulus, rows):
+    # The same inputs through the batched path, which small inputs skip.
+    pivot_scale = zmod._pivot_scale
+    monkeypatch.setattr(zmod, "_pivot_scale", lambda a, n: (pivot_scale(a, n) + 1) % n)
+    monkeypatch.setattr(zmod, "_SMALL_ENTRIES", 0)
+    with pytest.raises(OverflowError, match="pivot column 0"):
+        howell_form(ZModMatrix(modulus, rows))
+
+
+_WIDE_MODULI = (2**30, 10**9 + 7, 223092870)
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small)]
+
+
+@st.composite
+def _bounded_matrices(draw):
+    """A modulus and a matrix: a small shape, a single row or column, or a
+    shape on either side of the entry bound; rows scaled by divisors of the
+    modulus, and some rows sums of earlier ones."""
+    n = draw(st.one_of(st.integers(2, 60), st.sampled_from(_WIDE_MODULI)))
+    bound = zmod._SMALL_ENTRIES
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.integers(0, 8)),
+            st.tuples(st.just(1), st.integers(0, 40)),
+            st.tuples(st.integers(0, 12), st.just(1)),
+            st.integers(1, 25).flatmap(lambda r: st.tuples(st.just(r), st.sampled_from([bound // r, bound // r + 1]))),
+        )
+    )
+    rows, cols = shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(0, n, size=shape, dtype=np.int64)
+    divisors = np.array(_divisors(n), dtype=np.int64)
+    if rows and draw(st.booleans()):
+        matrix = matrix * rng.choice(divisors, size=rows)[:, None] % n
+    for i in range(1, rows):
+        if rng.random() < 0.3:
+            matrix[i] = rng.integers(0, 4, size=i) @ matrix[:i] % n
+    return n, matrix
+
+
+def _times_mod(x: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
+    """x @ matrix mod n in Python ints: at D near 2^30 the int64 sum of products wraps."""
+    return (x.astype(object) @ matrix.astype(object) % n).astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bounded_matrices(), st.integers(0, 2**32 - 1))
+@example((10**9 + 7, np.random.default_rng(0).integers(0, 10**9 + 7, size=(20, 25))), 1)
+@example((10**9 + 7, np.random.default_rng(0).integers(0, 10**9 + 7, size=(20, 26))), 1)
+def test_small_and_batched_howell_paths_agree(case, seed):
+    # Howell forms are unique, so the Python-int path for small inputs and
+    # the batched _column_step path must give the same bytes, and so must
+    # everything read off them.
+    n, matrix = case
+    rows, cols = matrix.shape
+    rng = np.random.default_rng(seed)
+    member = _times_mod(rng.integers(0, n, size=rows), matrix, n)
+    other = rng.integers(0, n, size=cols, dtype=np.int64)
+    m = ZModMatrix(n, matrix)
+    results = []
+    for bound in (0, 2**62):
+        with mock.patch.object(zmod, "_SMALL_ENTRIES", bound):
+            basis = _howell_basis(matrix, n)
+            assert basis.dtype == np.int64 and basis.flags.c_contiguous and basis.shape == (len(basis), cols)
+            solved = solve_left(m, member)
+            assert solved is not None and np.array_equal(_times_mod(solved, matrix, n), member)
+            results.append(
+                (
+                    basis.tobytes(),
+                    basis.shape,
+                    kernel_basis(m).array.tobytes(),
+                    span_order(m),
+                    solved.tobytes(),
+                    None if (x := solve_left(m, other)) is None else x.tobytes(),
+                    coset_minimum(m, other).tobytes(),
+                )
+            )
+    assert results[0] == results[1]
