@@ -15,13 +15,13 @@ pivot of least gcd with n, scaled by the cached extended-gcd coefficient
 keeps the pivot row's annihilator multiple.  The ``l_con`` window scan
 (``code._first_window``) is a loop of it over the columns, and so is the
 Howell form, which has two implementations of the one rule: the batched
-numpy step for inputs of more than ``_SMALL_ENTRIES`` entries, and
-``_small_column_steps`` on lists of Python ints up to it, where numpy's
-fixed cost per call (about 20 calls a step) outweighs the arithmetic.
-Howell forms are unique, so both give the same bytes.  ``_reduce_against``
-is the one reducer against a Howell basis: it takes one vector or a batch
-and returns coset minima, so span membership, solving and the coset
-minimum are all a zero test or a read of its result.
+numpy step for inputs of more than ``_SMALL_NONZEROS`` nonzero entries,
+and ``_small_column_steps`` on lists of Python ints up to it, where
+numpy's fixed cost per call (about 20 calls a step) outweighs the
+arithmetic.  Howell forms are unique, so both give the same bytes.
+``_reduce_against`` is the one reducer against a Howell basis: it takes
+one vector or a batch and returns coset minima, so span membership,
+solving and the coset minimum are all a zero test or a read of its result.
 
 A Howell basis has one format in every layer: a (k, c) int64 array of rows
 in pivot order, a row's pivot its first nonzero entry (``_pivot_columns``).
@@ -201,14 +201,18 @@ def _column_step(block: np.ndarray, spanned: int, j: int, n: int) -> np.ndarray:
     return scaled
 
 
-# Inputs of at most this many entries (rows x columns) are eliminated on
-# Python ints (_small_column_steps): a _column_step makes about 20 numpy
-# calls whatever its size, while the lists cost about one operation per
-# nonzero entry they touch.  On dense uniform matrices mod 2-6 with 6-22
-# rows the lists take 0.69x the numpy time at 300 entries, 0.82x at 500,
-# 1.06x at 600 and 1.11x at 800 (medians; 2-vCPU Xeon, NumPy 2.4).  The
-# sparser [M | I] inputs of the corpus codes break even only near 1,500.
-_SMALL_ENTRIES = 500
+# Inputs with at most this many nonzero entries are eliminated on Python
+# ints (_small_column_steps): a _column_step makes about 20 numpy calls
+# whatever its size, while the lists cost about one operation per nonzero
+# entry they touch, and fill-in grows with the nonzeros.  Timed on every
+# distinct input of the params and verify benchmark workloads, the paper
+# checks and the toric codes (2,1,a,a), a = 4, 6, 8 (list/batched time,
+# medians; 2-vCPU Xeon, NumPy 2.4): 0.44-0.93 up to 556 nonzeros, 1.24-2.41
+# from 803 on (the workloads' denser [M | I] of 22 x 70 to 96 x 142), and
+# 0.93-1.06 on the sparse toric inputs of 990-2,284 nonzeros; any bound
+# from 400 to 800 gives the two workloads their least total time.  Dense
+# uniform matrices mod 2-6 cross near 550 nonzeros.
+_SMALL_NONZEROS = 600
 
 
 def _small_column_steps(spanning: list[list[int]], n: int, ncols: int) -> list[list[int]]:
@@ -216,8 +220,11 @@ def _small_column_steps(spanning: list[list[int]], n: int, ncols: int) -> list[l
 
     ``spanning`` holds the rows of one matrix, entries in [0, n); its rows
     are updated in place.  Returns the carried rows, the Howell basis in
-    pivot order.  A spanning row that becomes zero is dropped: it never
-    pivots and no later step changes it.
+    pivot order.  A unit pivot's row becomes zero, so it is dropped from
+    the spanning rows; any other row that becomes zero stays, and costs a
+    test per column, as it never pivots and no later step changes it.
+    Python ints do not wrap, so the step's OverflowError here flags a
+    broken step rule, not an overflow.
     """
     carried: list[list[int]] = []
     for j in range(ncols):
@@ -246,13 +253,14 @@ def _small_column_steps(spanning: list[list[int]], n: int, ncols: int) -> list[l
                 for k, y in terms:
                     row[k] = (row[k] - times * y) % n
         if any(row[j] for row in nonzero):
-            raise OverflowError(f"elimination mod {n} left a nonzero entry at pivot column {j}; an integer product wrapped")
+            raise OverflowError(f"elimination mod {n} left a nonzero entry at pivot column {j}; the step did not clear it")
         for row in carried:
             if times := row[j] // g:
                 for k, y in terms:
                     row[k] = (row[k] - times * y) % n
         carried.append([0] * j + scaled)
-        spanning = [row for row in spanning if any(row)]
+        if g == 1:
+            spanning = [row for row in spanning if row is not pivot]
     return carried
 
 
@@ -262,10 +270,10 @@ def _howell_basis(array: np.ndarray, n: int) -> np.ndarray:
     first nonzero entry.
 
     A :func:`_column_step` per column (a batch of one), with the rows of
-    ``array`` spanning and the basis rows found so far carried; an input of
-    at most ``_SMALL_ENTRIES`` entries runs the same rule on Python ints
-    (:func:`_small_column_steps`) instead, since there numpy's cost per call
-    outweighs the arithmetic.  Both give the same bytes.  At
+    ``array`` spanning and the basis rows found so far carried; an input
+    with at most ``_SMALL_NONZEROS`` nonzero entries runs the same rule on
+    Python ints (:func:`_small_column_steps`) instead, since there numpy's
+    cost per call outweighs the arithmetic.  Both give the same bytes.  At
     each pivot the scaled pivot row, whose pivot is g = gcd(pivot, n),
     joins the carried rows, and every later step reduces the carried rows'
     entries at its column into [0, g) on the way.  The scale s need not be a
@@ -276,7 +284,7 @@ def _howell_basis(array: np.ndarray, n: int) -> np.ndarray:
     """
     rows = np.asarray(array, dtype=np.int64) % n
     r, ncols = rows.shape
-    if r * ncols <= _SMALL_ENTRIES:
+    if np.count_nonzero(rows) <= _SMALL_NONZEROS:
         carried = _small_column_steps(rows.tolist(), n, ncols)
         return np.array(carried, dtype=np.int64).reshape(len(carried), ncols)
     block = np.zeros((r + min(ncols, r * int(n).bit_length()), 1, ncols), dtype=np.int64)

@@ -402,9 +402,29 @@ def test_batched_column_step_raises_when_it_leaves_a_pivot_entry(monkeypatch, mo
     # The same inputs through the batched path, which small inputs skip.
     pivot_scale = zmod._pivot_scale
     monkeypatch.setattr(zmod, "_pivot_scale", lambda a, n: (pivot_scale(a, n) + 1) % n)
-    monkeypatch.setattr(zmod, "_SMALL_ENTRIES", 0)
+    monkeypatch.setattr(zmod, "_SMALL_NONZEROS", -1)
     with pytest.raises(OverflowError, match="pivot column 0"):
         howell_form(ZModMatrix(modulus, rows))
+
+
+def test_howell_basis_picks_its_path_by_nonzero_count(monkeypatch):
+    # Sparse inputs of many entries take the list path; one more nonzero
+    # entry than the bound sends the same shape to the batched step.
+    calls = []
+    small = zmod._small_column_steps
+    monkeypatch.setattr(zmod, "_small_column_steps", lambda *args: calls.append(1) or small(*args))
+    bound = zmod._SMALL_NONZEROS
+    matrix = np.zeros((bound // 5, 40), dtype=np.int64)
+    matrix.flat[np.arange(0, matrix.size - 1, 7)[:bound]] = 3
+    assert np.count_nonzero(matrix) == bound
+    wider = matrix.copy()
+    wider[-1, -1] = 1
+    expected = []
+    for m in (matrix, wider):
+        with mock.patch.object(zmod, "_SMALL_NONZEROS", -1):
+            expected.append(_howell_basis(m, 6))
+    assert np.array_equal(_howell_basis(matrix, 6), expected[0]) and calls == [1]
+    assert np.array_equal(_howell_basis(wider, 6), expected[1]) and calls == [1]
 
 
 _WIDE_MODULI = (2**30, 10**9 + 7, 223092870)
@@ -417,21 +437,27 @@ def _divisors(n: int) -> list[int]:
 
 @st.composite
 def _bounded_matrices(draw):
-    """A modulus and a matrix: a small shape, a single row or column, or a
-    shape on either side of the entry bound; rows scaled by divisors of the
-    modulus, and some rows sums of earlier ones."""
+    """A modulus and a matrix: one with a count of nonzero entries on either
+    side of the bound, or a small shape or a single row or column, some of
+    whose rows are scaled by divisors of the modulus or sums of earlier ones."""
     n = draw(st.one_of(st.integers(2, 60), st.sampled_from(_WIDE_MODULI)))
-    bound = zmod._SMALL_ENTRIES
+    bound = zmod._SMALL_NONZEROS
     shape = draw(
         st.one_of(
             st.tuples(st.integers(0, 6), st.integers(0, 8)),
             st.tuples(st.just(1), st.integers(0, 40)),
             st.tuples(st.integers(0, 12), st.just(1)),
-            st.integers(1, 25).flatmap(lambda r: st.tuples(st.just(r), st.sampled_from([bound // r, bound // r + 1]))),
+            st.integers(1, 40).flatmap(lambda r: st.tuples(st.just(r), st.integers(bound // r + 1, 2 * bound // r + 2))),
         )
     )
     rows, cols = shape
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rows * cols > bound:
+        # Exactly bound or bound + 1 nonzero entries, at random places.
+        matrix = np.zeros(shape, dtype=np.int64)
+        spots = rng.choice(rows * cols, size=bound + draw(st.integers(0, 1)), replace=False)
+        matrix.flat[spots] = rng.integers(1, n, size=len(spots))
+        return n, matrix
     matrix = rng.integers(0, n, size=shape, dtype=np.int64)
     divisors = np.array(_divisors(n), dtype=np.int64)
     if rows and draw(st.booleans()):
@@ -449,8 +475,9 @@ def _times_mod(x: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None)
 @given(_bounded_matrices(), st.integers(0, 2**32 - 1))
-@example((10**9 + 7, np.random.default_rng(0).integers(0, 10**9 + 7, size=(20, 25))), 1)
-@example((10**9 + 7, np.random.default_rng(0).integers(0, 10**9 + 7, size=(20, 26))), 1)
+@example((10**9 + 7, np.random.default_rng(0).integers(1, 10**9 + 7, size=(20, zmod._SMALL_NONZEROS // 20))), 1)
+@example((10**9 + 7, np.random.default_rng(0).integers(1, 10**9 + 7, size=(20, zmod._SMALL_NONZEROS // 20 + 1))), 1)
+@example((6, np.zeros((3, 0), dtype=np.int64)), 1)
 def test_small_and_batched_howell_paths_agree(case, seed):
     # Howell forms are unique, so the Python-int path for small inputs and
     # the batched _column_step path must give the same bytes, and so must
@@ -462,8 +489,8 @@ def test_small_and_batched_howell_paths_agree(case, seed):
     other = rng.integers(0, n, size=cols, dtype=np.int64)
     m = ZModMatrix(n, matrix)
     results = []
-    for bound in (0, 2**62):
-        with mock.patch.object(zmod, "_SMALL_ENTRIES", bound):
+    for bound in (-1, 2**62):
+        with mock.patch.object(zmod, "_SMALL_NONZEROS", bound):
             basis = _howell_basis(matrix, n)
             assert basis.dtype == np.int64 and basis.flags.c_contiguous and basis.shape == (len(basis), cols)
             solved = solve_left(m, member)
