@@ -2,8 +2,9 @@
 
 First certifies that six modes cannot support a k=1, d=3 code (the full
 candidate space is enumerated), then finds a distance-3 code on eight
-modes with early stopping.  Expect roughly ten seconds of work; set
-PFSTAB_THREADS to parallelize the eight-mode run.
+modes with early stopping.  Expect roughly ten seconds of work; pass
+``threads=N`` to ``find_codes`` (``pfstab --threads N search`` on the
+command line) to parallelize the eight-mode run.
 """
 
 import json

@@ -202,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker cap for parallel search (default: PFSTAB_THREADS or 1)",
+        default=1,
+        help="worker cap for parallel search (default: 1); a certificate depends only on its spec and this count",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

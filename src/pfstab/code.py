@@ -467,8 +467,9 @@ def _place(positions: np.ndarray, letter_idx: np.ndarray, letters: np.ndarray, u
     return out
 
 
+@lru_cache(maxsize=4)
 def _weight_rows(modulus: int, universe: int, lo: int, hi: int) -> np.ndarray:
-    """Every vector in Z_D^universe of weight lo .. hi (none above ``universe``), one int64 row each.
+    """Every vector in Z_D^universe of weight lo .. hi (none above ``universe``), one int64 row each, read-only.
 
     Rows run by weight, then support in colex order, then nonzero letters in
     lexicographic order.
@@ -479,7 +480,9 @@ def _weight_rows(modulus: int, universe: int, lo: int, hi: int) -> np.ndarray:
         letters = _lex_digits(np.arange((modulus - 1) ** w), modulus - 1, w)
         out.append(_place(np.repeat(supports, len(letters), axis=0), np.tile(letters, (len(supports), 1)),
                           np.arange(1, modulus)[:, None], universe))
-    return np.vstack(out)
+    out = np.vstack(out)
+    out.flags.writeable = False
+    return out
 
 
 def _syndromes(contrib: np.ndarray, supports: np.ndarray, modulus: int) -> np.ndarray:

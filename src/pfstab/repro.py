@@ -80,7 +80,7 @@ def check_smallest_d3_code() -> list[CheckRow]:
     ]
 
 
-def check_minimality_search(threads: int | None = None) -> list[CheckRow]:
+def check_minimality_search(threads: int = 1) -> list[CheckRow]:
     none_found, cert6 = find_codes(SearchSpec(3, 6, 1, 3, max_hits=0), threads=threads)
     found, cert8 = find_codes(SearchSpec(3, 8, 1, 3, max_hits=1), threads=threads)
     rows = [
@@ -231,7 +231,7 @@ CHECKS = [
 ]
 
 
-def run_all_checks(threads: int | None = None) -> list[CheckRow]:
+def run_all_checks(threads: int = 1) -> list[CheckRow]:
     rows: list[CheckRow] = []
     for name, fn in CHECKS:
         if fn is check_minimality_search:

@@ -103,6 +103,7 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -298,14 +299,16 @@ def _candidate_count(modulus: int, num_modes: int) -> int:
     return modulus**free - 1
 
 
+@lru_cache(maxsize=4)
 def _parity_zero_candidates(modulus: int, num_modes: int) -> np.ndarray:
-    """All nonzero alpha with sum(alpha) == 0 (mod D), in lexicographic order."""
+    """All nonzero alpha with sum(alpha) == 0 (mod D), in lexicographic order, read-only, in the
+    smallest unsigned dtype that holds (D - 1)^2, in which ``_Engine._grown`` forms c * g."""
     _candidate_count(modulus, num_modes)  # raises on an oversized space
     free = num_modes - 1
-    prefix = _lex_digits(np.arange(modulus**free, dtype=np.int64), modulus, free)
-    last = (-prefix.sum(axis=1)) % modulus
-    cand = np.hstack([prefix, last[:, None]])
-    return cand[1:]  # drop the all-zero row
+    prefix = _lex_digits(np.arange(1, modulus**free), modulus, free)  # prefix 0 would give the zero vector
+    cand = np.hstack([prefix, -prefix.sum(axis=1, keepdims=True) % modulus]).astype(np.min_scalar_type((modulus - 1) ** 2))
+    cand.flags.writeable = False
+    return cand
 
 
 def _bound_prefilters(spec: SearchSpec) -> None:
@@ -344,9 +347,7 @@ class _Engine:
         self.count = self.cand.shape[0]
         self.place = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
         self.index = np.arange(self.count)
-        # The candidates in the smallest unsigned dtype that holds (D - 1)^2, for the cosets of ``_grown``.
-        self.digits = self.cand.astype(np.min_scalar_type((d - 1) ** 2))
-        self.multiples = np.arange(d, dtype=self.digits.dtype)[:, None]
+        self.multiples = np.arange(d, dtype=self.cand.dtype)[:, None]
         self.digit_dtype = np.min_scalar_type(2 * d)
         self.prime = _is_prime(d)
         nonzero = self.cand != 0
@@ -359,8 +360,9 @@ class _Engine:
         self.span_size = d ** (n - spec.target_k) if spec.target_k < n else 0
         # Without symmetry reduction, or when sampling, a span can arrive more than once.
         self.repeats = spec.mode == "randomized" or not spec.symmetry_reduction
-        self.pairing = _pairing(self.cand, d).astype(np.float64)  # row i pairs as pairing[i] @ x
-        self.cand_t = np.ascontiguousarray(self.cand.T, dtype=np.float64)
+        wide = self.cand.astype(np.int64)  # ``_pairing``'s cumsum would wrap in the unsigned dtype
+        self.pairing = _pairing(wide, d).astype(np.float64)  # row i pairs as pairing[i] @ x
+        self.cand_t = np.ascontiguousarray(wide.T, dtype=np.float64)
         bound = m * (d - 1) ** 2 + 1
         self.divisible = None
         if bound <= _DIVISIBLE_TABLE:
@@ -405,11 +407,11 @@ class _Engine:
         its elements equally often if its span does, 0 among them, so its
         zero codes count each element's copies; coset c holds 0 exactly
         when c*g is in the span.  Rows are held in ``digit_dtype`` (2D - 1
-        fits): c*g, reduced mod D in ``digits``' dtype, is added to the span
-        rows and the sum wrapped by one unsigned subtract of D.
+        fits): c*g, reduced mod D in the candidates' dtype, is added to the
+        span rows and the sum wrapped by one unsigned subtract of D.
         """
         d = self.spec.modulus
-        steps = ((self.multiples * self.digits[block][:, None, :]) % d).astype(self.digit_dtype, copy=False)
+        steps = ((self.multiples * self.cand[block][:, None, :]) % d).astype(self.digit_dtype, copy=False)
         rows = span[..., None, :, :] + steps[:, :, None, :]
         np.minimum(rows, rows - d, out=rows)  # reduce mod D; unsigned wrap-around
         rows = rows.reshape(len(block), -1, span.shape[-1])
@@ -529,7 +531,7 @@ class _Engine:
         """
         solved = None
         if not self.independent:
-            rows = self.cand[chosen]
+            rows = self.cand[chosen].astype(np.int64)
             relations = kernel_basis(ZModMatrix(self.spec.modulus, rows)).array
             try:
                 solved = relations, _phase_solution(rows, relations, self.spec.modulus)
@@ -560,7 +562,7 @@ class _Engine:
             return
         d, m = self.spec.modulus, self.spec.num_modes
         chosen, codes, solved = zip(*self.pending)
-        rows = self.cand[np.array(chosen)]
+        rows = self.cand[np.array(chosen)].astype(np.int64)
         pivots, basis = _span_bases(np.stack(codes), d, m)
         ends = [0, *np.cumsum(pivots.sum(axis=1)).tolist()]
         if self.independent:
@@ -710,13 +712,6 @@ class _Engine:
                 self._accept(prefixes[o[t]].tolist() + [int(g[t])], leaf_codes[t])
                 if self.stopped:
                     return
-
-
-def _starts(rows: np.ndarray) -> np.ndarray:
-    """Whether each row of the 2-D ``rows`` differs from the row before it (the first always does)."""
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return starts
 
 
 def _run_block(spec: SearchSpec, bounds: tuple[int, int]) -> dict:
@@ -995,23 +990,18 @@ def _finish(cert: SearchCertificate, found: list[tuple[_Hits, list[int]]], start
     return codes, cert
 
 
-def find_codes(spec: SearchSpec, threads: int | None = None) -> tuple[list[PfCode], SearchCertificate]:
+def find_codes(spec: SearchSpec, threads: int = 1) -> tuple[list[PfCode], SearchCertificate]:
     """Run the search described by ``spec``; returns (codes, certificate).
 
     Exhaustive mode partitions the first-generator choice across processes
     when ``threads > 1``; results and hit order are identical to a serial
-    run.  Randomized mode is always serial and reproducible by seed.
-    ``threads=None`` reads ``PFSTAB_THREADS`` on each call (unset or empty
-    means 1); a count below 1, or a value that is not an integer, raises
-    ValueError naming it, in either mode.
+    run.  Randomized mode is always serial and reproducible by seed.  The
+    certificate depends on ``spec`` and ``threads`` alone, and no
+    environment variable sets either.  A ``threads`` that is not a positive
+    integer raises ValueError naming it, in either mode.
     """
-    name, value = "threads", threads
-    if threads is None:
-        name, value = "PFSTAB_THREADS", os.environ.get("PFSTAB_THREADS") or "1"
-        with suppress(ValueError):
-            threads = int(value)
     if not _is_int(threads) or threads < 1:
-        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+        raise ValueError(f"threads must be a positive integer, not {threads!r}")
     _candidate_count(spec.modulus, spec.num_modes)  # an oversized space raises before any primality test
     _bound_prefilters(spec)
     if spec.symmetry_reduction and not _is_prime(spec.modulus) and spec.mode == "exhaustive":

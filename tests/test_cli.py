@@ -286,20 +286,26 @@ def test_search_budget_certificate_is_independent_of_threads(capsys, tmp_path):
     assert certs[0]["tuples_examined"] == 101 and certs[0]["budget_exceeded"]
 
 
-def test_threads_default_reads_the_environment_on_each_call(capsys, tmp_path, monkeypatch):
-    # The parser is built once per process; PFSTAB_THREADS is still read per call.
+def _budget_run(capsys, tmp_path, monkeypatch, value):
+    """(exit status, stdout) of a canonical budgeted search, PFSTAB_THREADS exported as ``value`` (None: unset)."""
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(canonical_json({
         "D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "max_hits": 0, "max_tuples": 100,
     }))
-    out_file = tmp_path / "cert.json"
-    for value, threads in (("2", 2), (None, 1), ("3", 3)):
-        if value is None:
-            monkeypatch.delenv("PFSTAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PFSTAB_THREADS", value)
-        assert run(capsys, "search", spec_file, "--canonical", "--out", out_file)[0] == 3
-        assert json.loads(out_file.read_text())["threads"] == threads
+    if value is None:
+        monkeypatch.delenv("PFSTAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PFSTAB_THREADS", value)
+    status, out, _ = run(capsys, "search", spec_file, "--canonical")
+    return status, out
+
+
+def test_threads_default_ignores_the_environment(capsys, tmp_path, monkeypatch):
+    # The count comes from --threads alone: an exported PFSTAB_THREADS changes no byte of the certificate.
+    unset = _budget_run(capsys, tmp_path, monkeypatch, None)
+    assert unset[0] == 3 and json.loads(unset[1])["threads"] == 1
+    for value in ("2", "3"):
+        assert _budget_run(capsys, tmp_path, monkeypatch, value) == unset
 
 
 @pytest.mark.parametrize(
@@ -307,12 +313,14 @@ def test_threads_default_reads_the_environment_on_each_call(capsys, tmp_path, mo
     [
         (["--threads", "0"], None, "threads must be a positive integer, not 0"),
         (["--threads", "-3"], None, "threads must be a positive integer, not -3"),
-        ([], "abc", "PFSTAB_THREADS must be a positive integer, not 'abc'"),
-        ([], "0", "PFSTAB_THREADS must be a positive integer, not '0'"),
+        (["--threads", "0"], "abc", "threads must be a positive integer, not 0"),
+        (["--threads", "-3"], "0", "threads must be a positive integer, not -3"),
     ],
     ids=["flag_0", "flag_negative", "env_abc", "env_0"],
 )
 def test_bad_thread_count_exits_2(capsys, tmp_path, monkeypatch, argv, env, message):
+    # Only --threads is a thread count: a bad exported PFSTAB_THREADS neither rescues a bad
+    # flag nor fails a run without one, which runs as with the variable unset.
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(canonical_json({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 3, "max_hits": 0}))
     if env is None:
@@ -324,15 +332,15 @@ def test_bad_thread_count_exits_2(capsys, tmp_path, monkeypatch, argv, env, mess
     assert out == ""
     assert err.splitlines()[-1] == f"error: {message}"
     assert "Traceback" not in err
+    if env is not None:
+        status, out, _ = run(capsys, "search", spec_file, "--canonical")
+        assert status == 0 and json.loads(out)["threads"] == 1
 
 
 def test_empty_thread_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(canonical_json({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "max_hits": 0, "max_tuples": 100}))
-    monkeypatch.setenv("PFSTAB_THREADS", "")
-    out_file = tmp_path / "cert.json"
-    assert run(capsys, "search", spec_file, "--canonical", "--out", out_file)[0] == 3
-    assert json.loads(out_file.read_text())["threads"] == 1
+    status, out = _budget_run(capsys, tmp_path, monkeypatch, "")
+    assert (status, out) == _budget_run(capsys, tmp_path, monkeypatch, None)
+    assert status == 3 and json.loads(out)["threads"] == 1
 
 
 def test_search_oversize_candidate_space_exits_3(capsys, tmp_path):

@@ -137,6 +137,20 @@ def test_is_logical_examples():
     assert not is_logical(code, PfOperator.identity(3, 8))
 
 
+def test_is_logical_rejects_a_detectable_error():
+    code = code_8_1_3_d3()
+    error = PfOperator.gamma(3, 8, 3)  # g3, whose syndrome the README gives
+    assert syndrome(code, error) == (0, 2, 2)
+    assert not is_logical(code, error)
+
+
+def test_distance_without_a_cap_refuses_codes_above_the_mode_limit():
+    code = build_toric(ToricSpec(2, 1, 2, 2)).code
+    assert code.num_modes == 32
+    with pytest.raises(ValueError, match="more than 20 modes need an explicit max_weight"):
+        distance(code)
+
+
 def test_distance_of_known_codes():
     res = distance(code_8_1_3_d3())
     assert res.value == 3

@@ -945,6 +945,22 @@ def test_engine_setup_keeps_no_candidate_by_weight_vector_table():
     assert peak < 64 * 2**20  # 19,682 candidates by 4,520 weight vectors took 593 MiB
 
 
+def test_engines_of_one_shape_share_read_only_tables():
+    spec = SearchSpec(3, 6, 1, 3)
+    search._Engine(spec)
+    builders = (search._parity_zero_candidates, pfstab.code._weight_rows)
+    before = [builder.cache_info() for builder in builders]
+    engine = search._Engine(spec)
+    after = [builder.cache_info() for builder in builders]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
+    # One candidate table, in the narrow dtype that ``_grown`` forms its cosets in.
+    assert not hasattr(engine, "digits")
+    assert engine.cand is search._parity_zero_candidates(3, 6) and engine.cand.dtype == np.uint8
+    for table in (engine.cand, pfstab.code._weight_rows(3, 6, 1, 3)):
+        assert not table.flags.writeable
+
+
 # -- threads ----------------------------------------------------------------------
 
 
@@ -986,6 +1002,25 @@ class _InlineWorkers:
     def finished(self):
         self.idle.append(None)
         return self.done.pop(0)
+
+
+def test_a_budget_stop_inside_a_block_drops_the_blocks_later_hits(monkeypatch):
+    # The budget falls inside the second of eight blocks, which holds hits on both sides of it.
+    spec = SearchSpec(2, 6, 1, 2, max_hits=0, max_tuples=74)
+    _, serial = find_codes(spec, threads=1)
+    _, parallel = find_codes(spec, threads=2)
+    assert serial.budget_exceeded and serial.tuples_examined == 75
+    assert _canonical_without_threads(parallel) == _canonical_without_threads(serial)
+    monkeypatch.setattr(_InlineWorkers, "sizes", [])
+    monkeypatch.setattr(_InlineWorkers, "started", [])
+    monkeypatch.setattr(search, "_BlockWorkers", _InlineWorkers)
+    results = search._run_blocks(spec, search._candidate_count(2, 6), threads=2)
+    offset = sum(res["nodes"] for res in results[:-1])
+    nodes = [offset + node for batch in results[-1]["hits"] for node in batch.nodes]
+    assert len(results) == 2 and min(nodes) <= spec.max_tuples < max(nodes)
+    found, examined, budget, stopped = search._replay_serial(spec, results)
+    assert (examined, budget, stopped) == (75, True, False)
+    assert sum(len(kept) for _, kept in found) == len(serial.hits)
 
 
 @pytest.mark.parametrize(
