@@ -111,7 +111,8 @@ class InvalidCodeError(ValueError):
 
 
 class PhaseAssignmentError(ValueError):
-    """No phase assignment can make the generator set a valid stabilizer group."""
+    """No phase assignment can make the generator set a valid stabilizer group: the rows do not
+    commute (see ``_phase_solution``), or a generator is a phase times the identity (:func:`canonical_phases`)."""
 
 
 @dataclass(frozen=True)
@@ -773,8 +774,10 @@ def canonical_phases(code: PfCode) -> PfCode:
 
     The phases are :func:`_phase_solution` of the rows and their kernel
     relations: the lexicographically smallest phase vector, or
-    :class:`PhaseAssignmentError` when none exists.  The returned code
-    keeps the input's mu-free forms (see :meth:`PfCode._from_forms`).
+    :class:`PhaseAssignmentError` when none exists, which needs rows that
+    do not commute, or a zero row with a nonzero phase (a nontrivial phase
+    times the identity).  The returned code keeps the input's mu-free
+    forms (see :meth:`PfCode._from_forms`).
     """
     if code._mu[~code._rows.any(axis=1)].any():
         raise PhaseAssignmentError("a generator is a nontrivial phase times the identity")
@@ -799,6 +802,17 @@ def _phase_solution(rows: np.ndarray, relations: np.ndarray, modulus: int) -> np
     one Howell form of [system | I] gives both a particular solution and
     the kernel that is the freedom; infeasibility raises
     :class:`PhaseAssignmentError`.
+
+    Commuting rows always have phases, which the search relies on.  With
+    h_i = g^{alpha_i}, the k in Z^r with sum_i k_i alpha_i == 0 (mod D)
+    form a lattice Lambda holding D Z^r, on which h^k = h_1^{k_1} ...
+    h_r^{k_r} is a scalar w^{phi(k)}; commuting h_i give h^k h^l = h^{k+l},
+    so phi: Lambda -> Z_2D is additive, and mu works exactly when
+    k . mu == -phi(k) on Lambda, i.e. when -phi extends linearly to Z^r.
+    In a Smith basis u_i, Lambda is the sum of the d_i Z u_i with d_i | D,
+    so that holds iff each phi(d_i u_i) lies in d_i Z_2D; and with h^{u_i}
+    = w^t g^beta, :meth:`PfOperator.power` gives h^{d_i u_i} the phase
+    d_i t - d_i (d_i - 1) (beta . prefix(beta)), a multiple of d_i.
     """
     d = modulus
     if not len(relations):

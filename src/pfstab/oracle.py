@@ -151,13 +151,13 @@ class DenseRep:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         if num_qudits < 1:
             raise ValueError(f"need at least one qudit, got {num_qudits}")
-        dim = modulus**num_qudits
-        if dim > max_dim:
-            raise ValueError(f"dimension {modulus}^{num_qudits} = {dim} exceeds the cap {max_dim}")
+        # The exponent is clipped, as in ``search._candidate_count``, so a huge n costs nothing.
+        if modulus ** min(num_qudits, max_dim.bit_length()) > max_dim:
+            raise ValueError(f"dimension {modulus}^{num_qudits} exceeds the cap {max_dim}")
         self.modulus = modulus
         self.num_qudits = num_qudits
         self.num_modes = 2 * num_qudits
-        self.dim = dim
+        self.dim = modulus**num_qudits
         self.order = 2 * modulus
         self.tol = tol
         # _powers[j][e] is g_{j+1}^e, e = 0 .. D-1.

@@ -25,28 +25,26 @@ time, or a block of a chunk's independent samples.  It runs the
 prefilters in two stages, the weight-(< d) vectors for every tuple of the
 right span size and then the weight-d ones only for the tuples that
 passed, since most tuples fail on a vector of lower weight.  The tuple is
-commuting and parity-zero by construction, so acceptance only assigns
-phases and keys the span, in two steps.  ``_Engine._accept``
-records a passing tuple: its node, its generator indices and a copy of
-its sorted span codes.  A span of D^r elements means independent rows
-(always so for prime D), whose phases come in closed form and always
-exist.  A dependent tuple (composite D with r > n - k) takes a Howell
-form of its rows and a phase solve over Z_2D when it is recorded, since
-no solution is the only rejection left and the ``max_hits`` stop counts
-only hits.  ``_Engine._settle`` then keys and phases the recorded hits
-together, when a run returns or stops and whenever their codes pass
-``_BLOCK_ROWS``.  The key hashes the span's Howell basis, read off its
-sorted integer codes (``code._span_bases``): the row with pivot j is the
-least span code in [D^(m-1-j), D^(m-j)), found for every span by one
-``searchsorted``.  The closed-form phases of all independent tuples come
-from one product (``code._phase_solution``, which ``canonical_phases``
-uses too).  Hits stay lists and arrays until the search returns: a
-settled batch (``_Hits``) holds the nodes, keys, rows, phases, Howell
-bases and relations of its hits, and ``_finish`` writes every
-certificate entry from one ``tolist`` of the returned hits' rows and one
-of their phases, then builds each hit's code once, keeping the basis it
-was keyed by.  A code builds its generator operators only when they are
-read.
+commuting and parity-zero by construction, and commuting rows always have
+phases (the argument is on ``code._phase_solution``), so every tuple that
+passes ``_leaves`` is a hit.  ``_Engine._accept`` records it: its node,
+its generator indices and a copy of its sorted span codes.
+``_Engine._settle`` then keys and phases the recorded hits together, when
+a run returns or stops and whenever their codes pass ``_BLOCK_ROWS``.
+The key hashes the span's Howell basis, read off its sorted integer codes
+(``code._span_bases``): the row with pivot j is the least span code in
+[D^(m-1-j), D^(m-j)), found for every span by one ``searchsorted``.  A
+span of D^r elements means independent rows (always so for prime D), and
+the closed-form phases of all independent tuples come from one product
+(``code._phase_solution``, which ``canonical_phases`` uses too); a
+dependent tuple (composite D with r > n - k) takes a Howell form of its
+rows and a phase solve over Z_2D.  Hits stay lists and arrays until the
+search returns: a settled batch (``_Hits``) holds the nodes, keys, rows,
+phases, Howell bases and relations of its hits, and ``_finish`` writes
+every certificate entry from one ``tolist`` of the returned hits' rows
+and one of their phases, then builds each hit's code once, keeping the
+basis it was keyed by.  A code builds its generator operators only when
+they are read.
 
 Each exponent vector v carries the base-D integer code ``v @ place`` with
 ``place = D^(m-1), ..., D, 1``; lexicographic order on vectors is integer
@@ -109,7 +107,7 @@ from math import comb
 import numpy as np
 
 from .algebra import _pairing
-from .code import _BLOCK_ROWS, PfCode, PhaseAssignmentError, _lex_digits, _phase_solution, _span_bases, _weight_rows
+from .code import _BLOCK_ROWS, PfCode, _lex_digits, _phase_solution, _span_bases, _weight_rows
 
 # The acceptance test calls none of these; the benchmark's span tracer
 # (perfbench/spans.py) still patches these names here.
@@ -185,10 +183,10 @@ class SearchSpec:
             object.__setattr__(self, "generator_count", self.num_modes // 2 - self.target_k)
         if not _is_int(self.generator_count) or self.generator_count < 1:
             raise ValueError("generator_count must be an integer >= 1")
-        if self.mode == "randomized":
-            with suppress(BudgetExceededError):  # an oversized space exits when the search starts
-                if self.generator_count > _candidate_count(self.modulus, self.num_modes):
-                    raise ValueError("generator_count exceeds the number of candidate vectors")
+        # A tuple, sampled or listed, takes distinct candidates.
+        with suppress(BudgetExceededError):  # an oversized space exits when the search starts
+            if self.generator_count > _candidate_count(self.modulus, self.num_modes):
+                raise ValueError("generator_count exceeds the number of candidate vectors")
 
     def to_dict(self) -> dict:
         """Every field by name, ``modulus`` written as ``D``, so no field is left out of a certificate."""
@@ -383,9 +381,8 @@ class _Engine:
         # hits for the max_hits stop and for the benchmark's span tracer (perfbench/spans.py).
         self.hit_keys: list[int] = []
         # The recorded hits that ``_settle`` has not yet keyed and phased: the generator indices
-        # and a copy of the sorted span codes of each and, for dependent tuples only, their kernel
-        # relations and phases (None for independent ones).
-        self.pending: list[tuple[list[int], np.ndarray, tuple[np.ndarray, np.ndarray] | None]] = []
+        # and a copy of the sorted span codes of each.
+        self.pending: list[tuple[list[int], np.ndarray]] = []
         # Sorted codes (as bytes) of every span of the right size that reached
         # the repeat test, kept only when spans can repeat.
         self.seen_spans: set[bytes] = set()
@@ -518,26 +515,13 @@ class _Engine:
 
         ``_leaves`` has fixed k (span size) and d (the prefilters), and
         hands each span over at most once.  The tuple is commuting (the
-        commutation masks) and parity-zero (the candidates), so the phases
-        decide validity.  Independent rows (a span of D^r elements, always
-        so for prime D) have no kernel relations, and their phases come in
-        closed form and always exist, so the tuple is a hit.  Otherwise
-        (composite D, r > n - k) the relations come from a Howell form of
-        the rows and the phases from a solve, at once, because a span with
-        no phase solution is not a code and must not count towards
-        ``max_hits``.  The codes are copied, so no block array of
-        ``_leaves`` outlives its block, and once the recorded codes pass
-        ``_BLOCK_ROWS`` the hits are settled.
+        commutation masks) and parity-zero (the candidates), and commuting
+        rows always have phases (``code._phase_solution``), so it is a hit.
+        The codes are copied, so no block array of ``_leaves`` outlives its
+        block, and once the recorded codes pass ``_BLOCK_ROWS`` the hits are
+        settled.
         """
-        solved = None
-        if not self.independent:
-            rows = self.cand[chosen].astype(np.int64)
-            relations = kernel_basis(ZModMatrix(self.spec.modulus, rows)).array
-            try:
-                solved = relations, _phase_solution(rows, relations, self.spec.modulus)
-            except PhaseAssignmentError:
-                return
-        self.pending.append((chosen, codes.copy(), solved))
+        self.pending.append((chosen, codes.copy()))
         self.hit_keys.append(self.nodes)
         if self.spec.max_hits and len(self.hit_keys) >= self.spec.max_hits:
             self.stopped = True
@@ -555,13 +539,15 @@ class _Engine:
         batch keeps the array, so that a hit's code keeps its slice, as it
         is, as its Howell basis.  Independent tuples get their closed-form
         phases from one ``_phase_solution`` over the stack of their rows
-        and share one empty array of relations; dependent ones were solved
-        when recorded.  No code is built here.
+        and share one empty array of relations; each dependent tuple gets its
+        relations from a Howell form of its rows and its phases from a solve
+        over Z_2D, which cannot fail for commuting rows.  No code is built
+        here.
         """
         if not self.pending:
             return
         d, m = self.spec.modulus, self.spec.num_modes
-        chosen, codes, solved = zip(*self.pending)
+        chosen, codes = zip(*self.pending)
         rows = self.cand[np.array(chosen)].astype(np.int64)
         pivots, basis = _span_bases(np.stack(codes), d, m)
         ends = [0, *np.cumsum(pivots.sum(axis=1)).tolist()]
@@ -569,8 +555,8 @@ class _Engine:
             relations = [np.zeros((0, rows.shape[1]), dtype=np.int64)] * len(rows)
             mu = _phase_solution(rows, relations[0], d)
         else:
-            relations, mu = map(list, zip(*solved))
-            mu = np.stack(mu)
+            relations = [kernel_basis(ZModMatrix(d, t_rows)).array for t_rows in rows]
+            mu = np.stack([_phase_solution(t_rows, t_relations, d) for t_rows, t_relations in zip(rows, relations)])
         nodes = self.hit_keys[len(self.hit_keys) - len(rows):]
         self.hits.append(_Hits(nodes, _span_keys(d, m, basis, ends), rows, mu, basis, ends, relations))
         self.pending = []

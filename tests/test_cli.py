@@ -470,6 +470,8 @@ def test_search_bad_spec_exits_2(capsys, tmp_path):
         ({"D": 3, "modulus": 5, "num_modes": 6, "target_k": 1, "target_d": 2}, "both 'D' and 'modulus'"),
         # A missing field used to surface as a bare KeyError: "bad search spec: 'num_modes'".
         ({"D": 3, "target_k": 1, "target_d": 2}, "missing search spec field 'num_modes'"),
+        # An exhaustive tuple takes distinct candidates too; this count used to overflow the walk's counters.
+        ({"D": 3, "num_modes": 6, "target_k": 1, "target_d": 2, "generator_count": 10**20}, "candidate vectors"),
     ],
 )
 def test_search_rejects_bad_spec_fields_with_one_error_line(capsys, tmp_path, spec, message):
@@ -492,7 +494,7 @@ _SPEC_VALUES = {
 _OPTIONAL_SPEC_VALUES = {
     "mode": st.sampled_from(["exhaustive", "randomized", "other", 1, None]),
     "seed": st.sampled_from([-1, 0, 7, "s", 1.5]),
-    "generator_count": st.sampled_from([-1, 0, 1, 2, "2", None]),
+    "generator_count": st.sampled_from([-1, 0, 1, 2, "2", None, 10**20]),
     "symmetry_reduction": st.sampled_from([True, False, 1, "yes", None]),
     "max_hits": st.sampled_from([-1, 0, 1, 2, "x"]),
     "max_tuples": st.sampled_from([-1, 0, 1, 100, "x"]),
@@ -542,12 +544,17 @@ def test_oracle_invalid_code_file_exits_1(capsys, tmp_path):
     assert err.startswith("invalid:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("modulus, qudits", [(1, 2), (3, 0)])
+@pytest.mark.parametrize("modulus, qudits", [(1, 2), (3, 0), (2, 10**6), (2, 10**20)])
 def test_oracle_degenerate_representation_exits_2(capsys, modulus, qudits):
+    # A huge n used to print the dimension (too many digits to format) or hang computing it.
+    start = time.monotonic()
     status, out, err = run(capsys, "oracle", "--D", modulus, "--n", qudits)
+    assert time.monotonic() - start < 1
     assert status == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if modulus >= 2 and qudits >= 1:
+        assert "exceeds the cap" in err
 
 
 def test_usage_error_on_unknown_command(capsys):

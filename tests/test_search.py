@@ -476,15 +476,38 @@ def test_every_hit_is_valid_with_target_k_and_d(spec):
 
 
 def test_accept_skips_validation_k_and_distance(monkeypatch):
-    # For every modulus the span size fixes k, the prefilters fix d and the
-    # phases decide validity.  Prime-D tuples are independent, so their rows
-    # have a trivial kernel and no Z_2D phase solve runs.
+    # For every modulus the span size fixes k, the prefilters fix d, and
+    # commuting rows always have phases, so validity needs no check.  Prime-D
+    # tuples are independent, so their rows have a trivial kernel and no
+    # Z_2D phase solve runs.
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the accept path")
 
     for name in ("codespace_dim", "group_order", "distance", "validate"):
         monkeypatch.setattr(pfstab.code, name, forbidden)
         monkeypatch.setattr(search, name, forbidden, raising=False)
+    # Dependent D=4 tuples (two generators, n - k = 1) get their relations
+    # and phases when settled: recording a hit solves nothing.  No settle
+    # runs inside _accept here: four hits of four span codes stay below _BLOCK_ROWS.
+    accepting, accept = [], search._Engine._accept
+
+    def recording(self, chosen, codes):
+        accepting.append(chosen)
+        try:
+            accept(self, chosen, codes)
+        finally:
+            accepting.pop()
+
+    def outside_accept(real):
+        def call(*args, **kwargs):
+            assert not accepting, f"{real.__name__} called on the accept path"
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(search._Engine, "_accept", recording)
+    for name in ("kernel_basis", "_phase_solution"):
+        monkeypatch.setattr(search, name, outside_accept(getattr(search, name)))
     _, cert = find_codes(SearchSpec(4, 4, 1, 2, generator_count=2, max_hits=0), threads=1)
     assert _keys(cert) == D4_KEYS
     monkeypatch.setattr(pfstab.code, "_solve_front", forbidden)
